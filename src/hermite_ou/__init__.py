@@ -1,98 +1,15 @@
 """Simulation and minimum-L1 drift inference for Hermite-driven OU-type processes."""
 
-from .estimator import (
-    EstimateResult,
-    EstimatorConfig,
-    l1_objective,
-    minimize_l1,
-    skeleton_separation,
-    tangent_l1_coefficient,
-    tangent_l1_objective,
-    weighted_median,
-)
-from .harness import (
-    ExperimentConfig,
-    band_summaries,
-    ks_two_sample,
-    run_consistency,
-    run_covariance_audit,
-    run_experiment,
-    run_limit_dist,
-    run_maximal,
-    write_rows_csv,
-)
-from .hermite import (
-    GridPath,
-    HermiteSpec,
-    Provenance,
-    hermite_constant,
-    hermite_exponent,
-    read_path_csv,
-    running_max_abs,
-    simulate_fbm,
-    simulate_kernel,
-    simulate_partial_sum,
-    write_path_csv,
-)
-from .integrals import (
-    covariance_functional,
-    noise_response,
-    response_covariance,
-    wiener_integral,
-)
-from .ou import OuSpec, deterministic_solution, euler_solution, exact_solution
-from .rng import (
-    AutocovSequence,
-    NegativeEigenvalueError,
-    RngState,
-    fgn_autocov,
-    make_rng,
-    normal_deviates,
-    sample_stationary_gaussian,
-)
+from . import estimator, harness, hermite, integrals, ou, rng
+from .estimator import *  # noqa: F403
+from .harness import *  # noqa: F403
+from .hermite import *  # noqa: F403
+from .integrals import *  # noqa: F403
+from .ou import *  # noqa: F403
+from .rng import *  # noqa: F403
 
-__all__ = [
-    "AutocovSequence",
-    "EstimateResult",
-    "EstimatorConfig",
-    "ExperimentConfig",
-    "GridPath",
-    "HermiteSpec",
-    "NegativeEigenvalueError",
-    "OuSpec",
-    "Provenance",
-    "RngState",
-    "band_summaries",
-    "covariance_functional",
-    "deterministic_solution",
-    "euler_solution",
-    "exact_solution",
-    "fgn_autocov",
-    "hermite_constant",
-    "hermite_exponent",
-    "ks_two_sample",
-    "l1_objective",
-    "make_rng",
-    "minimize_l1",
-    "noise_response",
-    "normal_deviates",
-    "read_path_csv",
-    "response_covariance",
-    "run_consistency",
-    "run_covariance_audit",
-    "run_experiment",
-    "run_limit_dist",
-    "run_maximal",
-    "running_max_abs",
-    "sample_stationary_gaussian",
-    "simulate_fbm",
-    "simulate_kernel",
-    "simulate_partial_sum",
-    "skeleton_separation",
-    "tangent_l1_coefficient",
-    "tangent_l1_objective",
-    "weighted_median",
-    "wiener_integral",
-    "write_path_csv",
-    "write_rows_csv",
-]
+__all__ = sorted(
+    name
+    for module in (estimator, harness, hermite, integrals, ou, rng)
+    for name in module.__all__
+)

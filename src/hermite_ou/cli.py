@@ -9,26 +9,22 @@ included) reproduces identical bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
 from .estimator import EstimatorConfig, minimize_l1
 from .harness import (
+    GENERATORS,
     KINDS,
     SCHEMAS,
     ExperimentConfig,
     band_summaries,
     run_experiment,
+    simulate_driver,
     write_rows_csv,
 )
-from .hermite import (
-    HermiteSpec,
-    read_path_csv,
-    simulate_fbm,
-    simulate_kernel,
-    simulate_partial_sum,
-    write_path_csv,
-)
+from .hermite import read_path_csv, write_path_csv
 from .ou import OuSpec, exact_solution
 from .rng import make_rng
 
@@ -39,28 +35,9 @@ def _float_list(text: str) -> tuple:
     return tuple(float(part) for part in str(text).split(","))
 
 
-_FIELD_PARSERS = {
-    "kind": str,
-    "theta0": float,
-    "x0": float,
-    "q": int,
-    "H": float,
-    "n": int,
-    "m": int,
-    "eps": _float_list,
-    "delta": _float_list,
-    "T": _float_list,
-    "p": _float_list,
-    "replications": int,
-    "seed": int,
-    "out_dir": str,
-    "ks_samples": int,
-    "theta_lo": float,
-    "theta_hi": float,
-    "coarse_points": int,
-    "refine_tol": float,
-    "generator": str,
-}
+# harness postpones annotations, so each field's type is its source name
+_TYPE_PARSERS = {"str": str, "int": int, "float": float, "tuple": _float_list}
+_FIELD_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in dataclasses.fields(ExperimentConfig)}
 
 
 class CliError(Exception):
@@ -110,9 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--n", type=int, default=512)
     sim.add_argument("--m", type=int, default=32, help="partial-sum refinement factor")
     sim.add_argument("--t-max", type=float, default=1.0)
-    sim.add_argument(
-        "--generator", choices=("auto", "fbm", "partial-sum", "kernel"), default="auto"
-    )
+    sim.add_argument("--generator", choices=GENERATORS, default="auto")
     sim.add_argument("--trunc", type=float, default=None, help="kernel truncation (default 10 t_max)")
     sim.add_argument("--theta", type=float, default=1.0, help="OU drift")
     sim.add_argument("--eps", type=float, default=0.1, help="OU noise scale")
@@ -146,41 +121,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _simulate_driver(args, rng):
-    generator = args.generator
-    if generator == "auto":
-        generator = "fbm" if args.q == 1 else "partial-sum"
+def cmd_simulate(args) -> int:
     if args.n < 2:
         raise CliError(f"--n must be >= 2, got {args.n}")
-    if generator == "fbm":
-        if args.q != 1:
-            raise CliError(f"--generator fbm requires --q 1, got q={args.q}")
-        if not 0.0 < args.H < 1.0:
-            raise CliError(f"--H must be in (0, 1) for the fbm generator, got {args.H}")
-        return simulate_fbm(args.H, args.n, args.t_max, rng)
-    try:
-        spec = HermiteSpec(args.q, args.H)
-    except ValueError as exc:
-        field = "--q" if "order q" in str(exc) else "--H"
-        raise CliError(f"{field}: {exc}") from exc
-    if generator == "partial-sum":
-        if args.m < 1:
-            raise CliError(f"--m must be >= 1, got {args.m}")
-        return simulate_partial_sum(spec, args.n, args.m, args.t_max, rng)
-    trunc = args.trunc if args.trunc is not None else 10.0 * args.t_max
-    if trunc <= 0:
-        raise CliError(f"--trunc must be positive, got {trunc}")
-    return simulate_kernel(spec, args.n, trunc, rng, t_max=args.t_max)
-
-
-def cmd_simulate(args) -> int:
+    if args.m < 1:
+        raise CliError(f"--m must be >= 1, got {args.m}")
     if args.t_max <= 0:
         raise CliError(f"--t-max must be positive, got {args.t_max}")
+    if args.trunc is not None and args.trunc <= 0:
+        raise CliError(f"--trunc must be positive, got {args.trunc}")
+    if args.process == "ou" and args.eps <= 0:
+        raise CliError(f"--eps must be positive, got {args.eps}")
     rng = make_rng(args.seed, args.stream)
-    z = _simulate_driver(args, rng)
+    try:
+        z = simulate_driver(
+            args.generator, args.q, args.H, args.n, args.m, args.t_max, rng, args.trunc
+        )
+    except ValueError as exc:
+        raise CliError(f"{'--q' if 'order q' in str(exc) else '--H'}: {exc}") from exc
     if args.process == "ou":
-        if args.eps <= 0:
-            raise CliError(f"--eps must be positive, got {args.eps}")
         path = exact_solution(OuSpec(args.theta, args.eps, args.x0), z)
     else:
         path = z
@@ -277,10 +236,7 @@ def main(argv=None) -> int:
     handlers = {"simulate": cmd_simulate, "estimate": cmd_estimate, "experiment": cmd_experiment}
     try:
         return handlers[args.command](args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

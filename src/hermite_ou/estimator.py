@@ -125,16 +125,13 @@ def _skeleton_l1_distance(theta: float, theta0: float, x0: float) -> float:
     return abs(x0) * abs(growth(theta) - growth(theta0))
 
 
-def skeleton_separation(
-    delta: float, theta0: float, x0: float, cfg: EstimatorConfig, skeleton=None
-) -> float:
+def skeleton_separation(delta: float, theta0: float, x0: float, cfg: EstimatorConfig) -> float:
     """inf over |theta - theta0| > delta of the L1 distance between skeletons.
 
     For the exponential skeleton the infimum is attained at theta0 +/- delta
     (pointwise monotonicity in |theta - theta0|), so the value is exact.
-    A custom ``skeleton(theta) -> values on [0, 1]`` falls back to a numeric
-    scan of the search interval.  Positive whenever x0 != 0; an x0 of 0
-    degenerates the model and is reported with a warning.
+    Positive whenever x0 != 0; an x0 of 0 degenerates the model and is
+    reported with a warning.
     """
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
@@ -146,23 +143,10 @@ def skeleton_separation(
     if x0 == 0.0:
         warnings.warn("x0 = 0 makes every skeleton identical; separation is 0")
         return 0.0
-    if skeleton is None:
-        return min(
-            _skeleton_l1_distance(theta0 + delta, theta0, x0),
-            _skeleton_l1_distance(theta0 - delta, theta0, x0),
-        )
-    base = np.asarray(skeleton(theta0), dtype=float)
-    dt = 1.0 / (base.size - 1)
-    best = math.inf
-    # the infimum over the open region is approached at theta0 +/- delta,
-    # so the two boundary points join the scan candidates
-    candidates = np.append(np.linspace(cfg.theta_lo, cfg.theta_hi, 2001), [theta0 - delta, theta0 + delta])
-    for theta in candidates:
-        if abs(theta - theta0) < delta:
-            continue
-        dev = np.abs(np.asarray(skeleton(theta), dtype=float) - base)
-        best = min(best, float((dev[0] + dev[-1]) / 2 + dev[1:-1].sum()) * dt)
-    return best
+    return min(
+        _skeleton_l1_distance(theta0 + delta, theta0, x0),
+        _skeleton_l1_distance(theta0 - delta, theta0, x0),
+    )
 
 
 def weighted_median(values, weights) -> float:

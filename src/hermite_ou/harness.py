@@ -20,10 +20,17 @@ import numpy as np
 from scipy.special import kolmogorov
 
 from .estimator import EstimatorConfig, minimize_l1, skeleton_separation, tangent_l1_coefficient
-from .hermite import GridPath, HermiteSpec, running_max_abs, simulate_fbm, simulate_partial_sum
+from .hermite import (
+    GridPath,
+    HermiteSpec,
+    running_max_abs,
+    simulate_fbm,
+    simulate_kernel,
+    simulate_partial_sum,
+)
 from .integrals import noise_response, wiener_integral
 from .ou import OuSpec, exact_solution
-from .rng import make_rng
+from .rng import RngState, make_rng
 
 __all__ = [
     "ExperimentConfig",
@@ -34,6 +41,7 @@ __all__ = [
     "run_maximal",
     "run_covariance_audit",
     "run_experiment",
+    "simulate_driver",
     "ks_two_sample",
     "write_rows_csv",
     "band_summaries",
@@ -54,7 +62,10 @@ SCHEMAS = {
     "covariance-audit": ("s", "t", "target", "estimate", "se", "z_score"),
 }
 
-GENERATORS = ("auto", "fbm", "partial-sum")
+GENERATORS = ("auto", "fbm", "partial-sum", "kernel")
+# experiments leave out the kernel reference generator: at experiment grid
+# sizes its q = 2 weight matrices take gigabytes
+_EXPERIMENT_GENERATORS = tuple(g for g in GENERATORS if g != "kernel")
 
 # stream offset separating the independent comparison sample from the
 # paired replications in the limit-distribution experiment
@@ -89,19 +100,19 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}; valid: {', '.join(KINDS)}")
-        if self.generator not in GENERATORS:
-            raise ValueError(f"unknown generator {self.generator!r}; valid: {', '.join(GENERATORS)}")
+        if self.generator not in _EXPERIMENT_GENERATORS:
+            raise ValueError(
+                f"unknown generator {self.generator!r}; valid: {', '.join(_EXPERIMENT_GENERATORS)}"
+            )
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         for name in ("eps", "delta", "T", "p"):
-            sweep = getattr(self, name)
+            sweep = tuple(float(v) for v in getattr(self, name))
             if len(sweep) == 0:
                 raise ValueError(f"sweep {name} must be nonempty")
-            object.__setattr__(self, name, tuple(float(v) for v in sweep))
-        if any(e <= 0 for e in self.eps):
-            raise ValueError("eps values must be positive")
-        if any(t <= 0 for t in self.T):
-            raise ValueError("T values must be positive")
+            if any(v <= 0 for v in sweep):
+                raise ValueError(f"{name} values must be positive")
+            object.__setattr__(self, name, sweep)
         if self.n < 2 or self.m < 1:
             raise ValueError("need n >= 2 and m >= 1")
         if self.ks_samples < 1:
@@ -134,16 +145,32 @@ def _map_streams(fn: Callable[[int], object], count: int) -> list:
         return list(pool.map(fn, range(count)))
 
 
-def _simulate_driver(cfg: ExperimentConfig, stream: int, n: int, t_max: float) -> GridPath:
-    kind = cfg.generator
-    if kind == "auto":
-        kind = "fbm" if cfg.q == 1 else "partial-sum"
-    rng = make_rng(cfg.seed, stream)
-    if kind == "fbm":
-        if cfg.q != 1:
-            raise ValueError("the fbm generator only produces order q = 1 paths")
-        return simulate_fbm(cfg.H, n, t_max, rng)
-    return simulate_partial_sum(HermiteSpec(cfg.q, cfg.H), n, cfg.m, t_max, rng)
+def simulate_driver(
+    generator: str, q: int, H: float, n: int, m: int, t_max: float, rng: RngState, trunc=None
+) -> GridPath:
+    """Driving path of order q on the grid of n steps over [0, t_max].
+
+    ``generator`` is one of GENERATORS; ``auto`` picks exact fBm for q = 1
+    and partial sums otherwise.  ``m`` is the partial-sum refinement and
+    ``trunc`` the kernel truncation (default 10 t_max).  Invalid input
+    raises ValueError; errors about the order mention "order q".
+    """
+    if generator == "auto":
+        generator = "fbm" if q == 1 else "partial-sum"
+    if generator == "fbm":
+        if q != 1:
+            raise ValueError(f"the fbm generator needs order q = 1, got q={q}")
+        return simulate_fbm(H, n, t_max, rng)
+    if generator not in GENERATORS:
+        raise ValueError(f"unknown generator {generator!r}; valid: {', '.join(GENERATORS)}")
+    spec = HermiteSpec(q, H)
+    if generator == "partial-sum":
+        return simulate_partial_sum(spec, n, m, t_max, rng)
+    return simulate_kernel(spec, n, 10.0 * t_max if trunc is None else trunc, rng, t_max=t_max)
+
+
+def _driver(cfg: ExperimentConfig, stream: int, n: int, t_max: float) -> GridPath:
+    return simulate_driver(cfg.generator, cfg.q, cfg.H, n, cfg.m, t_max, make_rng(cfg.seed, stream))
 
 
 def _binomial_se(hits: int, reps: int) -> float:
@@ -178,7 +205,7 @@ def run_consistency(cfg: ExperimentConfig) -> list:
     """
     reps = cfg.replications
     est_cfg = cfg.estimator_config()
-    paths = _map_streams(lambda s: _simulate_driver(cfg, s, cfg.n, 1.0), reps)
+    paths = _map_streams(lambda s: _driver(cfg, s, cfg.n, 1.0), reps)
     m_hat = float(np.mean([running_max_abs(z).values[-1] for z in paths]))
 
     def errors_for(eps: float) -> np.ndarray:
@@ -226,7 +253,7 @@ def run_limit_dist(cfg: ExperimentConfig) -> list:
     est_cfg = cfg.estimator_config()
 
     def paired(i):
-        z = _simulate_driver(cfg, i, cfg.n, 1.0)
+        z = _driver(cfg, i, cfg.n, 1.0)
         y = noise_response(z, cfg.theta0)
         assert (y.provenance.seed, y.provenance.stream) == (z.provenance.seed, z.provenance.stream)
         zeta = tangent_l1_coefficient(y, cfg.theta0, cfg.x0)
@@ -244,7 +271,7 @@ def run_limit_dist(cfg: ExperimentConfig) -> list:
     zetas = np.array([r[0] for r in paired_results])
 
     def independent_zeta(i):
-        z = _simulate_driver(cfg, _INDEPENDENT_STREAM_BASE + i, cfg.n, 1.0)
+        z = _driver(cfg, _INDEPENDENT_STREAM_BASE + i, cfg.n, 1.0)
         return tangent_l1_coefficient(noise_response(z, cfg.theta0), cfg.theta0, cfg.x0)
 
     zeta_indep = np.array(_map_streams(independent_zeta, cfg.ks_samples))
@@ -284,7 +311,7 @@ def run_maximal(cfg: ExperimentConfig) -> list:
         base = t_idx * cfg.replications
 
         def sup_one(i, t_max=t_max, n_t=n_t, base=base):
-            z = _simulate_driver(cfg, base + i, n_t, t_max)
+            z = _driver(cfg, base + i, n_t, t_max)
             return running_max_abs(z).values[-1]
 
         sups = np.array(_map_streams(sup_one, cfg.replications))
@@ -346,7 +373,7 @@ def run_covariance_audit(cfg: ExperimentConfig) -> list:
     reps = cfg.replications
 
     def one(i):
-        z = _simulate_driver(cfg, i, cfg.n, 1.0)
+        z = _driver(cfg, i, cfg.n, 1.0)
         t = z.times
         integrals = [wiener_integral((t < s).astype(float), z) for s in grid_pts]
         return z.values[idx], integrals

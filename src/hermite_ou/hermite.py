@@ -212,6 +212,12 @@ def simulate_partial_sum(
     return GridPath(t_max, n, values, Provenance(rng.seed, rng.stream, tag))
 
 
+# kernel generator resolution: psi-cells per grid step, and s-subcells per
+# psi-cell for the q = 2 quadrature
+_PSI_REFINE = 4
+_S_REFINE = 8
+
+
 def _cell_averaged_kernel(s: np.ndarray, edges: np.ndarray, expo: float) -> np.ndarray:
     """Cell averages over psi of (s - psi)_+^expo, shape (len(s), len(edges)-1).
 
@@ -226,23 +232,23 @@ def _cell_averaged_kernel(s: np.ndarray, edges: np.ndarray, expo: float) -> np.n
 
 
 @lru_cache(maxsize=8)
-def _kernel_grids(n: int, trunc: float, t_max: float, psi_refine: int):
+def _kernel_grids(n: int, trunc: float, t_max: float):
     """psi-cell edges covering [-trunc, t_max) (truncation snapped to the grid)."""
-    width = t_max / (n * psi_refine)
+    width = t_max / (n * _PSI_REFINE)
     n_left = math.ceil(trunc / width)
-    edges = np.arange(-n_left, n * psi_refine + 1) * width
+    edges = np.arange(-n_left, n * _PSI_REFINE + 1) * width
     edges.setflags(write=False)
     return width, edges
 
 
 @lru_cache(maxsize=8)
-def _kernel_q1_weights(h0: float, n: int, trunc: float, t_max: float, psi_refine: int):
+def _kernel_q1_weights(h0: float, n: int, trunc: float, t_max: float):
     """Matrix A with Z_{t_i} = c * sum_c A[i, c] * dW_c for the q = 1 kernel.
 
     A[i, c] is the exact cell average over psi-cell c of
     F(t_i, psi) = int_0^{t_i} (s - psi)_+^(h0 - 3/2) ds.
     """
-    width, edges = _kernel_grids(n, trunc, t_max, psi_refine)
+    width, edges = _kernel_grids(n, trunc, t_max)
     times = np.arange(n + 1) * (t_max / n)
     b = h0 - 0.5  # exponent after the inner ds-integration, in (0, 1/2)
 
@@ -258,10 +264,10 @@ def _kernel_q1_weights(h0: float, n: int, trunc: float, t_max: float, psi_refine
 
 
 @lru_cache(maxsize=8)
-def _kernel_q2_weights(h0: float, n: int, trunc: float, t_max: float, psi_refine: int, s_refine: int):
+def _kernel_q2_weights(h0: float, n: int, trunc: float, t_max: float):
     """s-quadrature weight matrix v_c(s_mid) for the q = 2 kernel generator."""
-    _, edges = _kernel_grids(n, trunc, t_max, psi_refine)
-    n_sub = n * psi_refine * s_refine
+    _, edges = _kernel_grids(n, trunc, t_max)
+    n_sub = n * _PSI_REFINE * _S_REFINE
     s_mid = (np.arange(n_sub) + 0.5) * (t_max / n_sub)
     v = _cell_averaged_kernel(s_mid, edges, h0 - 1.5)
     v.setflags(write=False)
@@ -269,9 +275,7 @@ def _kernel_q2_weights(h0: float, n: int, trunc: float, t_max: float, psi_refine
 
 
 @lru_cache(maxsize=8)
-def _kernel_variance_deficit(
-    q: int, h0: float, c: float, n: int, trunc: float, t_max: float, psi_refine: int, s_refine: int
-):
+def _kernel_variance_deficit(q: int, h0: float, c: float, n: int, trunc: float, t_max: float):
     """Exact relative variance deficit 1 - E[Z_{t_max}^2] / t_max^(2H) of the
     discrete kernel scheme (truncation plus cell discretization combined).
 
@@ -282,14 +286,14 @@ def _kernel_variance_deficit(
     h = 1.0 + q * (h0 - 1.0)
     target = t_max ** (2.0 * h)
     if q == 1:
-        width, _ = _kernel_grids(n, trunc, t_max, psi_refine)
-        a_end = _kernel_q1_weights(h0, n, trunc, t_max, psi_refine)[-1]
+        width, _ = _kernel_grids(n, trunc, t_max)
+        a_end = _kernel_q1_weights(h0, n, trunc, t_max)[-1]
         return 1.0 - c**2 * np.sum(a_end**2) * width / target
-    v = _kernel_q2_weights(h0, n, trunc, t_max, psi_refine, s_refine)
+    v = _kernel_q2_weights(h0, n, trunc, t_max)
     n_sub, n_cells = v.shape
     if min(n_sub, n_cells) > 4096:
         return None
-    width, _ = _kernel_grids(n, trunc, t_max, psi_refine)
+    width, _ = _kernel_grids(n, trunc, t_max)
     ds = t_max / n_sub
     # E[Z^2] = 2 c^2 ds^2 (sum_kl G_kl^2 - sum_kl D_kl), G = width * V V^T;
     # sum G^2 = width^2 ||V^T V||_F^2 via the smaller Gram matrix.
@@ -324,13 +328,7 @@ def _truncation_bias_estimate(q: int, h0: float, c: float, t_max: float, trunc: 
 
 
 def simulate_kernel(
-    spec: HermiteSpec,
-    n: int,
-    trunc: float,
-    rng: RngState,
-    t_max: float = 1.0,
-    psi_refine: int = 4,
-    s_refine: int = 8,
+    spec: HermiteSpec, n: int, trunc: float, rng: RngState, t_max: float = 1.0
 ) -> GridPath:
     """Reference discretization of the moving-average kernel representation.
 
@@ -348,35 +346,33 @@ def simulate_kernel(
     shrinks only like a fractional power of the cell width).
     """
     if spec.q not in (1, 2):
-        raise ValueError(f"kernel generator supports q in {{1, 2}}, got q={spec.q}")
+        raise ValueError(f"kernel generator supports order q in {{1, 2}}, got q={spec.q}")
     if trunc <= 0:
         raise ValueError(f"trunc must be positive, got {trunc}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    width, edges = _kernel_grids(n, trunc, t_max, psi_refine)
+    width, edges = _kernel_grids(n, trunc, t_max)
     dw = normal_deviates(rng, edges.size - 1) * math.sqrt(width)
 
     if spec.q == 1:
-        a = _kernel_q1_weights(spec.H0, n, trunc, t_max, psi_refine)
+        a = _kernel_q1_weights(spec.H0, n, trunc, t_max)
         values = spec.c * (a @ dw)
         values[0] = 0.0
     else:
         # s-quadrature at midpoints of subcells finer than the psi-cells;
         # pair sums use sum_{i != j} v_i v_j x_i x_j = (v.x)^2 - sum v_i^2 x_i^2.
-        v = _kernel_q2_weights(spec.H0, n, trunc, t_max, psi_refine, s_refine)
-        n_sub = n * psi_refine * s_refine
+        v = _kernel_q2_weights(spec.H0, n, trunc, t_max)
+        n_sub = n * _PSI_REFINE * _S_REFINE
         p = v @ dw
         q_diag = (v * v) @ (dw * dw)
         cell = (p * p - q_diag) * (t_max / n_sub)
         cum = np.concatenate([[0.0], np.cumsum(cell)])
-        values = spec.c * cum[:: psi_refine * s_refine]
+        values = spec.c * cum[:: _PSI_REFINE * _S_REFINE]
     tag = f"kernel(q={spec.q},H={spec.H:g},M={trunc:g})"
     meta = {
         "trunc": trunc,
         "truncation_bias": _truncation_bias_estimate(spec.q, spec.H0, spec.c, t_max, trunc),
-        "variance_bias": _kernel_variance_deficit(
-            spec.q, spec.H0, spec.c, n, trunc, t_max, psi_refine, s_refine
-        ),
+        "variance_bias": _kernel_variance_deficit(spec.q, spec.H0, spec.c, n, trunc, t_max),
         "psi_step": width,
     }
     return GridPath(t_max, n, values, Provenance(rng.seed, rng.stream, tag), meta)
@@ -391,19 +387,18 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def write_path_csv(path: GridPath, fh, comments: bool = True) -> None:
+def write_path_csv(path: GridPath, fh) -> None:
     """Write a path as CSV: header ``t,value``, 17 significant digits.
 
-    With ``comments`` the provenance is echoed as '#'-prefixed header lines.
+    The provenance and ``meta`` are echoed first as '#'-prefixed lines.
     """
-    if comments:
-        prov = path.provenance
-        fh.write(f"# generator={prov.tag} seed={prov.seed} stream={prov.stream}\n")
-        fh.write(f"# t_max={_fmt(path.t_max)} n={path.n}\n")
-        for key in sorted(path.meta):
-            value = path.meta[key]
-            text = _fmt(value) if isinstance(value, (float, np.floating)) else str(value)
-            fh.write(f"# {key}={text}\n")
+    prov = path.provenance
+    fh.write(f"# generator={prov.tag} seed={prov.seed} stream={prov.stream}\n")
+    fh.write(f"# t_max={_fmt(path.t_max)} n={path.n}\n")
+    for key in sorted(path.meta):
+        value = path.meta[key]
+        text = _fmt(value) if isinstance(value, (float, np.floating)) else str(value)
+        fh.write(f"# {key}={text}\n")
     fh.write("t,value\n")
     times = path.times
     for i in range(path.n + 1):

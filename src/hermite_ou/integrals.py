@@ -22,6 +22,7 @@ from .hermite import GridPath
 __all__ = [
     "wiener_integral",
     "covariance_functional",
+    "discounted_integral",
     "noise_response",
     "response_covariance",
 ]
@@ -77,15 +78,24 @@ def covariance_functional(f, g, h: float, t_max: float = 1.0) -> float:
     return float(h * (2.0 * h - 1.0) * np.dot(fv[:-1], conv))
 
 
+def discounted_integral(z: GridPath, theta: float) -> np.ndarray:
+    """int_0^(t_i) e^(-theta s) dZ_s on the grid of z, starting from 0.
+
+    The discrete variation-of-constants integral: cumulative left-endpoint
+    sums [0, cumsum(e^(-theta t_i) (z_{i+1} - z_i))].  Both noise_response
+    and ou.exact_solution are built on it.
+    """
+    incr = np.exp(-theta * z.times[:-1]) * np.diff(z.values)
+    return np.concatenate([[0.0], np.cumsum(incr)])
+
+
 def noise_response(z: GridPath, theta: float) -> GridPath:
     """Y_t = e^(theta t) * int_0^t e^(-theta s) dZ_s, the drift response to z.
 
     Discretized with the left-endpoint Wiener integral; Y_0 = 0 and
     eps * Y equals the exact OU solution minus its deterministic skeleton.
     """
-    t = z.times
-    incr = np.exp(-theta * t[:-1]) * np.diff(z.values)
-    y = np.exp(theta * t) * np.concatenate([[0.0], np.cumsum(incr)])
+    y = np.exp(theta * z.times) * discounted_integral(z, theta)
     return z.with_values(y, f"noise-response(theta={theta:g})")
 
 

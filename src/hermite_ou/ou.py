@@ -5,8 +5,9 @@ solution follows the variation-of-constants formula
 
     X_t = e^(theta t) (x0 + eps int_0^t e^(-theta s) dZ_s),
 
-evaluated with the discrete left-endpoint Wiener integral; an Euler scheme
-is kept alongside to demonstrate that the estimator is solver-agnostic.
+evaluated with the discrete left-endpoint integral
+integrals.discounted_integral; an Euler scheme is kept alongside to
+demonstrate that the estimator is solver-agnostic.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hermite import GridPath
+from .integrals import discounted_integral
 
 __all__ = ["OuSpec", "deterministic_solution", "exact_solution", "euler_solution"]
 
@@ -42,10 +44,8 @@ def exact_solution(spec: OuSpec, z: GridPath) -> GridPath:
     """Variation-of-constants solution driven by the path z (z_0 must be 0)."""
     if z.values[0] != 0.0:
         raise ValueError("driving path must start at 0")
-    t = z.times
-    incr = np.exp(-spec.theta * t[:-1]) * np.diff(z.values)
-    integral = np.concatenate([[0.0], np.cumsum(incr)])
-    values = np.exp(spec.theta * t) * (spec.x0 + spec.eps * integral)
+    integral = discounted_integral(z, spec.theta)
+    values = np.exp(spec.theta * z.times) * (spec.x0 + spec.eps * integral)
     tag = f"ou-exact(theta={spec.theta:g},eps={spec.eps:g},x0={spec.x0:g})"
     return z.with_values(values, tag)
 

@@ -9,7 +9,7 @@ exact in distribution and costs O(n log n).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -107,13 +107,38 @@ class AutocovSequence:
     def __len__(self) -> int:
         return self.values.size
 
+    @cached_property
+    def embedding_eigenvalues(self) -> np.ndarray:
+        """FFT eigenvalues of the even circulant extension of length 2(n-1).
+
+        Raises NegativeEigenvalueError if any eigenvalue is below
+        -EIG_TOL * max(eigenvalues); mildly negative values are clipped to 0.
+        Cached on the sequence, so repeated sampling pays the FFT once.
+        """
+        gamma = self.values
+        circ = np.concatenate([gamma, gamma[-2:0:-1]])  # length 2(n-1)
+        lam = np.fft.fft(circ).real
+        lam_max = lam.max()
+        if lam_max <= 0:
+            raise NegativeEigenvalueError("embedding has no positive eigenvalue")
+        bad = lam < -EIG_TOL * lam_max
+        if np.any(bad):
+            raise NegativeEigenvalueError(
+                f"circulant embedding has negative eigenvalue {lam[bad].min():.6g} "
+                f"(max {lam_max:.6g}); the autocovariance is invalid for this method"
+            )
+        lam = np.clip(lam, 0.0, None)
+        lam.setflags(write=False)
+        return lam
+
 
 @lru_cache(maxsize=64)
 def fgn_autocov(h: float, n: int) -> AutocovSequence:
     """Autocovariance of unit-variance fractional Gaussian noise with Hurst h.
 
     gamma(k) = 0.5 * (|k+1|^(2h) - 2|k|^(2h) + |k-1|^(2h)); gamma(0) = 1.
-    Results are cached (the returned array is read-only).
+    Results are cached (the returned array is read-only), and with them
+    their embedding eigenvalues.
     """
     if not 0.0 < h < 1.0:
         raise ValueError(f"h must be in (0, 1), got {h}")
@@ -126,35 +151,6 @@ def fgn_autocov(h: float, n: int) -> AutocovSequence:
     return AutocovSequence(gamma)
 
 
-@lru_cache(maxsize=32)
-def _embedding_eigenvalues_cached(gamma_bytes: bytes, n: int) -> np.ndarray:
-    gamma = np.frombuffer(gamma_bytes, dtype=float)
-    circ = np.concatenate([gamma, gamma[-2:0:-1]])  # length 2(n-1)
-    lam = np.fft.fft(circ).real
-    lam_max = lam.max()
-    if lam_max <= 0:
-        raise NegativeEigenvalueError("embedding has no positive eigenvalue")
-    bad = lam < -EIG_TOL * lam_max
-    if np.any(bad):
-        raise NegativeEigenvalueError(
-            f"circulant embedding has negative eigenvalue {lam[bad].min():.6g} "
-            f"(max {lam_max:.6g}); the autocovariance is invalid for this method"
-        )
-    lam = np.clip(lam, 0.0, None)
-    lam.setflags(write=False)
-    return lam
-
-
-def _embedding_eigenvalues(gamma: np.ndarray) -> np.ndarray:
-    """FFT eigenvalues of the even circulant extension of length 2(n-1).
-
-    Raises NegativeEigenvalueError if any eigenvalue is below
-    -EIG_TOL * max(eigenvalues); mildly negative values are clipped to 0.
-    Cached per autocovariance so repeated sampling pays the FFT once.
-    """
-    return _embedding_eigenvalues_cached(gamma.tobytes(), gamma.size)
-
-
 def sample_stationary_gaussian(acov, n: int, rng: RngState) -> np.ndarray:
     """Exact-in-distribution stationary Gaussian sample of length n.
 
@@ -162,15 +158,18 @@ def sample_stationary_gaussian(acov, n: int, rng: RngState) -> np.ndarray:
     must provide at least n lags.  Equal (seed, stream, acov, n) give equal
     output vectors.
     """
-    gamma = acov.values if isinstance(acov, AutocovSequence) else AutocovSequence(acov).values
+    if not isinstance(acov, AutocovSequence):
+        acov = AutocovSequence(acov)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if gamma.size < n:
-        raise ValueError(f"need {n} autocovariance lags, got {gamma.size}")
+    if len(acov) < n:
+        raise ValueError(f"need {n} autocovariance lags, got {len(acov)}")
     gen = rng.generator()
     if n == 1:
-        return np.sqrt(gamma[0]) * _box_muller(gen, 1)
-    lam = _embedding_eigenvalues(gamma[:n])
+        return np.sqrt(acov.values[0]) * _box_muller(gen, 1)
+    if len(acov) > n:
+        acov = AutocovSequence(acov.values[:n])
+    lam = acov.embedding_eigenvalues
     m = lam.size  # 2(n-1), even
     half = m // 2
     e = _box_muller(gen, m)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from hermite_ou.cli import main
 from hermite_ou.hermite import GridPath, Provenance, write_path_csv
@@ -52,13 +53,37 @@ def test_simulate_identical_flags_identical_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_simulate_rejects_bad_hurst(tmp_path, capsys):
-    code = run_cli(
-        "simulate", "--process", "hermite", "--q", "2", "--H", "1.4",
-        "--n", "64", "--out", str(tmp_path / "z.csv"),
+# every simulate rejection: (flags, the flag the error line must name)
+BAD_SIMULATE_FLAGS = {
+    "n-1": (["--n", "1"], "--n"),
+    "m-0": (["--m", "0"], "--m"),
+    "trunc-neg": (["--trunc", "-1"], "--trunc"),
+    "t-max-0": (["--t-max", "0"], "--t-max"),
+    "eps-0": (["--eps", "0"], "--eps"),
+    "fbm-q2": (["--generator", "fbm", "--q", "2"], "--q"),
+    "q2-H1.4": (["--q", "2", "--H", "1.4"], "--H"),
+}
+
+
+def simulate_ou(tmp_path, *flags):
+    return run_cli(
+        "simulate", "--process", "ou", "--n", "16", "--m", "4",
+        "--out", str(tmp_path / "x.csv"), *flags,
     )
-    assert code != 0
-    assert "--H" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", BAD_SIMULATE_FLAGS)
+def test_simulate_rejects_bad_flag(case, tmp_path, capsys):
+    flags, named = BAD_SIMULATE_FLAGS[case]
+    assert simulate_ou(tmp_path, *flags) == 2
+    error = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+    assert len(error) == 1 and named in error[0], error
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_simulate_fbm_accepts_any_hurst(tmp_path):
+    # exact fBm is defined for every H in (0, 1), not just the Hermite range
+    assert simulate_ou(tmp_path, "--generator", "fbm", "--q", "1", "--H", "0.3") == 0
 
 
 def test_simulate_kernel_generator(tmp_path):

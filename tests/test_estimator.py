@@ -164,13 +164,6 @@ def test_separation_rejects_bad_delta():
         skeleton_separation(3.0, 0.0, 1.0, CFG)  # window leaves the interval
 
 
-def test_separation_numeric_fallback_agrees():
-    t = np.linspace(0.0, 1.0, 513)
-    got = skeleton_separation(0.5, 0.3, 1.0, CFG, skeleton=lambda th: np.exp(th * t))
-    exact = skeleton_separation(0.5, 0.3, 1.0, CFG)
-    assert got == pytest.approx(exact, rel=2e-3)
-
-
 # -------------------------------------------------------------- tangent fit
 
 

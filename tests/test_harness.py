@@ -1,6 +1,7 @@
 import io
 import math
 
+import numpy as np
 import pytest
 
 from hermite_ou import make_rng, normal_deviates
@@ -14,8 +15,10 @@ from hermite_ou.harness import (
     run_experiment,
     run_limit_dist,
     run_maximal,
+    simulate_driver,
     write_rows_csv,
 )
+from hermite_ou.hermite import HermiteSpec, simulate_fbm, simulate_partial_sum
 
 
 def render(rows, kind):
@@ -70,8 +73,10 @@ def test_config_rejects_empty_sweep():
 
 
 def test_config_rejects_bad_eps():
-    with pytest.raises(ValueError):
-        ExperimentConfig(kind="consistency", eps=(0.1, -0.5))
+    # every sweep must be positive, checked when the config is built
+    for name, sweep in (("eps", (0.1, -0.5)), ("delta", (0.5, 0.0)), ("p", (-1.0,)), ("T", (0.0,))):
+        with pytest.raises(ValueError, match=f"{name} values must be positive"):
+            ExperimentConfig(kind="consistency", **{name: sweep})
 
 
 def test_config_rejects_bad_process():
@@ -79,6 +84,35 @@ def test_config_rejects_bad_process():
         ExperimentConfig(kind="maximal", q=0)
     with pytest.raises(ValueError):
         ExperimentConfig(kind="maximal", H=0.4)
+    # the kernel reference generator is too memory-hungry for experiments
+    with pytest.raises(ValueError, match="generator"):
+        ExperimentConfig(kind="maximal", generator="kernel")
+
+
+# ------------------------------------------------------------ driver dispatch
+
+
+def test_simulate_driver_auto_picks_by_order():
+    rng = make_rng(4, 1)
+    fbm = simulate_driver("auto", 1, 0.7, 32, 8, 2.0, rng)
+    np.testing.assert_array_equal(fbm.values, simulate_fbm(0.7, 32, 2.0, rng).values)
+    ps = simulate_driver("auto", 2, 0.7, 32, 8, 2.0, rng)
+    want = simulate_partial_sum(HermiteSpec(2, 0.7), 32, 8, 2.0, rng)
+    np.testing.assert_array_equal(ps.values, want.values)
+
+
+def test_simulate_driver_kernel_default_truncation():
+    z = simulate_driver("kernel", 1, 0.7, 8, 1, 0.5, make_rng(0, 0))
+    assert z.meta["trunc"] == 5.0
+
+
+def test_simulate_driver_rejects_bad_choices():
+    with pytest.raises(ValueError, match="order q"):
+        simulate_driver("fbm", 2, 0.7, 32, 8, 1.0, make_rng(0, 0))
+    with pytest.raises(ValueError, match="order q"):
+        simulate_driver("kernel", 3, 0.7, 8, 1, 1.0, make_rng(0, 0))
+    with pytest.raises(ValueError, match="unknown generator"):
+        simulate_driver("bogus", 2, 0.7, 32, 8, 1.0, make_rng(0, 0))
 
 
 # ------------------------------------------------------------------- maximal

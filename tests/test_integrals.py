@@ -5,6 +5,7 @@ from hermite_ou import make_rng
 from hermite_ou.hermite import GridPath, Provenance, simulate_fbm
 from hermite_ou.integrals import (
     covariance_functional,
+    discounted_integral,
     noise_response,
     response_covariance,
     wiener_integral,
@@ -113,6 +114,16 @@ def test_covariance_rejects_bad_h():
 
 
 # ------------------------------------------------------------ noise response
+
+
+def test_discounted_integral_is_running_wiener_integral():
+    z = simulate_fbm(H, 64, 1.0, make_rng(2, 2))
+    t = z.times
+    got = discounted_integral(z, 0.8)
+    assert got[0] == 0.0
+    for k in (1, 17, 64):
+        want = wiener_integral(np.exp(-0.8 * t) * (t < t[k]), z)
+        assert got[k] == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 def test_noise_response_zero_drift_is_identity():
