@@ -162,11 +162,20 @@ def cmd_estimate(args) -> int:
         except ValueError as exc:
             raise CliError(f"malformed path CSV {args.input}: {exc}") from exc
     cfg = EstimatorConfig(args.theta_lo, args.theta_hi, args.coarse_points, args.refine_tol)
-    res = minimize_l1(path, args.x0, cfg)
+    try:
+        res = minimize_l1(path, args.x0, cfg)
+    except ValueError as exc:
+        raise CliError(f"--theta-lo/--theta-hi: {exc}") from exc
     print(f"theta_hat={res.theta_hat:.17g}")
     print(f"objective={res.objective_value:.17g}")
     print(f"n_evals={res.n_evals}")
     print(f"bracket=[{res.bracket[0]:.17g},{res.bracket[1]:.17g}]")
+    if res.bracket[0] <= cfg.theta_lo or res.bracket[1] >= cfg.theta_hi:
+        print(
+            f"warning: theta_hat={res.theta_hat:.17g} lies at the edge of the window "
+            f"[{cfg.theta_lo:.17g}, {cfg.theta_hi:.17g}]; widen --theta-lo/--theta-hi",
+            file=sys.stderr,
+        )
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("theta_hat,objective_value,n_evals,bracket_lo,bracket_hi\n")

@@ -2,9 +2,10 @@
 
 The estimator minimizes S(theta) = int |X_t - x0 e^(theta t)| dt over a
 compact search interval.  S is continuous but not smooth, so the minimizer
-is located by a coarse scan (guarding against non-unimodality) followed by
-golden-section refinement inside the best bracket; ties are always broken
-toward the smaller theta, which makes the selection deterministic.
+is located by a coarse scan (guarding against non-unimodality, one blocked
+array reduction over the theta grid) followed by golden-section refinement
+inside the best bracket; ties are always broken toward the smaller theta,
+which makes the selection deterministic.
 
 The small-noise limit of the rescaled error is the minimizer of a weighted
 L1 fit of the noise response Y to the tangent curve t x0 e^(theta0 t);
@@ -34,6 +35,8 @@ __all__ = [
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _TIE_TOL = 1e-12  # objective values this close count as tied
+_SCAN_BLOCK = 1 << 16  # grid values per coarse-scan block (512 KiB of doubles)
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -70,6 +73,44 @@ def l1_objective(x: GridPath, theta: float, x0: float) -> float:
     return float((dev[0] + dev[-1]) / 2 + dev[1:-1].sum()) * x.dt
 
 
+def _coarse_scan(x: GridPath, thetas: np.ndarray, x0: float) -> np.ndarray:
+    """l1_objective(x, theta, x0) for every theta in ``thetas``, bit for bit.
+
+    Rows |X_t - x0 e^(theta t)| for a block of theta values are built in
+    place in one reused buffer of ``_SCAN_BLOCK`` grid values (one row when
+    a row is longer) and reduced with the same trapezoid sum.
+    """
+    times = x.times
+    rows = max(1, _SCAN_BLOCK // times.size)
+    buf = np.empty((min(rows, thetas.size), times.size))
+    out = np.empty(thetas.size)
+    for start in range(0, thetas.size, rows):
+        block = thetas[start : start + rows]
+        b = buf[: block.size]
+        np.multiply.outer(block, times, out=b)
+        np.exp(b, out=b)
+        np.multiply(b, x0, out=b)
+        np.subtract(x.values, b, out=b)
+        np.abs(b, out=b)
+        row_sums = (b[:, 0] + b[:, -1]) / 2 + b[:, 1:-1].sum(axis=1)
+        out[start : start + block.size] = row_sums * x.dt
+    return out
+
+
+def _check_window(x: GridPath, x0: float, cfg: EstimatorConfig) -> None:
+    """Raise ValueError where e^(theta t), x0 e^(theta t) or the row sum of
+    the L1 objective would overflow a double for some theta in the window."""
+    lo, hi = cfg.theta_lo * x.t_max, cfg.theta_hi * x.t_max
+    # the row sum has n + 1 terms, each at most 2 |x0| e^(theta t_max) while the
+    # path stays below the skeleton; max(., 1) also keeps e^(theta t) itself finite
+    headroom = _LOG_MAX - math.log(2 * (x.n + 1) * max(abs(x0), 1.0))
+    if not (math.isfinite(lo) and max(hi, 0.0) <= headroom):
+        raise ValueError(
+            f"window [{cfg.theta_lo}, {cfg.theta_hi}] overflows: x0 e^(theta t) with "
+            f"x0 = {x0} is not a finite double on t in [0, {x.t_max}]"
+        )
+
+
 def minimize_l1(x: GridPath, x0: float, cfg: EstimatorConfig) -> EstimateResult:
     """Minimum L1-norm drift estimate over [theta_lo, theta_hi].
 
@@ -77,17 +118,19 @@ def minimize_l1(x: GridPath, x0: float, cfg: EstimatorConfig) -> EstimateResult:
     golden-section refinement in the bracketing triple until the bracket is
     narrower than ``refine_tol``.  Under ties (within 1e-12 on S) the
     smaller theta wins.  A boundary minimizer is flagged by the returned
-    bracket touching the interval end.
+    bracket touching the interval end.  A window on which the skeleton
+    would overflow raises ValueError.
     """
-    n_evals = 0
+    _check_window(x, x0, cfg)
+    thetas = np.linspace(cfg.theta_lo, cfg.theta_hi, cfg.coarse_points)
+    coarse = _coarse_scan(x, thetas, x0)
+    n_evals = cfg.coarse_points
 
     def objective(theta):
         nonlocal n_evals
         n_evals += 1
         return l1_objective(x, theta, x0)
 
-    thetas = np.linspace(cfg.theta_lo, cfg.theta_hi, cfg.coarse_points)
-    coarse = np.array([objective(t) for t in thetas])
     k = int(np.flatnonzero(coarse <= coarse.min() + _TIE_TOL)[0])
     a = thetas[max(k - 1, 0)]
     b = thetas[min(k + 1, cfg.coarse_points - 1)]

@@ -4,8 +4,9 @@ scaling and covariance audits, with deterministic CSV reports.
 Replications are keyed by (seed, stream), one stream per replication, so a
 configuration (including its seed) determines every output byte.  Worker
 concurrency is capped by the HERMITE_OU_THREADS environment variable
-(unset/1 = sequential, 0 = auto); results are aggregated by replication
-index, so the degree of concurrency never changes the output.
+(unset/1 = sequential, 0 = auto) and by the task and CPU counts; results
+are aggregated by replication index, so the degree of concurrency never
+changes the output.
 """
 
 from __future__ import annotations
@@ -137,8 +138,9 @@ def _worker_count() -> int:
 
 def _map_streams(fn: Callable[[int], object], count: int) -> list:
     """fn(i) for i in range(count); aggregation is ordered by index, so the
-    result does not depend on how many workers ran."""
-    workers = _worker_count()
+    result does not depend on how many workers ran.  At most one worker per
+    task and per CPU is started."""
+    workers = min(_worker_count(), count, os.cpu_count() or 1)
     if workers <= 1:
         return [fn(i) for i in range(count)]
     with ThreadPoolExecutor(max_workers=workers) as pool:

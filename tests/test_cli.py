@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -135,6 +140,36 @@ def test_estimate_writes_result_csv(tmp_path):
     header, row = out.read_text().splitlines()
     assert header == "theta_hat,objective_value,n_evals,bracket_lo,bracket_hi"
     assert len(row.split(",")) == 5
+
+
+def test_estimate_overflowing_window_exits_2_under_warnings_as_errors(tmp_path):
+    src = tmp_path / "skel.csv"
+    write_skeleton_csv(src)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "hermite_ou", "estimate", "--input", str(src),
+         "--x0", "1", "--theta-lo", "-800", "--theta-hi", "800"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: --theta-lo/--theta-hi:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_estimate_warns_when_estimate_sits_on_window_edge(tmp_path, capsys):
+    src = tmp_path / "skel.csv"
+    write_skeleton_csv(src, theta=1.0)
+    edge = ("--input", str(src), "--x0", "1.0", "--theta-lo", "1.5", "--theta-hi", "3")
+    assert run_cli("estimate", *edge, "--out", str(tmp_path / "edge.csv")) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[0] == "theta_hat=1.5"
+    assert len(out.splitlines()) == 4
+    assert err.startswith("warning: theta_hat=1.5 lies at the edge of the window [1.5, 3]")
+    assert err.count("\n") == 1
+    assert (tmp_path / "edge.csv").read_text().splitlines()[1].startswith("1.5,")
+    assert run_cli("estimate", "--input", str(src), "--x0", "1.0") == 0
+    assert capsys.readouterr().err == ""
 
 
 # ---------------------------------------------------------------- experiment

@@ -1,9 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hermite_ou import make_rng
+from hermite_ou import estimator, make_rng
 from hermite_ou.estimator import (
     EstimatorConfig,
     l1_objective,
@@ -123,6 +126,73 @@ def test_minimize_unchanged_when_window_widens():
     wide = EstimatorConfig(theta_lo=-3.0, theta_hi=3.0)
     res_wide = minimize_l1(x, 1.0, wide)
     assert abs(res.theta_hat - res_wide.theta_hat) < 1e-7
+
+
+def test_minimize_counts_scan_and_refinement_evaluations():
+    # the coarse scan counts one evaluation per grid point without calling
+    # l1_objective; the golden-section refinement calls it once per evaluation
+    z = simulate_fbm(H, 512, 1.0, make_rng(34, 0))
+    x = exact_solution(OuSpec(1.0, 0.1, 1.0), z)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return l1_objective(*args)
+
+    with mock.patch.object(estimator, "l1_objective", counted):
+        res = minimize_l1(x, 1.0, CFG)
+    assert res.n_evals == CFG.coarse_points + len(calls) == 235
+    step = (CFG.theta_hi - CFG.theta_lo) / (CFG.coarse_points - 1)
+    assert all(abs(theta - res.theta_hat) < 2 * step for theta in calls)
+
+
+@st.composite
+def _windows(draw):
+    lo = draw(st.floats(-5.0, 4.9))
+    return lo, draw(st.floats(lo + 0.01, 5.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 3000),
+    points=st.integers(3, 700),
+    window=_windows(),
+    x0=st.floats(0.05, 3.0) | st.floats(-3.0, -0.05),
+    t_max=st.floats(0.25, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    block=st.just(estimator._SCAN_BLOCK) | st.integers(1, 4 * 3001),
+)
+@example(n=64, points=10, window=(-1.0, 2.0), x0=1.0, t_max=1.0, seed=0, block=3 * 65)
+@example(n=64, points=10, window=(-1.0, 2.0), x0=-0.7, t_max=1.0, seed=1, block=64)
+def test_coarse_scan_matches_objective_bit_for_bit(n, points, window, x0, t_max, seed, block):
+    # block=3*65 leaves a partial last block; block=64 < n + 1 gives one row per block
+    rng = np.random.default_rng(seed)
+    t = np.arange(n + 1) * (t_max / n)
+    noise = rng.uniform(0.0, 1.0) * np.cumsum(rng.standard_normal(n + 1)) / math.sqrt(n)
+    x = path_from(x0 * np.exp(rng.uniform(-3.0, 3.0) * t) + noise, t_max)
+    thetas = np.linspace(*window, points)
+    with mock.patch.object(estimator, "_SCAN_BLOCK", block):
+        scan = estimator._coarse_scan(x, thetas, x0)
+    assert np.array_equal(scan, [l1_objective(x, theta, x0) for theta in thetas])
+
+
+def test_minimize_rejects_overflowing_window():
+    x = path_from(np.ones(513))
+    with pytest.raises(ValueError, match="overflow"):
+        minimize_l1(x, 1.0, EstimatorConfig(-800.0, 800.0))
+    with pytest.raises(ValueError, match="overflow"):
+        minimize_l1(x, 1e300, EstimatorConfig(-2.0, 20.0))
+    with pytest.raises(ValueError, match="overflow"):  # theta_lo * t_max is -inf
+        minimize_l1(path_from(np.ones(513), 2.0), 1.0, EstimatorConfig(-1e308, 0.0))
+
+
+def test_minimize_accepts_window_up_to_overflow_headroom():
+    # 513 terms of size up to e^702 still sum to a finite double; e^704 does not fit
+    x = path_from(np.zeros(513))
+    res = minimize_l1(x, 1.0, EstimatorConfig(0.0, 702.0))
+    assert math.isfinite(res.objective_value)
+    with pytest.raises(ValueError, match="overflow"):
+        minimize_l1(x, 1.0, EstimatorConfig(0.0, 704.0))
 
 
 def test_estimator_config_validation():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hermite_ou import make_rng, normal_deviates
+from hermite_ou import harness, make_rng, normal_deviates
 from hermite_ou.harness import (
     SCHEMAS,
     ExperimentConfig,
@@ -282,6 +282,55 @@ def test_concurrency_does_not_change_output(monkeypatch):
     monkeypatch.setenv("HERMITE_OU_THREADS", "4")
     threaded = render(run_consistency(cfg), "consistency")
     assert sequential == threaded
+
+
+def test_limit_dist_threads_do_not_change_output(monkeypatch):
+    cfg = ExperimentConfig(
+        kind="limit-dist", eps=(1e-2,), n=32, replications=20, ks_samples=30, seed=12
+    )
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("HERMITE_OU_THREADS", "1")
+    sequential = render(run_limit_dist(cfg), "limit-dist")
+    monkeypatch.setenv("HERMITE_OU_THREADS", "2")
+    assert render(run_limit_dist(cfg), "limit-dist") == sequential
+
+
+@pytest.mark.parametrize(
+    "requested, count, cpus, expected",
+    [
+        ("1000000", 5, 8, 5),  # no more workers than tasks
+        ("1000000", 100, 8, 8),  # no more workers than CPUs
+        ("3", 100, 8, 3),
+        ("0", 100, 8, 8),  # 0 = one per CPU
+        ("0", 3, 8, 3),
+        ("4", 100, 1, None),  # one CPU: sequential, no pool
+        ("4", 100, None, None),  # CPU count unknown: sequential
+        ("4", 1, 8, None),  # one task: sequential
+        ("4", 0, 8, None),
+    ],
+)
+def test_map_streams_caps_workers(monkeypatch, requested, count, cpus, expected):
+    # the recorder runs tasks sequentially, so no real thread is started
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    monkeypatch.setenv("HERMITE_OU_THREADS", requested)
+    assert harness._map_streams(lambda i: i * i, count) == [i * i for i in range(count)]
+    assert sizes == ([] if expected is None else [expected])
 
 
 def test_band_summaries_shapes():
