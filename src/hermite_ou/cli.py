@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
@@ -38,6 +39,10 @@ def _float_list(text: str) -> tuple:
 # harness postpones annotations, so each field's type is its source name
 _TYPE_PARSERS = {"str": str, "int": int, "float": float, "tuple": _float_list}
 _FIELD_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in dataclasses.fields(ExperimentConfig)}
+
+
+# simulate_driver errors name the parameter they reject; anything else is about H
+_DRIVER_FLAGS = (("order q", "--q"), ("grid size n", "--n"))
 
 
 class CliError(Exception):
@@ -128,8 +133,8 @@ def cmd_simulate(args) -> int:
         raise CliError(f"--m must be >= 1, got {args.m}")
     if args.t_max <= 0:
         raise CliError(f"--t-max must be positive, got {args.t_max}")
-    if args.trunc is not None and args.trunc <= 0:
-        raise CliError(f"--trunc must be positive, got {args.trunc}")
+    if args.trunc is not None and not 0 < args.trunc < math.inf:
+        raise CliError(f"--trunc must be positive and finite, got {args.trunc}")
     if args.process == "ou" and args.eps <= 0:
         raise CliError(f"--eps must be positive, got {args.eps}")
     rng = make_rng(args.seed, args.stream)
@@ -138,7 +143,8 @@ def cmd_simulate(args) -> int:
             args.generator, args.q, args.H, args.n, args.m, args.t_max, rng, args.trunc
         )
     except ValueError as exc:
-        raise CliError(f"{'--q' if 'order q' in str(exc) else '--H'}: {exc}") from exc
+        flag = next((f for key, f in _DRIVER_FLAGS if key in str(exc)), "--H")
+        raise CliError(f"{flag}: {exc}") from exc
     if args.process == "ou":
         path = exact_solution(OuSpec(args.theta, args.eps, args.x0), z)
     else:
@@ -165,7 +171,8 @@ def cmd_estimate(args) -> int:
     try:
         res = minimize_l1(path, args.x0, cfg)
     except ValueError as exc:
-        raise CliError(f"--theta-lo/--theta-hi: {exc}") from exc
+        flag = "--input/--x0" if "path values" in str(exc) else "--theta-lo/--theta-hi"
+        raise CliError(f"{flag}: {exc}") from exc
     print(f"theta_hat={res.theta_hat:.17g}")
     print(f"objective={res.objective_value:.17g}")
     print(f"n_evals={res.n_evals}")

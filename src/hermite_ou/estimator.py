@@ -101,9 +101,15 @@ def _check_window(x: GridPath, x0: float, cfg: EstimatorConfig) -> None:
     """Raise ValueError where e^(theta t), x0 e^(theta t) or the row sum of
     the L1 objective would overflow a double for some theta in the window."""
     lo, hi = cfg.theta_lo * x.t_max, cfg.theta_hi * x.t_max
-    # the row sum has n + 1 terms, each at most 2 |x0| e^(theta t_max) while the
-    # path stays below the skeleton; max(., 1) also keeps e^(theta t) itself finite
-    headroom = _LOG_MAX - math.log(2 * (x.n + 1) * max(abs(x0), 1.0))
+    # the row sum has n + 1 terms, each at most 2 max(|x0|, max|X|) e^(max(theta t, 0));
+    # max(., 1) also keeps e^(theta t) itself finite
+    size = max(abs(x0), float(np.max(np.abs(x.values))), 1.0)
+    headroom = _LOG_MAX - math.log(2 * (x.n + 1) * size)
+    if headroom < 0:
+        raise ValueError(
+            f"path values overflow: the L1 objective of {x.n + 1} grid points with "
+            f"max(|x0|, max|X|) = {size:.6g} is not a finite double"
+        )
     if not (math.isfinite(lo) and max(hi, 0.0) <= headroom):
         raise ValueError(
             f"window [{cfg.theta_lo}, {cfg.theta_hi}] overflows: x0 e^(theta t) with "

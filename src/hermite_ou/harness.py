@@ -118,6 +118,11 @@ class ExperimentConfig:
             raise ValueError("need n >= 2 and m >= 1")
         if self.ks_samples < 1:
             raise ValueError("ks_samples must be >= 1")
+        if self.kind == "limit-dist" and self.replications > _INDEPENDENT_STREAM_BASE:
+            raise ValueError(
+                f"limit-dist needs replications <= {_INDEPENDENT_STREAM_BASE}, got "
+                f"{self.replications}: more would reuse the streams of the KS sample"
+            )
         HermiteSpec(self.q, self.H)  # validates q and H
         self.estimator_config()  # validates the window
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermeval
@@ -134,9 +134,12 @@ class GridPath:
     def dt(self) -> float:
         return self.t_max / self.n
 
-    @property
+    @cached_property
     def times(self) -> np.ndarray:
-        return np.arange(self.n + 1) * (self.t_max / self.n)
+        """Grid times t_i = i * t_max / n, computed once and read-only."""
+        t = np.arange(self.n + 1) * (self.t_max / self.n)
+        t.setflags(write=False)
+        return t
 
     def with_values(self, values: np.ndarray, tag: str) -> "GridPath":
         """Same grid, new values, provenance derived with the given tag."""
@@ -216,6 +219,9 @@ def simulate_partial_sum(
 # psi-cell for the q = 2 quadrature
 _PSI_REFINE = 4
 _S_REFINE = 8
+# largest kernel weight matrix simulate_kernel may build; the q = 2 scheme
+# holds about four arrays of that size at its peak
+_KERNEL_MAX_BYTES = 1 << 27  # 128 MiB
 
 
 def _cell_averaged_kernel(s: np.ndarray, edges: np.ndarray, expo: float) -> np.ndarray:
@@ -231,11 +237,16 @@ def _cell_averaged_kernel(s: np.ndarray, edges: np.ndarray, expo: float) -> np.n
     return (pow_edges[:, :-1] - pow_edges[:, 1:]) / (p * width)
 
 
+def _kernel_cells(n: int, trunc: float, t_max: float) -> tuple:
+    """psi-cell width and the number of cells in [-trunc, 0) (snapped to the grid)."""
+    width = t_max / (n * _PSI_REFINE)
+    return width, math.ceil(trunc / width)
+
+
 @lru_cache(maxsize=8)
 def _kernel_grids(n: int, trunc: float, t_max: float):
     """psi-cell edges covering [-trunc, t_max) (truncation snapped to the grid)."""
-    width = t_max / (n * _PSI_REFINE)
-    n_left = math.ceil(trunc / width)
+    width, n_left = _kernel_cells(n, trunc, t_max)
     edges = np.arange(-n_left, n * _PSI_REFINE + 1) * width
     edges.setflags(write=False)
     return width, edges
@@ -347,10 +358,20 @@ def simulate_kernel(
     """
     if spec.q not in (1, 2):
         raise ValueError(f"kernel generator supports order q in {{1, 2}}, got q={spec.q}")
-    if trunc <= 0:
-        raise ValueError(f"trunc must be positive, got {trunc}")
+    if not 0 < trunc < math.inf:
+        raise ValueError(f"trunc must be positive and finite, got {trunc}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    # weights are (grid points or s-subcells) x psi-cells; sized before allocating
+    _, n_left = _kernel_cells(n, trunc, t_max)
+    rows = n + 1 if spec.q == 1 else n * _PSI_REFINE * _S_REFINE
+    need = 8 * rows * (n_left + n * _PSI_REFINE)
+    if need > _KERNEL_MAX_BYTES:
+        raise ValueError(
+            f"grid size n = {n} with trunc = {trunc:g}: the q = {spec.q} kernel weight "
+            f"matrix would take {need / 2**30:.3g} GiB, above the "
+            f"{_KERNEL_MAX_BYTES >> 20} MiB limit; lower n or trunc"
+        )
     width, edges = _kernel_grids(n, trunc, t_max)
     dw = normal_deviates(rng, edges.size - 1) * math.sqrt(width)
 

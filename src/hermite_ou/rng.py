@@ -3,7 +3,10 @@
 Sampling uses circulant embedding (Davies-Harte): the target autocovariance
 gamma(0..n-1) is extended evenly to a circulant of length 2(n-1) whose FFT
 gives the embedding eigenvalues.  If those are nonnegative the method is
-exact in distribution and costs O(n log n).
+exact in distribution and costs O(n log n).  The eigenvalues and the
+per-frequency amplitude sqrt(lambda / m) are cached on the AutocovSequence,
+so a sample costs one Box-Muller pass, written straight into the FFT input
+buffer, and one FFT.
 """
 
 from __future__ import annotations
@@ -62,21 +65,35 @@ def make_rng(seed: int, stream: int = 0) -> RngState:
     return RngState(seed=int(seed), stream=int(stream))
 
 
-def _box_muller(gen: np.random.Generator, size: int) -> np.ndarray:
-    """size standard normals via the Box-Muller transform of uniform pairs.
+def _polar_pairs(gen: np.random.Generator, pairs: int) -> tuple:
+    """Box-Muller factors (r, cos(2 pi u2), sin(2 pi u2)) of ``pairs`` uniform pairs.
 
+    Pair k gives the two standard normals r[k] cos[k] and r[k] sin[k].
     Pairwise, inverse-free and rejection-free, so the output is a fixed
-    function of the underlying uniform stream.
+    function of the underlying uniform stream.  log, sqrt, cos and sin run
+    in place on contiguous arrays: numpy's SIMD and strided loops for them
+    may differ in the last bit, so callers write only plain arithmetic
+    (products, the division by sqrt 2, conjugation) through strided views.
     """
+    r = gen.random(pairs)
+    np.subtract(1.0, r, out=r)  # u1 in (0, 1]
+    angle = gen.random(pairs)
+    np.log(r, out=r)
+    np.multiply(-2.0, r, out=r)
+    np.sqrt(r, out=r)
+    np.multiply(2.0 * np.pi, angle, out=angle)
+    cos = np.cos(angle)
+    return r, cos, np.sin(angle, out=angle)
+
+
+def _box_muller(gen: np.random.Generator, size: int) -> np.ndarray:
+    """size standard normals, interleaved as r cos, r sin per uniform pair."""
     if size <= 0:
         return np.empty(0)
-    pairs = (size + 1) // 2
-    u1 = 1.0 - gen.random(pairs)  # in (0, 1]
-    u2 = gen.random(pairs)
-    r = np.sqrt(-2.0 * np.log(u1))
-    out = np.empty(2 * pairs)
-    out[0::2] = r * np.cos(2.0 * np.pi * u2)
-    out[1::2] = r * np.sin(2.0 * np.pi * u2)
+    r, cos, sin = _polar_pairs(gen, (size + 1) // 2)
+    out = np.empty(2 * r.size)
+    np.multiply(r, cos, out=out[0::2])
+    np.multiply(r, sin, out=out[1::2])
     return out[:size]
 
 
@@ -131,6 +148,18 @@ class AutocovSequence:
         lam.setflags(write=False)
         return lam
 
+    @cached_property
+    def embedding_scale(self) -> np.ndarray:
+        """Per-frequency amplitude sqrt(lambda / m) of the embedding of length m.
+
+        Read-only and cached with the eigenvalues, so repeated sampling
+        pays the square root once.
+        """
+        lam = self.embedding_eigenvalues
+        scale = np.sqrt(lam / lam.size)
+        scale.setflags(write=False)
+        return scale
+
 
 @lru_cache(maxsize=64)
 def fgn_autocov(h: float, n: int) -> AutocovSequence:
@@ -169,13 +198,18 @@ def sample_stationary_gaussian(acov, n: int, rng: RngState) -> np.ndarray:
         return np.sqrt(acov.values[0]) * _box_muller(gen, 1)
     if len(acov) > n:
         acov = AutocovSequence(acov.values[:n])
-    lam = acov.embedding_eigenvalues
-    m = lam.size  # 2(n-1), even
+    scale = acov.embedding_scale
+    m = scale.size  # 2(n-1), even
     half = m // 2
-    e = _box_muller(gen, m)
+    # the Hermitian spectrum v of m i.i.d. normals e: v[0] = e[0], v[half] = e[1],
+    # v[k] = (e[2k] + i e[2k+1]) / sqrt(2) for 0 < k < half, v[m-k] = conj(v[k])
+    r, cos, sin = _polar_pairs(gen, half)
     v = np.empty(m, dtype=complex)
-    v[0] = e[0]
-    v[half] = e[1]
-    v[1:half] = (e[2::2] + 1j * e[3::2]) / np.sqrt(2.0)
-    v[half + 1 :] = np.conj(v[1:half][::-1])
-    return np.fft.fft(np.sqrt(lam / m) * v).real[:n]
+    np.multiply(r, cos, out=v.real[:half])
+    np.multiply(r, sin, out=v.imag[:half])
+    v[half] = v.imag[0]
+    v.imag[0] = 0.0
+    np.divide(v[1:half], np.sqrt(2.0), out=v[1:half])
+    np.conjugate(v[1:half][::-1], out=v[half + 1 :])
+    np.multiply(scale, v, out=v)
+    return np.fft.fft(v).real[:n]

@@ -2,12 +2,15 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from hermite_ou import hermite
 from hermite_ou.cli import main
-from hermite_ou.hermite import GridPath, Provenance, write_path_csv
+from hermite_ou.estimator import EstimatorConfig, minimize_l1
+from hermite_ou.hermite import GridPath, Provenance, read_path_csv, write_path_csv
 
 
 def run_cli(*argv):
@@ -63,6 +66,7 @@ BAD_SIMULATE_FLAGS = {
     "n-1": (["--n", "1"], "--n"),
     "m-0": (["--m", "0"], "--m"),
     "trunc-neg": (["--trunc", "-1"], "--trunc"),
+    "trunc-inf": (["--trunc", "inf"], "--trunc"),
     "t-max-0": (["--t-max", "0"], "--t-max"),
     "eps-0": (["--eps", "0"], "--eps"),
     "fbm-q2": (["--generator", "fbm", "--q", "2"], "--q"),
@@ -99,6 +103,19 @@ def test_simulate_kernel_generator(tmp_path):
     )
     assert code == 0
     assert "truncation_bias" in out.read_text()
+
+
+def test_simulate_kernel_q2_default_n_exits_2_without_allocating(tmp_path, capsys):
+    # at the default --n 512 each q = 2 weight matrix would take 2.75 GiB
+    fail = mock.Mock(side_effect=AssertionError("weight matrix allocated"))
+    with mock.patch.object(hermite, "_kernel_q2_weights", fail):
+        code = run_cli(
+            "simulate", "--process", "hermite", "--generator", "kernel", "--q", "2",
+            "--out", str(tmp_path / "k.csv"),
+        )
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: --n: grid size n = 512")
+    assert not (tmp_path / "k.csv").exists()
 
 
 # ------------------------------------------------------------------ estimate
@@ -155,6 +172,21 @@ def test_estimate_overflowing_window_exits_2_under_warnings_as_errors(tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: --theta-lo/--theta-hi:")
     assert "Traceback" not in proc.stderr
+
+
+def test_estimate_rejects_path_values_near_double_range(tmp_path, capsys):
+    src = tmp_path / "huge.csv"
+    with open(src, "w", encoding="utf-8") as fh:
+        write_path_csv(GridPath(1.0, 512, np.full(513, 1e307), Provenance(0, 0, "huge")), fh)
+    with open(src, "r", encoding="utf-8") as fh:
+        path = read_path_csv(fh)
+    with pytest.raises(ValueError, match="overflow"):
+        minimize_l1(path, 1.0, EstimatorConfig(-2.0, 2.0))
+    assert run_cli("estimate", "--input", str(src), "--x0", "1") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: --input/--x0: path values overflow")
+    assert err.count("\n") == 1
 
 
 def test_estimate_warns_when_estimate_sits_on_window_edge(tmp_path, capsys):

@@ -249,6 +249,21 @@ def test_weighted_median_matches_objective_scan():
     assert abs(weighted_median(values, weights) - grid[np.argmin(obj)]) < 1e-4
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    pairs=st.lists(
+        st.tuples(st.integers(-20, 20), st.integers(0, 10)), min_size=1, max_size=30
+    )
+)
+def test_weighted_median_is_smallest_minimizer_by_brute_force(pairs):
+    # integer data keep every objective value exact, so ties are real ties
+    values = np.array([v for v, _ in pairs], dtype=float)
+    weights = np.array([w for _, w in pairs], dtype=float)
+    objective = {u: float(np.sum(weights * np.abs(values - u))) for u in values}
+    best = min(objective.values())
+    assert weighted_median(values, weights) == min(u for u, f in objective.items() if f == best)
+
+
 def test_weighted_median_lower_median_on_even_split():
     assert weighted_median([0.0, 1.0], [1.0, 1.0]) == 0.0
 

@@ -89,6 +89,14 @@ def test_config_rejects_bad_process():
         ExperimentConfig(kind="maximal", generator="kernel")
 
 
+def test_config_rejects_limit_dist_stream_collision():
+    # paired streams 0..R-1 must stay below the KS sample's streams from 10^6
+    ExperimentConfig(kind="limit-dist", replications=10**6)
+    with pytest.raises(ValueError, match="replications"):
+        ExperimentConfig(kind="limit-dist", replications=10**6 + 1)
+    ExperimentConfig(kind="maximal", replications=10**6 + 1)
+
+
 # ------------------------------------------------------------ driver dispatch
 
 

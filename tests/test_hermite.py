@@ -1,12 +1,14 @@
+import dataclasses
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
 from scipy.stats import ks_2samp
 
-from hermite_ou import make_rng
+from hermite_ou import hermite, make_rng
 from hermite_ou.hermite import (
     GridPath,
     HermiteSpec,
@@ -96,14 +98,20 @@ def test_grid_path_validates_shape():
 
 def test_grid_path_is_read_only():
     p = GridPath(1.0, 4, np.zeros(5), Provenance(0, 0, "x"))
-    with pytest.raises(ValueError):
-        p.values[0] = 1.0
+    for array in (p.values, p.times):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.times = np.zeros(5)
 
 
 def test_grid_times_are_uniform():
     p = GridPath(2.0, 4, np.zeros(5), Provenance(0, 0, "x"))
     np.testing.assert_allclose(p.times, [0.0, 0.5, 1.0, 1.5, 2.0])
     assert p.dt == 0.5
+    q = GridPath(0.7, 513, np.zeros(514), Provenance(0, 0, "x"))
+    assert q.times is q.times
+    np.testing.assert_array_equal(q.times, np.arange(514) * (0.7 / 513))
 
 
 # ---------------------------------------------------------------- generators
@@ -209,6 +217,20 @@ def test_kernel_documents_bias():
     assert 0.0 < meta["truncation_bias"] < 0.1
     assert 0.0 < meta["variance_bias"] < 0.1
     assert meta["trunc"] == 10.0
+
+
+def test_kernel_sizes_weights_before_allocating():
+    fail = mock.Mock(side_effect=AssertionError("weight matrix allocated"))
+    with mock.patch.object(hermite, "_kernel_q1_weights", fail), mock.patch.object(
+        hermite, "_kernel_q2_weights", fail
+    ):
+        # q = 2 at n = 512: 16384 s-subcells x 22528 psi-cells of doubles
+        with pytest.raises(ValueError, match=r"grid size n = 512 .* 2\.75 GiB"):
+            simulate_kernel(HermiteSpec(2, 0.7), 512, 10.0, make_rng(0, 0))
+        with pytest.raises(ValueError, match="grid size n = 4096"):
+            simulate_kernel(HermiteSpec(1, 0.7), 4096, 10.0, make_rng(0, 0))
+        with pytest.raises(ValueError, match="finite"):
+            simulate_kernel(HermiteSpec(2, 0.7), 8, math.inf, make_rng(0, 0))
 
 
 def test_kernel_rejects_higher_orders():

@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from hermite_ou import (
@@ -135,3 +139,92 @@ def test_sampler_rejects_invalid_embedding():
 def test_sampler_needs_enough_lags():
     with pytest.raises(ValueError):
         sample_stationary_gaussian(fgn_autocov(0.7, 8), 16, make_rng(0, 0))
+
+
+def test_embedding_scale_is_cached_and_read_only():
+    acov = fgn_autocov(0.7, 33)
+    scale = acov.embedding_scale
+    assert scale is acov.embedding_scale
+    np.testing.assert_array_equal(scale, np.sqrt(acov.embedding_eigenvalues / 64))
+    with pytest.raises(ValueError):
+        scale[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        acov.embedding_scale = scale
+
+
+# ------------------------------------------- bit identity with the old sampler
+# Frozen copies of Box-Muller and Davies-Harte as they were before the sampler
+# was rewritten to work in place; the oracles for bit-for-bit equality only.
+
+
+def _box_muller_reference(gen, size):
+    if size <= 0:
+        return np.empty(0)
+    pairs = (size + 1) // 2
+    u1 = 1.0 - gen.random(pairs)
+    u2 = gen.random(pairs)
+    r = np.sqrt(-2.0 * np.log(u1))
+    out = np.empty(2 * pairs)
+    out[0::2] = r * np.cos(2.0 * np.pi * u2)
+    out[1::2] = r * np.sin(2.0 * np.pi * u2)
+    return out[:size]
+
+
+def _sample_reference(acov, n, rng):
+    if not isinstance(acov, AutocovSequence):
+        acov = AutocovSequence(acov)
+    gen = rng.generator()
+    if n == 1:
+        return np.sqrt(acov.values[0]) * _box_muller_reference(gen, 1)
+    if len(acov) > n:
+        acov = AutocovSequence(acov.values[:n])
+    lam = acov.embedding_eigenvalues
+    m = lam.size
+    half = m // 2
+    e = _box_muller_reference(gen, m)
+    v = np.empty(m, dtype=complex)
+    v[0] = e[0]
+    v[half] = e[1]
+    v[1:half] = (e[2::2] + 1j * e[3::2]) / np.sqrt(2.0)
+    v[half + 1 :] = np.conj(v[1:half][::-1])
+    return np.fft.fft(np.sqrt(lam / m) * v).real[:n]
+
+
+def bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+SEEDS = st.integers(0, 2**64 - 1)
+STREAMS = st.integers(0, 2**32)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.one_of(st.integers(1, 41), st.sampled_from([(1 << k) + 1 for k in range(1, 15)])),
+    extra_lags=st.sampled_from([0, 0, 1, 9]),
+    h=st.floats(0.05, 0.95),
+    plain=st.booleans(),
+    seed=SEEDS,
+    stream=STREAMS,
+)
+@example(n=1, extra_lags=0, h=0.7, plain=False, seed=0, stream=0)
+@example(n=2, extra_lags=0, h=0.7, plain=True, seed=0, stream=0)
+@example(n=3, extra_lags=1, h=0.7, plain=False, seed=0, stream=0)
+@example(n=65537, extra_lags=0, h=0.85, plain=False, seed=20250810, stream=3)  # m = 131072
+def test_sampler_matches_reference_bit_for_bit(n, extra_lags, h, plain, seed, stream):
+    acov = fgn_autocov(h, n + extra_lags)  # extra lags take the slicing branch
+    if plain:
+        acov = np.array(acov.values)
+    got = sample_stationary_gaussian(acov, n, make_rng(seed, stream))
+    want = _sample_reference(acov, n, make_rng(seed, stream))
+    assert got.shape == (n,)
+    assert np.array_equal(bits(got), bits(want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(size=st.integers(0, 300), seed=SEEDS, stream=STREAMS)
+def test_normal_deviates_match_reference_bit_for_bit(size, seed, stream):
+    got = normal_deviates(make_rng(seed, stream), size)
+    want = _box_muller_reference(make_rng(seed, stream).generator(), size)
+    assert got.shape == (size,)
+    assert np.array_equal(bits(got), bits(want))
