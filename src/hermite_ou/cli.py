@@ -42,7 +42,14 @@ _FIELD_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in dataclasses.fields(Expe
 
 
 # simulate_driver errors name the parameter they reject; anything else is about H
-_DRIVER_FLAGS = (("order q", "--q"), ("grid size n", "--n"))
+_DRIVER_FLAGS = (("order q", "--q"), ("grid size n", "--n"), ("t_max", "--t-max"))
+# estimator errors likewise; anything else is about the theta window
+_ESTIMATE_FLAGS = (
+    ("coarse_points", "--coarse-points"),
+    ("refine_tol", "--refine-tol"),
+    ("x0 must", "--x0"),
+    ("path values", "--input/--x0"),
+)
 
 
 class CliError(Exception):
@@ -131,8 +138,8 @@ def cmd_simulate(args) -> int:
         raise CliError(f"--n must be >= 2, got {args.n}")
     if args.m < 1:
         raise CliError(f"--m must be >= 1, got {args.m}")
-    if args.t_max <= 0:
-        raise CliError(f"--t-max must be positive, got {args.t_max}")
+    if not 0 < args.t_max < math.inf:
+        raise CliError(f"--t-max must be positive and finite, got {args.t_max}")
     if args.trunc is not None and not 0 < args.trunc < math.inf:
         raise CliError(f"--trunc must be positive and finite, got {args.trunc}")
     if args.process == "ou" and args.eps <= 0:
@@ -167,11 +174,11 @@ def cmd_estimate(args) -> int:
             path = read_path_csv(fh)
         except ValueError as exc:
             raise CliError(f"malformed path CSV {args.input}: {exc}") from exc
-    cfg = EstimatorConfig(args.theta_lo, args.theta_hi, args.coarse_points, args.refine_tol)
     try:
+        cfg = EstimatorConfig(args.theta_lo, args.theta_hi, args.coarse_points, args.refine_tol)
         res = minimize_l1(path, args.x0, cfg)
     except ValueError as exc:
-        flag = "--input/--x0" if "path values" in str(exc) else "--theta-lo/--theta-hi"
+        flag = next((f for key, f in _ESTIMATE_FLAGS if key in str(exc)), "--theta-lo/--theta-hi")
         raise CliError(f"{flag}: {exc}") from exc
     print(f"theta_hat={res.theta_hat:.17g}")
     print(f"objective={res.objective_value:.17g}")

@@ -36,6 +36,7 @@ __all__ = [
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _TIE_TOL = 1e-12  # objective values this close count as tied
 _SCAN_BLOCK = 1 << 16  # grid values per coarse-scan block (512 KiB of doubles)
+_MAX_COARSE_POINTS = 1 << 20  # coarse-scan grid of at most 8 MiB of theta values
 _LOG_MAX = math.log(np.finfo(float).max)
 
 
@@ -53,10 +54,13 @@ class EstimatorConfig:
             raise ValueError(
                 f"need theta_lo < theta_hi, got [{self.theta_lo}, {self.theta_hi}]"
             )
-        if self.coarse_points < 3:
-            raise ValueError(f"coarse_points must be >= 3, got {self.coarse_points}")
-        if self.refine_tol <= 0:
-            raise ValueError(f"refine_tol must be positive, got {self.refine_tol}")
+        if not 3 <= self.coarse_points <= _MAX_COARSE_POINTS:
+            raise ValueError(
+                f"coarse_points must be in [3, {_MAX_COARSE_POINTS}], got {self.coarse_points}"
+            )
+        # a NaN or infinite tolerance would end the refinement before it starts
+        if not 0 < self.refine_tol < math.inf:
+            raise ValueError(f"refine_tol must be positive and finite, got {self.refine_tol}")
 
 
 @dataclass(frozen=True)
@@ -100,6 +104,8 @@ def _coarse_scan(x: GridPath, thetas: np.ndarray, x0: float) -> np.ndarray:
 def _check_window(x: GridPath, x0: float, cfg: EstimatorConfig) -> None:
     """Raise ValueError where e^(theta t), x0 e^(theta t) or the row sum of
     the L1 objective would overflow a double for some theta in the window."""
+    if not math.isfinite(x0):
+        raise ValueError(f"x0 must be finite, got {x0}")
     lo, hi = cfg.theta_lo * x.t_max, cfg.theta_hi * x.t_max
     # the row sum has n + 1 terms, each at most 2 max(|x0|, max|X|) e^(max(theta t, 0));
     # max(., 1) also keeps e^(theta t) itself finite

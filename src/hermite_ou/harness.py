@@ -18,12 +18,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import kolmogorov
 
 from .estimator import EstimatorConfig, minimize_l1, skeleton_separation, tangent_l1_coefficient
 from .hermite import (
     GridPath,
     HermiteSpec,
+    _check_embedding,
+    _unit_steps,
     running_max_abs,
     simulate_fbm,
     simulate_kernel,
@@ -111,8 +112,8 @@ class ExperimentConfig:
             sweep = tuple(float(v) for v in getattr(self, name))
             if len(sweep) == 0:
                 raise ValueError(f"sweep {name} must be nonempty")
-            if any(v <= 0 for v in sweep):
-                raise ValueError(f"{name} values must be positive")
+            if not all(0 < v < math.inf for v in sweep):
+                raise ValueError(f"{name} values must be positive and finite")
             object.__setattr__(self, name, sweep)
         if self.n < 2 or self.m < 1:
             raise ValueError("need n >= 2 and m >= 1")
@@ -124,10 +125,28 @@ class ExperimentConfig:
                 f"{self.replications}: more would reuse the streams of the KS sample"
             )
         HermiteSpec(self.q, self.H)  # validates q and H
+        for steps, t_max in self.grids():  # sized before any run allocates
+            _check_driver_size(self.generator, self.q, steps, self.m, t_max)
         self.estimator_config()  # validates the window
 
     def estimator_config(self) -> EstimatorConfig:
         return EstimatorConfig(self.theta_lo, self.theta_hi, self.coarse_points, self.refine_tol)
+
+    def grids(self) -> list:
+        """(steps, t_max) of every driving-path grid the experiment builds.
+
+        The maximal kind has one grid per horizon T, at n steps per unit of
+        time and at least 2 steps; the other kinds use n steps on [0, 1].
+        """
+        if self.kind != "maximal":
+            return [(self.n, 1.0)]
+        out = []
+        for t_max in sorted(self.T):
+            steps = self.n * t_max
+            if not math.isfinite(steps):
+                raise ValueError(f"grid size n = {self.n} with T = {t_max:g} overflows")
+            out.append((max(2, int(round(steps))), t_max))
+        return out
 
 
 def _worker_count() -> int:
@@ -162,8 +181,7 @@ def simulate_driver(
     ``trunc`` the kernel truncation (default 10 t_max).  Invalid input
     raises ValueError; errors about the order mention "order q".
     """
-    if generator == "auto":
-        generator = "fbm" if q == 1 else "partial-sum"
+    generator = _resolve_generator(generator, q)
     if generator == "fbm":
         if q != 1:
             raise ValueError(f"the fbm generator needs order q = 1, got q={q}")
@@ -174,6 +192,22 @@ def simulate_driver(
     if generator == "partial-sum":
         return simulate_partial_sum(spec, n, m, t_max, rng)
     return simulate_kernel(spec, n, 10.0 * t_max if trunc is None else trunc, rng, t_max=t_max)
+
+
+def _resolve_generator(generator: str, q: int) -> str:
+    """``auto`` is exact fBm for q = 1 and partial sums otherwise."""
+    if generator == "auto":
+        return "fbm" if q == 1 else "partial-sum"
+    return generator
+
+
+def _check_driver_size(generator: str, q: int, n: int, m: int, t_max: float) -> None:
+    """The size checks the fbm or partial-sum generator makes before it
+    allocates anything (ValueError), without simulating."""
+    if _resolve_generator(generator, q) == "fbm":
+        _check_embedding(n)
+    else:
+        _unit_steps(n, m, t_max)
 
 
 def _driver(cfg: ExperimentConfig, stream: int, n: int, t_max: float) -> GridPath:
@@ -187,7 +221,13 @@ def _binomial_se(hits: int, reps: int) -> float:
 
 
 def ks_two_sample(a, b) -> tuple:
-    """Two-sample Kolmogorov-Smirnov distance and asymptotic p-value."""
+    """Two-sample Kolmogorov-Smirnov distance and asymptotic p-value.
+
+    scipy is imported here, on first use, so that the commands that never
+    compute a p-value start without loading scipy.special.
+    """
+    from scipy.special import kolmogorov
+
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
     if a.size == 0 or b.size == 0:
@@ -313,8 +353,7 @@ def run_maximal(cfg: ExperimentConfig) -> list:
     E[(sup |Z|)^p] / T^(pH), which self-similarity makes T-free.
     """
     rows = []
-    for t_idx, t_max in enumerate(sorted(cfg.T)):
-        n_t = max(2, int(round(cfg.n * t_max)))
+    for t_idx, (n_t, t_max) in enumerate(cfg.grids()):
         base = t_idx * cfg.replications
 
         def sup_one(i, t_max=t_max, n_t=n_t, base=base):

@@ -33,7 +33,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermeval
-from scipy.special import beta as beta_fn
 
 from .rng import RngState, fgn_autocov, normal_deviates, sample_stationary_gaussian
 
@@ -68,8 +67,12 @@ def hermite_exponent(q: int, h: float) -> float:
 def hermite_constant(q: int, h: float) -> float:
     """Normalizing constant c(q,H) = sqrt(H(2H-1) / (q! B(H0-1/2, 2-2H0)^q)).
 
-    Chosen so that the kernel representation has Var(Z_1) = 1.
+    Chosen so that the kernel representation has Var(Z_1) = 1.  scipy is
+    imported here, on first use: importing scipy.special costs more than
+    the rest of the package, and only the kernel generator needs c(q,H).
     """
+    from scipy.special import beta as beta_fn
+
     _check_order_and_hurst(q, h)
     h0 = hermite_exponent(q, h)
     denom = math.factorial(q) * beta_fn(h0 - 0.5, 2.0 - 2.0 * h0) ** q
@@ -83,12 +86,15 @@ class HermiteSpec:
     q: int
     H: float
     H0: float = field(init=False)
-    c: float = field(init=False)
 
     def __post_init__(self):
         _check_order_and_hurst(self.q, self.H)
         object.__setattr__(self, "H0", hermite_exponent(self.q, self.H))
-        object.__setattr__(self, "c", hermite_constant(self.q, self.H))
+
+    @cached_property
+    def c(self) -> float:
+        """hermite_constant(q, H), computed on first read and read-only."""
+        return hermite_constant(self.q, self.H)
 
 
 @dataclass(frozen=True)
@@ -146,6 +152,51 @@ class GridPath:
         return GridPath(self.t_max, self.n, values, self.provenance.derive(tag))
 
 
+# largest circulant embedding the FFT samplers may build: 2^24 points, one
+# 256 MiB complex buffer (the benchmark workloads use at most 2^17)
+_EMBEDDING_MAX_POINTS = 1 << 24
+
+
+def _embedding_lags(n_incr: int) -> int:
+    """Length n_pad of the stationary stretch sampled for n_incr FGN values:
+    the next power of two at or above n_incr - 1, plus one."""
+    return (1 << max(0, (n_incr - 1).bit_length())) + 1
+
+
+def _check_embedding(n: int, m: int = 1) -> None:
+    """Raise ValueError, before anything is allocated, when the n * m FGN
+    values of a grid of n steps with m summands per step need a circulant
+    embedding (2(n_pad - 1) points) above the limit.
+
+    The message starts "grid size n", which the CLI maps to --n.
+    """
+    points = 2 * (_embedding_lags(n * m) - 1)
+    if points > _EMBEDDING_MAX_POINTS:
+        grid = f"n = {n}" if m == 1 else f"n = {n} with m = {m}"
+        raise ValueError(
+            f"grid size {grid}: {n * m} Gaussian increments need a circulant embedding "
+            f"of {points} points, above the limit of {_EMBEDDING_MAX_POINTS} points"
+        )
+
+
+def _unit_steps(n: int, m: int, t_max: float) -> int:
+    """Summands per unit of time, round(n m / t_max), for the partial-sum
+    normalization.
+
+    Raises ValueError, before anything is allocated, when the n * m values
+    need too large an embedding or the normalization too many lags.
+    """
+    _check_embedding(n, m)
+    units = n * m / t_max
+    if not units <= _EMBEDDING_MAX_POINTS:
+        raise ValueError(
+            f"t_max = {t_max:g} with n = {n} and m = {m}: the variance normalization "
+            f"needs {units:.6g} autocovariance lags per unit of time, above the limit "
+            f"of {_EMBEDDING_MAX_POINTS}; raise t_max or lower n or m"
+        )
+    return max(1, round(units))
+
+
 def _fgn_increments(h: float, n_incr: int, rng: RngState) -> np.ndarray:
     """n_incr unit-variance FGN(h) values, via a power-of-two embedding.
 
@@ -155,7 +206,7 @@ def _fgn_increments(h: float, n_incr: int, rng: RngState) -> np.ndarray:
     """
     if n_incr == 1:
         return sample_stationary_gaussian(fgn_autocov(h, 1), 1, rng)
-    n_pad = (1 << max(0, (n_incr - 1).bit_length())) + 1
+    n_pad = _embedding_lags(n_incr)
     x = sample_stationary_gaussian(fgn_autocov(h, n_pad), n_pad, rng)
     return x[:n_incr]
 
@@ -169,6 +220,7 @@ def simulate_fbm(h: float, n: int, t_max: float, rng: RngState) -> GridPath:
         raise ValueError(f"Hurst parameter must be in (0, 1), got {h}")
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
+    _check_embedding(n)
     incr = _fgn_increments(h, n, rng) * (t_max / n) ** h
     values = np.concatenate([[0.0], np.cumsum(incr)])
     return GridPath(t_max, n, values, Provenance(rng.seed, rng.stream, f"fbm(H={h:g})"))
@@ -202,9 +254,8 @@ def simulate_partial_sum(
     """
     if n < 1 or m < 1:
         raise ValueError(f"n and m must be >= 1, got n={n}, m={m}")
-    big_n = n * m
-    k_unit = max(1, round(big_n / t_max))  # internal points per unit of time
-    xi = _fgn_increments(spec.H0, big_n, rng)
+    k_unit = _unit_steps(n, m, t_max)  # internal points per unit of time
+    xi = _fgn_increments(spec.H0, n * m, rng)
     coeffs = np.zeros(spec.q + 1)
     coeffs[spec.q] = 1.0
     sums = np.cumsum(hermeval(xi, coeffs))
@@ -252,7 +303,9 @@ def _kernel_grids(n: int, trunc: float, t_max: float):
     return width, edges
 
 
-@lru_cache(maxsize=8)
+# two entries per weight cache: each matrix may take up to _KERNEL_MAX_BYTES,
+# so the two caches together hold at most 4 x 128 MiB
+@lru_cache(maxsize=2)
 def _kernel_q1_weights(h0: float, n: int, trunc: float, t_max: float):
     """Matrix A with Z_{t_i} = c * sum_c A[i, c] * dW_c for the q = 1 kernel.
 
@@ -274,7 +327,7 @@ def _kernel_q1_weights(h0: float, n: int, trunc: float, t_max: float):
     return a
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=2)
 def _kernel_q2_weights(h0: float, n: int, trunc: float, t_max: float):
     """s-quadrature weight matrix v_c(s_mid) for the q = 2 kernel generator."""
     _, edges = _kernel_grids(n, trunc, t_max)
@@ -427,11 +480,19 @@ def write_path_csv(path: GridPath, fh) -> None:
 
 
 def read_path_csv(fh) -> GridPath:
-    """Read a path written by write_path_csv (comment lines are skipped)."""
+    """Read a path written by write_path_csv.
+
+    t_max comes from the ``# t_max=`` comment line, so it round-trips
+    exactly; without that line it is the last time value.  Other comment
+    lines are skipped.
+    """
     header = None
+    t_max = None
     rows = []
     for line in fh:
         line = line.strip()
+        if line.startswith("# t_max="):
+            t_max = float(line[len("# t_max=") :].partition(" ")[0])
         if not line or line.startswith("#"):
             continue
         if header is None:
@@ -446,7 +507,7 @@ def read_path_csv(fh) -> GridPath:
     times = np.array([r[0] for r in rows])
     values = np.array([r[1] for r in rows])
     n = len(rows) - 1
-    t_max = times[-1]
+    t_max = float(times[-1]) if t_max is None else t_max
     if t_max <= 0 or not np.allclose(times, np.arange(n + 1) * (t_max / n), atol=1e-9):
         raise ValueError("path CSV must be sampled on a uniform grid starting at 0")
     return GridPath(t_max, n, values, Provenance(0, 0, "csv"))

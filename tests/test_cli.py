@@ -68,6 +68,9 @@ BAD_SIMULATE_FLAGS = {
     "trunc-neg": (["--trunc", "-1"], "--trunc"),
     "trunc-inf": (["--trunc", "inf"], "--trunc"),
     "t-max-0": (["--t-max", "0"], "--t-max"),
+    "t-max-nan": (["--t-max", "nan"], "--t-max"),
+    "t-max-inf": (["--t-max", "inf"], "--t-max"),
+    "ps-t-max-tiny": (["--q", "2", "--t-max", "1e-9"], "--t-max"),
     "eps-0": (["--eps", "0"], "--eps"),
     "fbm-q2": (["--generator", "fbm", "--q", "2"], "--q"),
     "q2-H1.4": (["--q", "2", "--H", "1.4"], "--H"),
@@ -116,6 +119,37 @@ def test_simulate_kernel_q2_default_n_exits_2_without_allocating(tmp_path, capsy
     assert code == 2
     assert capsys.readouterr().err.startswith("error: --n: grid size n = 512")
     assert not (tmp_path / "k.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--q", "2", "--n", "100000000"],  # 3.2e9 partial-sum values, 32 GiB before
+        ["--q", "1", "--n", "10000000000"],  # 128 GiB before
+        ["--q", "2", "--n", str((1 << 18) + 1)],
+        ["--q", "1", "--n", str((1 << 23) + 1)],
+    ],
+)
+def test_simulate_sizes_the_embedding_before_allocating(flags, tmp_path, capsys):
+    fail = mock.Mock(side_effect=AssertionError("fgn_autocov called"))
+    with mock.patch.object(hermite, "fgn_autocov", fail):
+        code = run_cli("simulate", "--process", "hermite", *flags, "--out", str(tmp_path / "z.csv"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --n: grid size n = {flags[-1]}")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "z.csv").exists()
+
+
+def test_experiment_rejects_grid_above_the_embedding_limit(tmp_path, capsys):
+    cfg = tmp_path / "m.cfg"
+    write_config(cfg, q=2, n=1 << 18, T="1,2")
+    fail = mock.Mock(side_effect=AssertionError("fgn_autocov called"))
+    with mock.patch.object(hermite, "fgn_autocov", fail):
+        code = run_cli("experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert "grid size n = 524288 with m = 32" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # ------------------------------------------------------------------ estimate
@@ -187,6 +221,31 @@ def test_estimate_rejects_path_values_near_double_range(tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: --input/--x0: path values overflow")
     assert err.count("\n") == 1
+
+
+# every estimate rejection: (flags, the flag the error line must name)
+BAD_ESTIMATE_FLAGS = {
+    "refine-tol-nan": (["--refine-tol", "nan"], "--refine-tol"),
+    "refine-tol-inf": (["--refine-tol", "inf"], "--refine-tol"),
+    "refine-tol-0": (["--refine-tol", "0"], "--refine-tol"),
+    "coarse-points-huge": (["--coarse-points", "10000000000"], "--coarse-points"),
+    "coarse-points-2": (["--coarse-points", "2"], "--coarse-points"),
+    "x0-nan": (["--x0", "nan"], "--x0"),
+    "x0-inf": (["--x0=-inf"], "--x0"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_ESTIMATE_FLAGS)
+def test_estimate_rejects_bad_flag(case, tmp_path, capsys):
+    src = tmp_path / "skel.csv"
+    write_skeleton_csv(src)
+    flags, named = BAD_ESTIMATE_FLAGS[case]
+    out = tmp_path / "res.csv"
+    assert run_cli("estimate", "--input", str(src), "--x0", "1", *flags, "--out", str(out)) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.startswith(f"error: {named}: ") and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 def test_estimate_warns_when_estimate_sits_on_window_edge(tmp_path, capsys):

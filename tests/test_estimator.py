@@ -186,6 +186,12 @@ def test_minimize_rejects_overflowing_window():
         minimize_l1(path_from(np.ones(513), 2.0), 1.0, EstimatorConfig(-1e308, 0.0))
 
 
+@pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
+def test_minimize_rejects_non_finite_x0(x0):
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        minimize_l1(path_from(np.ones(513)), x0, CFG)
+
+
 def test_minimize_accepts_window_up_to_overflow_headroom():
     # 513 terms of size up to e^702 still sum to a finite double; e^704 does not fit
     x = path_from(np.zeros(513))
@@ -200,6 +206,14 @@ def test_estimator_config_validation():
         EstimatorConfig(theta_lo=2.0, theta_hi=-2.0)
     with pytest.raises(ValueError):
         EstimatorConfig(theta_lo=0.0, theta_hi=1.0, coarse_points=2)
+    # the coarse grid is capped at 2^20 theta values (8 MiB)
+    EstimatorConfig(0.0, 1.0, coarse_points=1 << 20)
+    with pytest.raises(ValueError, match="coarse_points"):
+        EstimatorConfig(0.0, 1.0, coarse_points=(1 << 20) + 1)
+    # a NaN or infinite tolerance would skip the golden-section refinement
+    for tol in (0.0, -1e-8, math.nan, math.inf):
+        with pytest.raises(ValueError, match="refine_tol must be positive and finite"):
+            EstimatorConfig(0.0, 1.0, refine_tol=tol)
 
 
 # ----------------------------------------------------------------- separation

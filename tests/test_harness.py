@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hermite_ou import harness, make_rng, normal_deviates
+from hermite_ou import harness, hermite, make_rng, normal_deviates
 from hermite_ou.harness import (
     SCHEMAS,
     ExperimentConfig,
@@ -73,10 +73,45 @@ def test_config_rejects_empty_sweep():
 
 
 def test_config_rejects_bad_eps():
-    # every sweep must be positive, checked when the config is built
-    for name, sweep in (("eps", (0.1, -0.5)), ("delta", (0.5, 0.0)), ("p", (-1.0,)), ("T", (0.0,))):
-        with pytest.raises(ValueError, match=f"{name} values must be positive"):
+    # every sweep must be positive and finite, checked when the config is built
+    for name, sweep in (
+        ("eps", (0.1, -0.5)), ("delta", (0.5, 0.0)), ("p", (-1.0,)), ("T", (0.0,)),
+        ("eps", (math.nan,)), ("T", (1.0, math.inf)),
+    ):
+        with pytest.raises(ValueError, match=f"{name} values must be positive and finite"):
             ExperimentConfig(kind="consistency", **{name: sweep})
+
+
+def test_config_grids():
+    assert ExperimentConfig(kind="consistency", T=(4.0,)).grids() == [(512, 1.0)]
+    cfg = ExperimentConfig(kind="maximal", n=100, T=(2.0, 0.001, 0.5))
+    assert cfg.grids() == [(2, 0.001), (50, 0.5), (200, 2.0)]
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        # fbm: 2^23 + 1 grid steps need an embedding of 2^25 points
+        {"kind": "consistency", "q": 1, "n": (1 << 23) + 1},
+        {"kind": "maximal", "q": 1, "n": 1 << 20, "T": (1.0, 8.5)},
+        # partial sums: n m values, and n m / T normalization lags
+        {"kind": "limit-dist", "q": 2, "n": 1 << 18, "m": 33},
+        {"kind": "maximal", "q": 2, "n": 512, "T": (1.0, 1e-7)},
+        {"kind": "maximal", "q": 2, "n": 512, "T": (1e306,)},
+    ],
+)
+def test_config_rejects_grids_above_the_embedding_limit(fields, monkeypatch):
+    def sampled(*args):
+        raise AssertionError("fgn_autocov called")
+
+    monkeypatch.setattr(hermite, "fgn_autocov", sampled)
+    with pytest.raises(ValueError, match="grid size n|t_max"):
+        ExperimentConfig(**fields)
+
+
+def test_config_accepts_grids_at_the_embedding_limit():
+    ExperimentConfig(kind="consistency", q=1, n=1 << 23)
+    ExperimentConfig(kind="maximal", q=2, n=1 << 14, m=32, T=(0.5, 16.0))
 
 
 def test_config_rejects_bad_process():

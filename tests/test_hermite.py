@@ -5,6 +5,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import gamma as gamma_fn
 from scipy.stats import ks_2samp
 
@@ -85,7 +87,19 @@ def test_constant_q2_regression_value():
 def test_spec_carries_derived_fields():
     spec = HermiteSpec(2, 0.7)
     assert spec.H0 == pytest.approx(0.85)
-    assert spec.c == pytest.approx(hermite_constant(2, 0.7))
+    assert spec.c == hermite_constant(2, 0.7)
+
+
+def test_spec_constant_is_lazy_cached_and_read_only():
+    # c(q,H) needs scipy.special, so a spec computes it only when read
+    with mock.patch.object(hermite, "hermite_constant", wraps=hermite_constant) as const:
+        spec = HermiteSpec(2, 0.7)
+        assert const.call_count == 0
+        assert spec.c == spec.c == hermite_constant(2, 0.7)
+        assert const.call_count == 1  # read twice, computed once
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.c = 1.0
+    assert spec == HermiteSpec(2, 0.7)
 
 
 # ---------------------------------------------------------------- grid paths
@@ -233,6 +247,51 @@ def test_kernel_sizes_weights_before_allocating():
             simulate_kernel(HermiteSpec(2, 0.7), 8, math.inf, make_rng(0, 0))
 
 
+def test_kernel_weight_caches_hold_two_grids():
+    # one weight matrix may take up to _KERNEL_MAX_BYTES
+    for weights in (hermite._kernel_q1_weights, hermite._kernel_q2_weights):
+        assert weights.cache_info().maxsize == 2
+
+
+class _Sampled(Exception):
+    """Raised by a stand-in for fgn_autocov: the size check let the grid through."""
+
+
+@pytest.mark.parametrize(
+    "simulate, largest",
+    [
+        # 2^23 increments embed in 2^24 points, 2^23 + 1 in 2^25
+        (lambda n, t_max: simulate_fbm(0.7, n, t_max, make_rng(0, 0)), 1 << 23),
+        (
+            lambda n, t_max: simulate_partial_sum(HermiteSpec(2, 0.7), n, 32, t_max, make_rng(0, 0)),
+            1 << 18,
+        ),
+    ],
+    ids=["fbm", "partial-sum"],
+)
+def test_samplers_size_the_embedding_before_allocating(simulate, largest):
+    sampled = mock.Mock(side_effect=_Sampled)
+    with mock.patch.object(hermite, "fgn_autocov", sampled):
+        with pytest.raises(_Sampled):
+            simulate(largest, 1.0)
+        assert sampled.call_count == 1
+        for n in (largest + 1, 10**8, 10**10):
+            with pytest.raises(ValueError, match=rf"^grid size n = {n}\b"):
+                simulate(n, 1.0)
+        assert sampled.call_count == 1
+
+
+def test_partial_sum_sizes_its_normalization_before_allocating():
+    # the normalization builds n m / t_max autocovariance lags
+    sampled = mock.Mock(side_effect=_Sampled)
+    spec = HermiteSpec(2, 0.7)
+    with mock.patch.object(hermite, "fgn_autocov", sampled):
+        with pytest.raises(ValueError, match=r"^t_max = 1e-07 with n = 512 and m = 32"):
+            simulate_partial_sum(spec, 512, 32, 1e-7, make_rng(0, 0))
+        with pytest.raises(_Sampled):
+            simulate_partial_sum(spec, 512, 32, 512 * 32 / (1 << 24), make_rng(0, 0))
+
+
 def test_kernel_rejects_higher_orders():
     with pytest.raises(ValueError):
         simulate_kernel(HermiteSpec(3, 0.7), 16, 4.0, make_rng(0, 0))
@@ -368,14 +427,48 @@ def test_running_max_moment_scales_with_t_pow_h():
 # -------------------------------------------------------------- CSV export
 
 
+def _csv_roundtrip(path):
+    buf = io.StringIO()
+    write_path_csv(path, buf)
+    buf.seek(0)
+    return read_path_csv(buf)
+
+
 def test_path_csv_roundtrip():
     z = simulate_fbm(0.7, 32, 2.0, make_rng(5, 6))
-    buf = io.StringIO()
-    write_path_csv(z, buf)
-    buf.seek(0)
-    back = read_path_csv(buf)
-    assert back.n == z.n and back.t_max == pytest.approx(z.t_max)
+    back = _csv_roundtrip(z)
+    assert back.n == z.n and back.t_max == z.t_max
     np.testing.assert_array_equal(back.values, z.values)
+
+
+_PATH_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e-300, 1e-300),  # subnormals included
+    st.floats(1e299, 1.7e308) | st.floats(-1.7e308, -1e299),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    values=st.lists(_PATH_VALUES, min_size=2, max_size=40),
+    t_max=st.floats(1e-300, 1e300, allow_subnormal=False),
+)
+@example(values=[0.0] * 101, t_max=1.7)  # times[-1] reads back as 1.7000000000000002
+@example(values=[-5e-324, 2.2250738585072014e-308, -1.7976931348623157e308], t_max=1.0)
+def test_path_csv_roundtrip_is_exact(values, t_max):
+    z = GridPath(t_max, len(values) - 1, np.array(values), Provenance(0, 0, "x"))
+    back = _csv_roundtrip(z)
+    assert back.n == z.n
+    assert type(back.t_max) is float and back.t_max == t_max
+    np.testing.assert_array_equal(back.values.view(np.uint64), z.values.view(np.uint64))
+
+
+def test_path_csv_without_t_max_line_uses_last_time():
+    text = "t,value\n0,0\n0.625,1\n1.25,-2\n"
+    back = read_path_csv(io.StringIO(text))
+    assert type(back.t_max) is float and back.t_max == 1.25
+    with pytest.raises(ValueError, match="could not convert"):
+        read_path_csv(io.StringIO("# t_max= n=2\n" + text))
 
 
 def test_path_csv_format():
