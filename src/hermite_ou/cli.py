@@ -100,7 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--m", type=int, default=32, help="partial-sum refinement factor")
     sim.add_argument("--t-max", type=float, default=1.0)
     sim.add_argument("--generator", choices=GENERATORS, default="auto")
-    sim.add_argument("--trunc", type=float, default=None, help="kernel truncation (default 10 t_max)")
     sim.add_argument("--theta", type=float, default=1.0, help="OU drift")
     sim.add_argument("--eps", type=float, default=0.1, help="OU noise scale")
     sim.add_argument("--x0", type=float, default=1.0, help="OU initial value")
@@ -140,15 +139,11 @@ def cmd_simulate(args) -> int:
         raise CliError(f"--m must be >= 1, got {args.m}")
     if not 0 < args.t_max < math.inf:
         raise CliError(f"--t-max must be positive and finite, got {args.t_max}")
-    if args.trunc is not None and not 0 < args.trunc < math.inf:
-        raise CliError(f"--trunc must be positive and finite, got {args.trunc}")
     if args.process == "ou" and args.eps <= 0:
         raise CliError(f"--eps must be positive, got {args.eps}")
     rng = make_rng(args.seed, args.stream)
     try:
-        z = simulate_driver(
-            args.generator, args.q, args.H, args.n, args.m, args.t_max, rng, args.trunc
-        )
+        z = simulate_driver(args.generator, args.q, args.H, args.n, args.m, args.t_max, rng)
     except ValueError as exc:
         flag = next((f for key, f in _DRIVER_FLAGS if key in str(exc)), "--H")
         raise CliError(f"{flag}: {exc}") from exc

@@ -27,7 +27,6 @@ from .hermite import (
     _unit_steps,
     running_max_abs,
     simulate_fbm,
-    simulate_kernel,
     simulate_partial_sum,
 )
 from .integrals import noise_response, wiener_integral
@@ -64,10 +63,7 @@ SCHEMAS = {
     "covariance-audit": ("s", "t", "target", "estimate", "se", "z_score"),
 }
 
-GENERATORS = ("auto", "fbm", "partial-sum", "kernel")
-# experiments leave out the kernel reference generator: at experiment grid
-# sizes its q = 2 weight matrices take gigabytes
-_EXPERIMENT_GENERATORS = tuple(g for g in GENERATORS if g != "kernel")
+GENERATORS = ("auto", "fbm", "partial-sum")
 
 # stream offset separating the independent comparison sample from the
 # paired replications in the limit-distribution experiment
@@ -102,12 +98,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}; valid: {', '.join(KINDS)}")
-        if self.generator not in _EXPERIMENT_GENERATORS:
-            raise ValueError(
-                f"unknown generator {self.generator!r}; valid: {', '.join(_EXPERIMENT_GENERATORS)}"
-            )
+        if self.generator not in GENERATORS:
+            raise ValueError(f"unknown generator {self.generator!r}; valid: {', '.join(GENERATORS)}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        for name in ("theta0", "x0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("eps", "delta", "T", "p"):
             sweep = tuple(float(v) for v in getattr(self, name))
             if len(sweep) == 0:
@@ -172,26 +169,23 @@ def _map_streams(fn: Callable[[int], object], count: int) -> list:
 
 
 def simulate_driver(
-    generator: str, q: int, H: float, n: int, m: int, t_max: float, rng: RngState, trunc=None
+    generator: str, q: int, H: float, n: int, m: int, t_max: float, rng: RngState
 ) -> GridPath:
     """Driving path of order q on the grid of n steps over [0, t_max].
 
     ``generator`` is one of GENERATORS; ``auto`` picks exact fBm for q = 1
-    and partial sums otherwise.  ``m`` is the partial-sum refinement and
-    ``trunc`` the kernel truncation (default 10 t_max).  Invalid input
-    raises ValueError; errors about the order mention "order q".
+    and partial sums otherwise.  ``m`` is the partial-sum refinement.
+    Invalid input raises ValueError; errors about the order mention
+    "order q".
     """
     generator = _resolve_generator(generator, q)
     if generator == "fbm":
         if q != 1:
             raise ValueError(f"the fbm generator needs order q = 1, got q={q}")
         return simulate_fbm(H, n, t_max, rng)
-    if generator not in GENERATORS:
+    if generator != "partial-sum":
         raise ValueError(f"unknown generator {generator!r}; valid: {', '.join(GENERATORS)}")
-    spec = HermiteSpec(q, H)
-    if generator == "partial-sum":
-        return simulate_partial_sum(spec, n, m, t_max, rng)
-    return simulate_kernel(spec, n, 10.0 * t_max if trunc is None else trunc, rng, t_max=t_max)
+    return simulate_partial_sum(HermiteSpec(q, H), n, m, t_max, rng)
 
 
 def _resolve_generator(generator: str, q: int) -> str:

@@ -7,19 +7,12 @@ Brownian motion, q = 2 the Rosenblatt process; for q >= 2 the process is
 non-Gaussian.  Its law is normalized so that E[Z_1^2] = 1, which fixes the
 covariance E[Z_t Z_s] = 0.5 * (t^(2H) + s^(2H) - |t-s|^(2H)).
 
-Two generators are provided:
-
-* ``simulate_partial_sum`` (default for q >= 2): normalized partial sums
-  sum_{j<=Nt} He_q(xi_j) of the q-th Hermite polynomial applied to a
-  stationary Gaussian sequence with fractional-noise correlation of Hurst
-  H0 = 1 + (H-1)/q.  By the noncentral limit theorem these converge to the
-  Hermite process; the normalization uses the exact finite-N variance so
-  that Var(Z_1) = 1 holds exactly at any resolution.
-* ``simulate_kernel`` (reference, q <= 2): direct discretization of the
-  moving-average representation
-  Z_t = c(q,H) * int_{R^q} (int_0^t prod_j (s - psi_j)_+^(H0-3/2) ds) dW,
-  with the infinite past truncated to [-trunc, 0) and the singular kernel
-  factor integrated exactly over each psi-cell.
+``simulate_partial_sum`` generates it from normalized partial sums
+sum_{j<=Nt} He_q(xi_j) of the q-th Hermite polynomial applied to a
+stationary Gaussian sequence with fractional-noise correlation of Hurst
+H0 = 1 + (H-1)/q.  By the noncentral limit theorem these converge to the
+Hermite process; the normalization uses the exact finite-N variance so that
+Var(Z_1) = 1 holds exactly at any resolution.
 
 ``simulate_fbm`` gives exact fractional Brownian motion (the q = 1 case)
 from cumulative fractional Gaussian noise.
@@ -34,26 +27,30 @@ from functools import cached_property, lru_cache
 import numpy as np
 from numpy.polynomial.hermite_e import hermeval
 
-from .rng import RngState, fgn_autocov, normal_deviates, sample_stationary_gaussian
+from .rng import RngState, fgn_autocov, sample_stationary_gaussian
 
 __all__ = [
     "HermiteSpec",
     "Provenance",
     "GridPath",
     "hermite_exponent",
-    "hermite_constant",
     "simulate_fbm",
     "simulate_partial_sum",
-    "simulate_kernel",
     "running_max_abs",
     "write_path_csv",
     "read_path_csv",
 ]
 
 
+# largest Hermite order: the partial-sum variance q! * sum_{j,l<=k} rho^q is
+# at most q! * k^2, which stays finite for every k up to the 2^24 lags that
+# _unit_steps allows if and only if q <= 164 (165! * 2^48 overflows a double)
+_MAX_ORDER = 164
+
+
 def _check_order_and_hurst(q: int, h: float) -> None:
-    if int(q) != q or q < 1:
-        raise ValueError(f"order q must be an integer >= 1, got {q}")
+    if int(q) != q or not 1 <= q <= _MAX_ORDER:
+        raise ValueError(f"order q must be an integer in [1, {_MAX_ORDER}], got {q}")
     if not 0.5 < h < 1.0:
         raise ValueError(f"self-similarity parameter H must be in (1/2, 1), got {h}")
 
@@ -64,24 +61,9 @@ def hermite_exponent(q: int, h: float) -> float:
     return 1.0 + (h - 1.0) / q
 
 
-def hermite_constant(q: int, h: float) -> float:
-    """Normalizing constant c(q,H) = sqrt(H(2H-1) / (q! B(H0-1/2, 2-2H0)^q)).
-
-    Chosen so that the kernel representation has Var(Z_1) = 1.  scipy is
-    imported here, on first use: importing scipy.special costs more than
-    the rest of the package, and only the kernel generator needs c(q,H).
-    """
-    from scipy.special import beta as beta_fn
-
-    _check_order_and_hurst(q, h)
-    h0 = hermite_exponent(q, h)
-    denom = math.factorial(q) * beta_fn(h0 - 0.5, 2.0 - 2.0 * h0) ** q
-    return math.sqrt(h * (2.0 * h - 1.0) / denom)
-
-
 @dataclass(frozen=True)
 class HermiteSpec:
-    """Order q, self-similarity parameter H, and the derived H0 and c(q,H)."""
+    """Order q, self-similarity parameter H, and the derived H0."""
 
     q: int
     H: float
@@ -90,11 +72,6 @@ class HermiteSpec:
     def __post_init__(self):
         _check_order_and_hurst(self.q, self.H)
         object.__setattr__(self, "H0", hermite_exponent(self.q, self.H))
-
-    @cached_property
-    def c(self) -> float:
-        """hermite_constant(q, H), computed on first read and read-only."""
-        return hermite_constant(self.q, self.H)
 
 
 @dataclass(frozen=True)
@@ -114,14 +91,13 @@ class GridPath:
     """A process sampled on the uniform grid t_i = i * t_max / n, i = 0..n.
 
     Immutable after construction; ``values`` has length n + 1 and is marked
-    read-only.  ``meta`` carries generator diagnostics (e.g. truncation bias).
+    read-only.
     """
 
     t_max: float
     n: int
     values: np.ndarray
     provenance: Provenance
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.t_max <= 0:
@@ -266,192 +242,6 @@ def simulate_partial_sum(
     return GridPath(t_max, n, values, Provenance(rng.seed, rng.stream, tag))
 
 
-# kernel generator resolution: psi-cells per grid step, and s-subcells per
-# psi-cell for the q = 2 quadrature
-_PSI_REFINE = 4
-_S_REFINE = 8
-# largest kernel weight matrix simulate_kernel may build; the q = 2 scheme
-# holds about four arrays of that size at its peak
-_KERNEL_MAX_BYTES = 1 << 27  # 128 MiB
-
-
-def _cell_averaged_kernel(s: np.ndarray, edges: np.ndarray, expo: float) -> np.ndarray:
-    """Cell averages over psi of (s - psi)_+^expo, shape (len(s), len(edges)-1).
-
-    The antiderivative in psi is -(s - psi)_+^(expo+1) / (expo+1); averaging
-    over each cell integrates the singular factor exactly, so entries stay
-    finite even where s falls inside a cell.
-    """
-    p = expo + 1.0
-    width = edges[1] - edges[0]
-    pow_edges = np.maximum(s[:, None] - edges[None, :], 0.0) ** p
-    return (pow_edges[:, :-1] - pow_edges[:, 1:]) / (p * width)
-
-
-def _kernel_cells(n: int, trunc: float, t_max: float) -> tuple:
-    """psi-cell width and the number of cells in [-trunc, 0) (snapped to the grid)."""
-    width = t_max / (n * _PSI_REFINE)
-    return width, math.ceil(trunc / width)
-
-
-@lru_cache(maxsize=8)
-def _kernel_grids(n: int, trunc: float, t_max: float):
-    """psi-cell edges covering [-trunc, t_max) (truncation snapped to the grid)."""
-    width, n_left = _kernel_cells(n, trunc, t_max)
-    edges = np.arange(-n_left, n * _PSI_REFINE + 1) * width
-    edges.setflags(write=False)
-    return width, edges
-
-
-# two entries per weight cache: each matrix may take up to _KERNEL_MAX_BYTES,
-# so the two caches together hold at most 4 x 128 MiB
-@lru_cache(maxsize=2)
-def _kernel_q1_weights(h0: float, n: int, trunc: float, t_max: float):
-    """Matrix A with Z_{t_i} = c * sum_c A[i, c] * dW_c for the q = 1 kernel.
-
-    A[i, c] is the exact cell average over psi-cell c of
-    F(t_i, psi) = int_0^{t_i} (s - psi)_+^(h0 - 3/2) ds.
-    """
-    width, edges = _kernel_grids(n, trunc, t_max)
-    times = np.arange(n + 1) * (t_max / n)
-    b = h0 - 0.5  # exponent after the inner ds-integration, in (0, 1/2)
-
-    def antider(x):
-        return np.maximum(x, 0.0) ** (b + 1.0)
-
-    upper = antider(times[:, None] - edges[None, :])
-    lower = antider(-edges[None, :])
-    a = (upper[:, :-1] - upper[:, 1:]) - (lower[:, :-1] - lower[:, 1:])
-    a /= b * (b + 1.0) * width
-    a.setflags(write=False)
-    return a
-
-
-@lru_cache(maxsize=2)
-def _kernel_q2_weights(h0: float, n: int, trunc: float, t_max: float):
-    """s-quadrature weight matrix v_c(s_mid) for the q = 2 kernel generator."""
-    _, edges = _kernel_grids(n, trunc, t_max)
-    n_sub = n * _PSI_REFINE * _S_REFINE
-    s_mid = (np.arange(n_sub) + 0.5) * (t_max / n_sub)
-    v = _cell_averaged_kernel(s_mid, edges, h0 - 1.5)
-    v.setflags(write=False)
-    return v
-
-
-@lru_cache(maxsize=8)
-def _kernel_variance_deficit(q: int, h0: float, c: float, n: int, trunc: float, t_max: float):
-    """Exact relative variance deficit 1 - E[Z_{t_max}^2] / t_max^(2H) of the
-    discrete kernel scheme (truncation plus cell discretization combined).
-
-    For q = 2 the deficit includes the kernel mass of the diagonal band
-    |psi_1 - psi_2| < cell width that the same-cell exclusion removes.
-    Returns None when the exact computation would need too much memory.
-    """
-    h = 1.0 + q * (h0 - 1.0)
-    target = t_max ** (2.0 * h)
-    if q == 1:
-        width, _ = _kernel_grids(n, trunc, t_max)
-        a_end = _kernel_q1_weights(h0, n, trunc, t_max)[-1]
-        return 1.0 - c**2 * np.sum(a_end**2) * width / target
-    v = _kernel_q2_weights(h0, n, trunc, t_max)
-    n_sub, n_cells = v.shape
-    if min(n_sub, n_cells) > 4096:
-        return None
-    width, _ = _kernel_grids(n, trunc, t_max)
-    ds = t_max / n_sub
-    # E[Z^2] = 2 c^2 ds^2 (sum_kl G_kl^2 - sum_kl D_kl), G = width * V V^T;
-    # sum G^2 = width^2 ||V^T V||_F^2 via the smaller Gram matrix.
-    if n_cells <= n_sub:
-        gram_sq = float(np.sum((v.T @ v) ** 2))
-    else:
-        gram_sq = float(np.sum((v @ v.T) ** 2))
-    col_mass = np.sum(v**2, axis=0)
-    d_sum = float(np.sum(col_mass**2)) * width**2
-    second_moment = 2.0 * c**2 * ds**2 * (width**2 * gram_sq - d_sum)
-    return 1.0 - second_moment / target
-
-
-@lru_cache(maxsize=16)
-def _truncation_bias_estimate(q: int, h0: float, c: float, t_max: float, trunc: float) -> float:
-    """Relative variance mass of Var(Z_{t_max}) lost to the cutoff psi < -trunc.
-
-    Computed from the exact q = 1 tail integral (numeric window plus the
-    asymptotic remainder b^2 t^2 W^(2b-1) / (1-2b) of the far tail); for
-    q >= 2 the union bound over the q coordinates gives an upper-bound
-    estimate q * (1d fraction).
-    """
-    b = h0 - 0.5
-    window = 100.0 * (trunc + t_max)
-    grid = -trunc - np.linspace(0.0, window, 20001)
-    f = ((t_max - grid) ** b - (-grid) ** b) / b
-    tail = np.trapezoid(f**2, dx=abs(grid[1] - grid[0]))
-    far = (b * t_max) ** 2 * (trunc + window) ** (2 * b - 1.0) / (1.0 - 2.0 * b)
-    c1 = hermite_constant(1, h0)  # q=1 process with the same kernel exponent
-    frac_1d = min(1.0, c1**2 * (tail + far) / t_max ** (2 * h0))
-    return min(1.0, q * frac_1d)
-
-
-def simulate_kernel(
-    spec: HermiteSpec, n: int, trunc: float, rng: RngState, t_max: float = 1.0
-) -> GridPath:
-    """Reference discretization of the moving-average kernel representation.
-
-    Supports q in {1, 2} only; O(n * N) for q = 1 and O(n * N^2)-ish work for
-    q = 2, where N is the number of psi-cells covering [-trunc, t_max).  The
-    Brownian sheet is discretized into independent increments per psi-cell,
-    diagonal pairs are excluded exactly, and the singular kernel factor
-    (s - psi)_+^(H0 - 3/2) is integrated analytically over each psi-cell.
-
-    The approximation bias is documented in the output metadata:
-    ``meta['truncation_bias']`` estimates the variance mass lost to the
-    finite past, and ``meta['variance_bias']`` is the exact relative deficit
-    1 - E[Z_{t_max}^2] / t_max^(2H) of the whole discrete scheme (for q = 2
-    this is dominated by the diagonal band the cell exclusion removes, and
-    shrinks only like a fractional power of the cell width).
-    """
-    if spec.q not in (1, 2):
-        raise ValueError(f"kernel generator supports order q in {{1, 2}}, got q={spec.q}")
-    if not 0 < trunc < math.inf:
-        raise ValueError(f"trunc must be positive and finite, got {trunc}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    # weights are (grid points or s-subcells) x psi-cells; sized before allocating
-    _, n_left = _kernel_cells(n, trunc, t_max)
-    rows = n + 1 if spec.q == 1 else n * _PSI_REFINE * _S_REFINE
-    need = 8 * rows * (n_left + n * _PSI_REFINE)
-    if need > _KERNEL_MAX_BYTES:
-        raise ValueError(
-            f"grid size n = {n} with trunc = {trunc:g}: the q = {spec.q} kernel weight "
-            f"matrix would take {need / 2**30:.3g} GiB, above the "
-            f"{_KERNEL_MAX_BYTES >> 20} MiB limit; lower n or trunc"
-        )
-    width, edges = _kernel_grids(n, trunc, t_max)
-    dw = normal_deviates(rng, edges.size - 1) * math.sqrt(width)
-
-    if spec.q == 1:
-        a = _kernel_q1_weights(spec.H0, n, trunc, t_max)
-        values = spec.c * (a @ dw)
-        values[0] = 0.0
-    else:
-        # s-quadrature at midpoints of subcells finer than the psi-cells;
-        # pair sums use sum_{i != j} v_i v_j x_i x_j = (v.x)^2 - sum v_i^2 x_i^2.
-        v = _kernel_q2_weights(spec.H0, n, trunc, t_max)
-        n_sub = n * _PSI_REFINE * _S_REFINE
-        p = v @ dw
-        q_diag = (v * v) @ (dw * dw)
-        cell = (p * p - q_diag) * (t_max / n_sub)
-        cum = np.concatenate([[0.0], np.cumsum(cell)])
-        values = spec.c * cum[:: _PSI_REFINE * _S_REFINE]
-    tag = f"kernel(q={spec.q},H={spec.H:g},M={trunc:g})"
-    meta = {
-        "trunc": trunc,
-        "truncation_bias": _truncation_bias_estimate(spec.q, spec.H0, spec.c, t_max, trunc),
-        "variance_bias": _kernel_variance_deficit(spec.q, spec.H0, spec.c, n, trunc, t_max),
-        "psi_step": width,
-    }
-    return GridPath(t_max, n, values, Provenance(rng.seed, rng.stream, tag), meta)
-
-
 def running_max_abs(path: GridPath) -> GridPath:
     """Running maximum of |values|: out[i] = max_{j<=i} |in[j]| (nondecreasing)."""
     return path.with_values(np.maximum.accumulate(np.abs(path.values)), "running-max-abs")
@@ -464,15 +254,11 @@ def _fmt(x: float) -> str:
 def write_path_csv(path: GridPath, fh) -> None:
     """Write a path as CSV: header ``t,value``, 17 significant digits.
 
-    The provenance and ``meta`` are echoed first as '#'-prefixed lines.
+    The provenance and the grid are echoed first as '#'-prefixed lines.
     """
     prov = path.provenance
     fh.write(f"# generator={prov.tag} seed={prov.seed} stream={prov.stream}\n")
     fh.write(f"# t_max={_fmt(path.t_max)} n={path.n}\n")
-    for key in sorted(path.meta):
-        value = path.meta[key]
-        text = _fmt(value) if isinstance(value, (float, np.floating)) else str(value)
-        fh.write(f"# {key}={text}\n")
     fh.write("t,value\n")
     times = path.times
     for i in range(path.n + 1):

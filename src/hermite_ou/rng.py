@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "RngState",
     "make_rng",
-    "normal_deviates",
     "AutocovSequence",
     "fgn_autocov",
     "sample_stationary_gaussian",
@@ -95,11 +94,6 @@ def _box_muller(gen: np.random.Generator, size: int) -> np.ndarray:
     np.multiply(r, cos, out=out[0::2])
     np.multiply(r, sin, out=out[1::2])
     return out[:size]
-
-
-def normal_deviates(rng: RngState, size: int) -> np.ndarray:
-    """size i.i.d. N(0,1) deviates, reproducible from (seed, stream)."""
-    return _box_muller(rng.generator(), size)
 
 
 @dataclass(frozen=True)

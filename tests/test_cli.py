@@ -65,8 +65,6 @@ def test_simulate_identical_flags_identical_bytes(tmp_path):
 BAD_SIMULATE_FLAGS = {
     "n-1": (["--n", "1"], "--n"),
     "m-0": (["--m", "0"], "--m"),
-    "trunc-neg": (["--trunc", "-1"], "--trunc"),
-    "trunc-inf": (["--trunc", "inf"], "--trunc"),
     "t-max-0": (["--t-max", "0"], "--t-max"),
     "t-max-nan": (["--t-max", "nan"], "--t-max"),
     "t-max-inf": (["--t-max", "inf"], "--t-max"),
@@ -74,6 +72,8 @@ BAD_SIMULATE_FLAGS = {
     "eps-0": (["--eps", "0"], "--eps"),
     "fbm-q2": (["--generator", "fbm", "--q", "2"], "--q"),
     "q2-H1.4": (["--q", "2", "--H", "1.4"], "--H"),
+    "q-165": (["--q", "165"], "--q"),  # q! k^2 may overflow the normalization
+    "q-171": (["--q", "171"], "--q"),  # q! itself overflows a double
 }
 
 
@@ -98,27 +98,18 @@ def test_simulate_fbm_accepts_any_hurst(tmp_path):
     assert simulate_ou(tmp_path, "--generator", "fbm", "--q", "1", "--H", "0.3") == 0
 
 
-def test_simulate_kernel_generator(tmp_path):
-    out = tmp_path / "k.csv"
-    code = run_cli(
-        "simulate", "--process", "hermite", "--generator", "kernel", "--q", "2",
-        "--H", "0.7", "--n", "16", "--seed", "3", "--out", str(out),
-    )
-    assert code == 0
-    assert "truncation_bias" in out.read_text()
-
-
-def test_simulate_kernel_q2_default_n_exits_2_without_allocating(tmp_path, capsys):
-    # at the default --n 512 each q = 2 weight matrix would take 2.75 GiB
-    fail = mock.Mock(side_effect=AssertionError("weight matrix allocated"))
-    with mock.patch.object(hermite, "_kernel_q2_weights", fail):
-        code = run_cli(
-            "simulate", "--process", "hermite", "--generator", "kernel", "--q", "2",
-            "--out", str(tmp_path / "k.csv"),
-        )
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error: --n: grid size n = 512")
-    assert not (tmp_path / "k.csv").exists()
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--generator", "kernel"], "error: argument --generator: invalid choice: 'kernel'"),
+        (["--trunc", "10"], "error: unrecognized arguments: --trunc 10"),
+    ],
+    ids=["generator-kernel", "trunc"],
+)
+def test_simulate_has_no_kernel_generator(flags, message, tmp_path, capsys):
+    assert simulate_ou(tmp_path, "--q", "2", *flags) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -139,6 +130,21 @@ def test_simulate_sizes_the_embedding_before_allocating(flags, tmp_path, capsys)
     assert err.startswith(f"error: --n: grid size n = {flags[-1]}")
     assert err.count("\n") == 1
     assert not (tmp_path / "z.csv").exists()
+
+
+@pytest.mark.parametrize("field", ["x0=nan", "x0=-inf", "theta0=nan", "theta0=inf"])
+def test_experiment_rejects_non_finite_start_before_sampling(field, tmp_path, capsys):
+    cfg = tmp_path / "l.cfg"
+    write_config(cfg, kind="limit-dist", q=2, n=16, m=4, replications=4, ks_samples=4)
+    fail = mock.Mock(side_effect=AssertionError("fgn_autocov called"))
+    with mock.patch.object(hermite, "fgn_autocov", fail):
+        code = run_cli("experiment", "--config", str(cfg), "--set", field,
+                       "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"{field.partition('=')[0]} must be finite" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_experiment_rejects_grid_above_the_embedding_limit(tmp_path, capsys):

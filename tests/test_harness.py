@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hermite_ou import harness, hermite, make_rng, normal_deviates
+from hermite_ou import harness, hermite, make_rng
 from hermite_ou.harness import (
     SCHEMAS,
     ExperimentConfig,
@@ -19,6 +19,7 @@ from hermite_ou.harness import (
     write_rows_csv,
 )
 from hermite_ou.hermite import HermiteSpec, simulate_fbm, simulate_partial_sum
+from hermite_ou.rng import _box_muller
 
 
 def render(rows, kind):
@@ -51,8 +52,8 @@ def test_ks_level_is_calibrated():
     trials, n = 200, 1000
     rejections = 0
     for k in range(trials):
-        a = normal_deviates(make_rng(777, 2 * k), n)
-        b = normal_deviates(make_rng(777, 2 * k + 1), n)
+        a = _box_muller(make_rng(777, 2 * k).generator(), n)
+        b = _box_muller(make_rng(777, 2 * k + 1).generator(), n)
         rejections += ks_two_sample(a, b)[1] <= 0.05
     rate = rejections / trials
     band = 3 * math.sqrt(0.05 * 0.95 / trials)
@@ -119,9 +120,9 @@ def test_config_rejects_bad_process():
         ExperimentConfig(kind="maximal", q=0)
     with pytest.raises(ValueError):
         ExperimentConfig(kind="maximal", H=0.4)
-    # the kernel reference generator is too memory-hungry for experiments
-    with pytest.raises(ValueError, match="generator"):
-        ExperimentConfig(kind="maximal", generator="kernel")
+    # checked at construction: q! overflows a double from q = 171 on
+    with pytest.raises(ValueError, match="order q"):
+        ExperimentConfig(kind="maximal", q=171)
 
 
 def test_config_rejects_limit_dist_stream_collision():
@@ -144,16 +145,11 @@ def test_simulate_driver_auto_picks_by_order():
     np.testing.assert_array_equal(ps.values, want.values)
 
 
-def test_simulate_driver_kernel_default_truncation():
-    z = simulate_driver("kernel", 1, 0.7, 8, 1, 0.5, make_rng(0, 0))
-    assert z.meta["trunc"] == 5.0
-
-
 def test_simulate_driver_rejects_bad_choices():
     with pytest.raises(ValueError, match="order q"):
         simulate_driver("fbm", 2, 0.7, 32, 8, 1.0, make_rng(0, 0))
     with pytest.raises(ValueError, match="order q"):
-        simulate_driver("kernel", 3, 0.7, 8, 1, 1.0, make_rng(0, 0))
+        simulate_driver("partial-sum", 165, 0.7, 8, 1, 1.0, make_rng(0, 0))
     with pytest.raises(ValueError, match="unknown generator"):
         simulate_driver("bogus", 2, 0.7, 32, 8, 1.0, make_rng(0, 0))
 
@@ -327,15 +323,18 @@ def test_concurrency_does_not_change_output(monkeypatch):
     assert sequential == threaded
 
 
-def test_limit_dist_threads_do_not_change_output(monkeypatch):
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("kind", harness.KINDS)
+def test_threads_do_not_change_output(kind, q, monkeypatch):
+    # two CPUs reported, so the pool really runs on a one-CPU machine
     cfg = ExperimentConfig(
-        kind="limit-dist", eps=(1e-2,), n=32, replications=20, ks_samples=30, seed=12
+        kind=kind, q=q, eps=(1e-2,), n=32, m=4, T=(1.0, 2.0), replications=20, ks_samples=30, seed=12
     )
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     monkeypatch.setenv("HERMITE_OU_THREADS", "1")
-    sequential = render(run_limit_dist(cfg), "limit-dist")
+    sequential = render(run_experiment(cfg), kind)
     monkeypatch.setenv("HERMITE_OU_THREADS", "2")
-    assert render(run_limit_dist(cfg), "limit-dist") == sequential
+    assert render(run_experiment(cfg), kind) == sequential
 
 
 @pytest.mark.parametrize(

@@ -7,20 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import gamma as gamma_fn
+from scipy.linalg import eigvalsh, toeplitz
 from scipy.stats import ks_2samp
 
-from hermite_ou import hermite, make_rng
+from hermite_ou import fgn_autocov, hermite, make_rng
 from hermite_ou.hermite import (
     GridPath,
     HermiteSpec,
     Provenance,
-    hermite_constant,
     hermite_exponent,
     read_path_csv,
     running_max_abs,
     simulate_fbm,
-    simulate_kernel,
     simulate_partial_sum,
     write_path_csv,
 )
@@ -63,43 +61,22 @@ def test_exponent_rejects_bad_parameters():
         hermite_exponent(1, 0.5)
     with pytest.raises(ValueError):
         hermite_exponent(1, 1.0)
+    with pytest.raises(ValueError, match=r"order q must be an integer in \[1, 164\]"):
+        hermite_exponent(165, 0.7)
 
 
-def test_constant_q1_h07():
-    assert hermite_constant(1, 0.7) == pytest.approx(0.21836, abs=1e-4)
-
-
-def test_constant_against_gamma_function_oracle():
-    # beta(a, b) = gamma(a) gamma(b) / gamma(a + b), evaluated independently
-    for q, h in [(1, 0.7), (2, 0.7), (2, 0.6), (3, 0.9)]:
-        h0 = 1 + (h - 1) / q
-        a, b = h0 - 0.5, 2 - 2 * h0
-        beta_ab = gamma_fn(a) * gamma_fn(b) / gamma_fn(a + b)
-        expected = math.sqrt(h * (2 * h - 1) / (math.factorial(q) * beta_ab**q))
-        assert hermite_constant(q, h) == pytest.approx(expected, rel=1e-12)
-        assert hermite_constant(q, h) > 0
-
-
-def test_constant_q2_regression_value():
-    assert hermite_constant(2, 0.7) == pytest.approx(0.06802476409528749, rel=1e-12)
+def test_largest_order_keeps_the_normalization_finite():
+    # the partial-sum variance is at most q! k^2, k <= 2^24 lags
+    k_max = float(1 << 24)
+    assert math.factorial(hermite._MAX_ORDER) * k_max**2 < math.inf
+    assert math.factorial(hermite._MAX_ORDER + 1) * k_max**2 == math.inf
+    z = simulate_partial_sum(HermiteSpec(hermite._MAX_ORDER, 0.7), 16, 4, 1.0, make_rng(0, 0))
+    assert np.count_nonzero(z.values) == 16
 
 
 def test_spec_carries_derived_fields():
     spec = HermiteSpec(2, 0.7)
     assert spec.H0 == pytest.approx(0.85)
-    assert spec.c == hermite_constant(2, 0.7)
-
-
-def test_spec_constant_is_lazy_cached_and_read_only():
-    # c(q,H) needs scipy.special, so a spec computes it only when read
-    with mock.patch.object(hermite, "hermite_constant", wraps=hermite_constant) as const:
-        spec = HermiteSpec(2, 0.7)
-        assert const.call_count == 0
-        assert spec.c == spec.c == hermite_constant(2, 0.7)
-        assert const.call_count == 1  # read twice, computed once
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        spec.c = 1.0
-    assert spec == HermiteSpec(2, 0.7)
 
 
 # ---------------------------------------------------------------- grid paths
@@ -136,7 +113,6 @@ def test_every_generator_starts_at_zero(seed):
     assert simulate_fbm(0.7, 32, 1.0, make_rng(seed, 0)).values[0] == 0.0
     spec = HermiteSpec(2, 0.7)
     assert simulate_partial_sum(spec, 32, 8, 1.0, make_rng(seed, 0)).values[0] == 0.0
-    assert simulate_kernel(spec, 8, 4.0, make_rng(seed, 0)).values[0] == 0.0
 
 
 def test_fbm_h05_unit_variance():
@@ -193,64 +169,23 @@ def test_partial_sum_q2_covariance(grid_samples):
     assert abs(est - fbm_cov(0.25, 0.75, 0.7)) < band
 
 
-def test_kernel_q1_covariance_matches_fbm():
-    # 3 SE plus the documented truncation tolerance at M = 10
-    reps, idx = 600, [8, 16, 24, 32]
-    spec = HermiteSpec(1, 0.7)
-    a = np.array(
-        [simulate_kernel(spec, 32, 10.0, make_rng(SEED + 4, s)).values[idx] for s in range(reps)]
+def test_partial_sum_q2_endpoint_matches_its_exact_law():
+    # Z_1 = (xi'xi - N) / sd with xi ~ N(0, R), R the N x N FGN(H0) Toeplitz
+    # correlation, so Z_1 = sum_k lam_k (g_k^2 - 1) exactly, with
+    # lam = eig(R) / sd and i.i.d. standard normals g_k (the eigenvalue form
+    # of the Rosenblatt law, Veillette & Taqqu 2013).  A Gaussian path with
+    # the same covariance is rejected by this comparison.
+    spec, n, m = HermiteSpec(2, 0.7), 64, 8
+    big_n = n * m
+    lam = eigvalsh(toeplitz(fgn_autocov(spec.H0, big_n).values))
+    lam /= hermite._partial_sum_std(2, spec.H0, big_n)
+    assert 2 * np.sum(lam**2) == pytest.approx(1.0, rel=1e-12)
+    gen = np.random.default_rng(SEED + 30)
+    exact = np.concatenate([(gen.standard_normal((4000, big_n)) ** 2 - 1) @ lam for _ in range(5)])
+    ends = np.array(
+        [simulate_partial_sum(spec, n, m, 1.0, make_rng(SEED + 30, s)).values[-1] for s in range(4000)]
     )
-    b = np.array(
-        [simulate_fbm(0.7, 32, 1.0, make_rng(SEED + 5, s)).values[idx] for s in range(reps)]
-    )
-    trunc_tol = simulate_kernel(spec, 32, 10.0, make_rng(0, 0)).meta["truncation_bias"]
-    for i in range(4):
-        for j in range(i, 4):
-            pa = a[:, i] * a[:, j]
-            pb = b[:, i] * b[:, j]
-            gap = pa.mean() - pb.mean()
-            band = 3 * np.sqrt(pa.var(ddof=1) / reps + pb.var(ddof=1) / reps) + trunc_tol
-            assert abs(gap) < band, (i, j, gap, band)
-
-
-def test_kernel_q2_unit_variance():
-    reps = 400
-    spec = HermiteSpec(2, 0.7)
-    paths = [simulate_kernel(spec, 32, 10.0, make_rng(SEED + 6, s)) for s in range(reps)]
-    ends = np.array([p.values[-1] for p in paths])
-    est, band = mc_band(ends**2)
-    deficit = paths[0].meta["variance_bias"]
-    # unit variance up to the documented scheme bias ...
-    assert abs(est - 1.0) < band + deficit
-    # ... and a sharp check: the sample matches the scheme's exact moment
-    assert abs(est - (1.0 - deficit)) < band
-
-
-def test_kernel_documents_bias():
-    meta = simulate_kernel(HermiteSpec(1, 0.7), 16, 10.0, make_rng(0, 0)).meta
-    assert 0.0 < meta["truncation_bias"] < 0.1
-    assert 0.0 < meta["variance_bias"] < 0.1
-    assert meta["trunc"] == 10.0
-
-
-def test_kernel_sizes_weights_before_allocating():
-    fail = mock.Mock(side_effect=AssertionError("weight matrix allocated"))
-    with mock.patch.object(hermite, "_kernel_q1_weights", fail), mock.patch.object(
-        hermite, "_kernel_q2_weights", fail
-    ):
-        # q = 2 at n = 512: 16384 s-subcells x 22528 psi-cells of doubles
-        with pytest.raises(ValueError, match=r"grid size n = 512 .* 2\.75 GiB"):
-            simulate_kernel(HermiteSpec(2, 0.7), 512, 10.0, make_rng(0, 0))
-        with pytest.raises(ValueError, match="grid size n = 4096"):
-            simulate_kernel(HermiteSpec(1, 0.7), 4096, 10.0, make_rng(0, 0))
-        with pytest.raises(ValueError, match="finite"):
-            simulate_kernel(HermiteSpec(2, 0.7), 8, math.inf, make_rng(0, 0))
-
-
-def test_kernel_weight_caches_hold_two_grids():
-    # one weight matrix may take up to _KERNEL_MAX_BYTES
-    for weights in (hermite._kernel_q1_weights, hermite._kernel_q2_weights):
-        assert weights.cache_info().maxsize == 2
+    assert ks_2samp(ends, exact).pvalue > 0.01
 
 
 class _Sampled(Exception):
@@ -290,11 +225,6 @@ def test_partial_sum_sizes_its_normalization_before_allocating():
             simulate_partial_sum(spec, 512, 32, 1e-7, make_rng(0, 0))
         with pytest.raises(_Sampled):
             simulate_partial_sum(spec, 512, 32, 512 * 32 / (1 << 24), make_rng(0, 0))
-
-
-def test_kernel_rejects_higher_orders():
-    with pytest.raises(ValueError):
-        simulate_kernel(HermiteSpec(3, 0.7), 16, 4.0, make_rng(0, 0))
 
 
 # ------------------------------------------------------------- running max

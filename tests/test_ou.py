@@ -5,7 +5,7 @@ import pytest
 
 from hermite_ou import make_rng
 from hermite_ou.hermite import GridPath, Provenance, simulate_fbm
-from hermite_ou.ou import OuSpec, deterministic_solution, euler_solution, exact_solution
+from hermite_ou.ou import OuSpec, deterministic_solution, exact_solution
 
 H = 0.7
 
@@ -70,38 +70,6 @@ def test_exact_solution_affinity_in_eps():
     np.testing.assert_allclose(
         x2.values - skel.values, 2 * (x1.values - skel.values), rtol=1e-11, atol=1e-14
     )
-
-
-def test_euler_zero_drift_matches_exact():
-    spec = OuSpec(theta=0.0, eps=0.5, x0=1.0)
-    z = simulate_fbm(H, 64, 1.0, make_rng(3, 2))
-    np.testing.assert_allclose(
-        euler_solution(spec, z).values, exact_solution(spec, z).values, rtol=1e-13
-    )
-
-
-def test_euler_compound_growth_endpoint():
-    # no noise, theta = 1: endpoint is (1 + 1/n)^n, within 2e-3 of e at n = 1024
-    spec = OuSpec(theta=1.0, eps=1.0, x0=1.0)
-    x = euler_solution(spec, zero_path(1024))
-    assert x.values[-1] == pytest.approx((1 + 1 / 1024) ** 1024, rel=1e-12)
-    assert abs(x.values[-1] - math.e) < 2e-3
-
-
-def test_euler_first_order_convergence():
-    # fixed driving path, refined by linear interpolation: halving the step
-    # at least halves the gap to the exact solution
-    spec = OuSpec(theta=1.0, eps=0.5, x0=1.0)
-    base = simulate_fbm(H, 128, 1.0, make_rng(3, 3))
-    gaps = []
-    for n in (128, 256, 512):
-        t = np.arange(n + 1) / n
-        vals = np.interp(t, base.times, base.values)
-        z = GridPath(1.0, n, vals, Provenance(3, 3, "interp"))
-        gap = np.max(np.abs(euler_solution(spec, z).values - exact_solution(spec, z).values))
-        gaps.append(gap)
-    assert gaps[1] <= 0.55 * gaps[0]
-    assert gaps[2] <= 0.55 * gaps[1]
 
 
 @pytest.mark.parametrize("theta0", [-1.0, 1.0])
