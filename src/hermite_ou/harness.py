@@ -105,6 +105,8 @@ class ExperimentConfig:
         for name in ("theta0", "x0"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.x0 == 0:
+            raise ValueError("x0 must be nonzero: every skeleton x0 e^(theta t) is then the same curve")
         for name in ("eps", "delta", "T", "p"):
             sweep = tuple(float(v) for v in getattr(self, name))
             if len(sweep) == 0:
@@ -214,14 +216,53 @@ def _binomial_se(hits: int, reps: int) -> float:
     return math.sqrt(p_tilde * (1.0 - p_tilde) / reps)
 
 
+# below this the series term e^(-pi^2 / (8 x^2)) underflows and the tail is 1
+_KOLMOGOROV_MIN = math.pi / math.sqrt(746 * 8)
+_KOLMOGOROV_CUTOVER = 0.82  # theta-function series below, alternating series above
+
+
+def _kolmogorov_sf(x: float) -> float:
+    """P(K > x) for the Kolmogorov distribution K = sup |Brownian bridge|.
+
+    Below the cut-over this is one minus the theta-function form
+    sqrt(2 pi) / x * sum_k e^(-(2k - 1)^2 pi^2 / (8 x^2)), above it the
+    alternating series 2 sum_k (-1)^(k - 1) e^(-2 k^2 x^2); four terms of
+    either suffice (Marsaglia, Tsang & Wang 2003; Simard & L'Ecuyer 2011).
+    The operations and their order are those of the cephes routine behind
+    scipy.special.kolmogorov, so the result is the same double.
+    """
+    if x <= _KOLMOGOROV_MIN:
+        return 1.0
+    if x <= _KOLMOGOROV_CUTOVER:
+        log_u8 = -(math.pi * math.pi) / (x * x)
+        w = math.sqrt(2 * math.pi) / x
+        u = math.exp(log_u8 / 8)
+        if u == 0:
+            cdf = math.exp(log_u8 / 8 + math.log(w))
+        else:
+            u8 = math.exp(log_u8)
+            cdf = 1 + math.pow(u8, 3)
+            cdf = 1 + u8 * u8 * cdf
+            cdf = 1 + u8 * cdf
+            cdf = w * u * cdf
+        sf = 1 - cdf
+    else:
+        v = math.exp(-2 * x * x)
+        v3 = math.pow(v, 3)
+        sf = 1 - v3 * v3 * v
+        sf = 1 - v3 * (v * v) * sf
+        sf = 1 - v3 * sf
+        sf = 2 * v * sf
+    return min(max(sf, 0.0), 1.0)  # a NaN passes through, as in scipy
+
+
 def ks_two_sample(a, b) -> tuple:
     """Two-sample Kolmogorov-Smirnov distance and asymptotic p-value.
 
-    scipy is imported here, on first use, so that the commands that never
-    compute a p-value start without loading scipy.special.
+    The p-value is the Kolmogorov tail at the distance scaled by
+    sqrt(n_eff) + 0.12 + 0.11 / sqrt(n_eff), n_eff = n_a n_b / (n_a + n_b)
+    (Stephens' small-sample correction).
     """
-    from scipy.special import kolmogorov
-
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
     if a.size == 0 or b.size == 0:
@@ -232,7 +273,7 @@ def ks_two_sample(a, b) -> tuple:
     stat = float(np.max(np.abs(cdf_a - cdf_b)))
     n_eff = a.size * b.size / (a.size + b.size)
     lam = (math.sqrt(n_eff) + 0.12 + 0.11 / math.sqrt(n_eff)) * stat
-    return stat, float(min(1.0, max(0.0, kolmogorov(lam))))
+    return stat, _kolmogorov_sf(lam)
 
 
 def run_consistency(cfg: ExperimentConfig) -> list:

@@ -147,6 +147,23 @@ def test_experiment_rejects_non_finite_start_before_sampling(field, tmp_path, ca
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kind", ["consistency", "limit-dist"])
+def test_experiment_rejects_zero_start_before_sampling(kind, tmp_path, capsys):
+    # x0 = 0 makes every skeleton the same curve: consistency would report a
+    # separation of 0 with both bands passing, limit-dist has no fit coefficient
+    cfg = tmp_path / "z.cfg"
+    write_config(cfg, kind=kind, q=2, n=16, m=4, replications=4, ks_samples=4)
+    fail = mock.Mock(side_effect=AssertionError("fgn_autocov called"))
+    with mock.patch.object(hermite, "fgn_autocov", fail):
+        code = run_cli("experiment", "--config", str(cfg), "--set", "x0=0",
+                       "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "x0 must be nonzero" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_experiment_rejects_grid_above_the_embedding_limit(tmp_path, capsys):
     cfg = tmp_path / "m.cfg"
     write_config(cfg, q=2, n=1 << 18, T="1,2")

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hermite_ou import estimator, make_rng
@@ -146,6 +146,14 @@ def test_minimize_counts_scan_and_refinement_evaluations():
     assert all(abs(theta - res.theta_hat) < 2 * step for theta in calls)
 
 
+def _noisy_skeleton(n, x0, t_max, seed):
+    """x0 e^(theta t) with theta uniform on [-3, 3], plus a scaled random walk."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(n + 1) * (t_max / n)
+    noise = rng.uniform(0.0, 1.0) * np.cumsum(rng.standard_normal(n + 1)) / math.sqrt(n)
+    return path_from(x0 * np.exp(rng.uniform(-3.0, 3.0) * t) + noise, t_max)
+
+
 @st.composite
 def _windows(draw):
     lo = draw(st.floats(-5.0, 4.9))
@@ -166,14 +174,120 @@ def _windows(draw):
 @example(n=64, points=10, window=(-1.0, 2.0), x0=-0.7, t_max=1.0, seed=1, block=64)
 def test_coarse_scan_matches_objective_bit_for_bit(n, points, window, x0, t_max, seed, block):
     # block=3*65 leaves a partial last block; block=64 < n + 1 gives one row per block
-    rng = np.random.default_rng(seed)
-    t = np.arange(n + 1) * (t_max / n)
-    noise = rng.uniform(0.0, 1.0) * np.cumsum(rng.standard_normal(n + 1)) / math.sqrt(n)
-    x = path_from(x0 * np.exp(rng.uniform(-3.0, 3.0) * t) + noise, t_max)
+    x = _noisy_skeleton(n, x0, t_max, seed)
     thetas = np.linspace(*window, points)
     with mock.patch.object(estimator, "_SCAN_BLOCK", block):
         scan = estimator._coarse_scan(x, thetas, x0)
     assert np.array_equal(scan, [l1_objective(x, theta, x0) for theta in thetas])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 600),
+    points=st.integers(3, 300),
+    window=_windows(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_minimize_zero_start_ties_everywhere_and_picks_theta_lo(n, points, window, seed):
+    # with x0 = 0 every skeleton is the zero curve, so S is exactly constant
+    x = _noisy_skeleton(n, 1.0, 1.0, seed)
+    res = minimize_l1(x, 0.0, EstimatorConfig(*window, points))
+    assert res.theta_hat == window[0]
+    assert res.bracket[0] == window[0]
+    assert res.objective_value == l1_objective(x, window[0], 0.0)
+
+
+def _two_skeleton_tie(thetas, ia, ib, n=64, split=0.72):
+    """Path on skeleton thetas[ia] up to t = split and on thetas[ib] after,
+    with the last point before the split moved toward skeleton ib until the
+    two coarse objective values are exactly equal (bisection on the bit
+    pattern, then a scan of the neighbours).  Returns the values and the
+    index of the moved point."""
+    t = np.arange(n + 1) / n
+    values = np.where(t <= split, np.exp(thetas[ia] * t), np.exp(thetas[ib] * t))
+    j = int(split * n)
+
+    def gap(v):
+        values[j] = v
+        x = path_from(values.copy())  # GridPath freezes its values
+        return l1_objective(x, thetas[ia], 1.0) - l1_objective(x, thetas[ib], 1.0)
+
+    lo = np.float64(np.exp(thetas[ia] * t[j])).view(np.int64)
+    hi = np.float64(np.exp(thetas[ib] * t[j])).view(np.int64)
+    assert gap(lo.view(np.float64)) < 0 < gap(hi.view(np.float64))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if gap(mid.view(np.float64)) < 0 else (lo, mid)
+    for bits in range(int(lo) - 64, int(hi) + 64):
+        if gap(np.int64(bits).view(np.float64)) == 0:
+            return values, j
+    raise AssertionError("no exactly tied path value near the crossing")
+
+
+def test_minimize_exact_coarse_tie_goes_to_the_smaller_theta():
+    cfg = EstimatorConfig(-2.0, 2.0, 41)
+    thetas = np.linspace(cfg.theta_lo, cfg.theta_hi, cfg.coarse_points)
+    ia, ib = 10, 30  # theta = -1 and 1: two separate local minima of S
+    values, moved = _two_skeleton_tie(thetas, ia, ib)
+    coarse = estimator._coarse_scan(path_from(values.copy()), thetas, 1.0)
+    assert coarse[ia] == coarse[ib] == coarse.min()
+    assert np.sort(coarse)[2] - coarse[ia] > 1e-3  # every other theta is clearly worse
+    res = minimize_l1(path_from(values.copy()), 1.0, cfg)
+    assert abs(res.theta_hat - thetas[ia]) <= cfg.refine_tol
+    # breaking the tie toward the larger theta moves the estimate there
+    values[moved] += 1e-9
+    res = minimize_l1(path_from(values), 1.0, cfg)
+    assert abs(res.theta_hat - thetas[ib]) <= cfg.refine_tol
+
+
+_SCALED_PATHS = dict(
+    n=st.integers(2, 600),
+    points=st.integers(3, 300),
+    x0=st.floats(0.05, 3.0) | st.floats(-3.0, -0.05),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(-3, 3),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_SCALED_PATHS)
+def test_minimize_is_scale_equivariant_with_a_scaled_tie_tolerance(n, points, x0, seed, k):
+    # scaling the path and x0 by c = 2^k is exact in every step of the
+    # estimator; with the tie tolerance scaled alike, every comparison is too
+    x = _noisy_skeleton(n, x0, 1.0, seed)
+    cfg = EstimatorConfig(-2.0, 2.0, points)
+    c = 2.0**k
+    base = minimize_l1(x, x0, cfg)
+    with mock.patch.object(estimator, "_TIE_TOL", c * estimator._TIE_TOL):
+        scaled = minimize_l1(path_from(c * x.values), c * x0, cfg)
+    assert (scaled.theta_hat, scaled.n_evals, scaled.bracket) == (
+        base.theta_hat,
+        base.n_evals,
+        base.bracket,
+    )
+    assert scaled.objective_value == c * base.objective_value
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_SCALED_PATHS)
+def test_minimize_coarse_choice_is_scale_invariant(n, points, x0, seed, k):
+    # the tie tolerance is absolute, so only a coarse minimum that beats the
+    # runner-up by more than it at both scales is sure to be chosen at both;
+    # the golden-section steps near a smooth minimum differ by less than the
+    # tolerance and may tie at one scale only, so theta_hat is not compared
+    x = _noisy_skeleton(n, x0, 1.0, seed)
+    cfg = EstimatorConfig(-2.0, 2.0, points)
+    c = 2.0**k
+    scaled_x = path_from(c * x.values)
+    thetas = np.linspace(cfg.theta_lo, cfg.theta_hi, points)
+    coarse = estimator._coarse_scan(x, thetas, x0)
+    assert np.array_equal(estimator._coarse_scan(scaled_x, thetas, c * x0), c * coarse)
+    low, runner_up = np.partition(coarse, 1)[:2]
+    assume(min(1.0, c) * (runner_up - low) > estimator._TIE_TOL)
+    best = int(np.argmin(coarse))
+    lo, hi = thetas[max(best - 1, 0)], thetas[min(best + 1, points - 1)]
+    for res in (minimize_l1(x, x0, cfg), minimize_l1(scaled_x, c * x0, cfg)):
+        assert lo <= res.theta_hat <= hi
 
 
 def test_minimize_rejects_overflowing_window():

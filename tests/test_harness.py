@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import kolmogorov
 
 from hermite_ou import harness, hermite, make_rng
 from hermite_ou.harness import (
@@ -60,6 +63,60 @@ def test_ks_level_is_calibrated():
     assert abs(rate - 0.05) < band, rate
 
 
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def _assert_kolmogorov_bits_match(xs) -> None:
+    xs = np.asarray(xs, dtype=float)
+    ours = np.array([harness._kolmogorov_sf(float(x)) for x in xs])
+    bad = np.flatnonzero(_bits(ours) != _bits(kolmogorov(xs)))
+    assert bad.size == 0, list(zip(xs[bad][:5], ours[bad][:5], kolmogorov(xs[bad][:5])))
+
+
+def test_kolmogorov_tail_matches_scipy_bit_for_bit_on_a_dense_grid():
+    _assert_kolmogorov_bits_match(np.linspace(0.0, 10.0, 100_001))
+
+
+def test_kolmogorov_tail_matches_scipy_at_thresholds_and_special_values():
+    edges = []
+    for edge in (math.pi / math.sqrt(5968), 0.82):  # underflow limit, series cut-over
+        edges += [math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)]
+    special = [0.0, -0.0, -1.0, -1e300, 5e-324, 1e-310, 1e200, math.inf, -math.inf, math.nan]
+    _assert_kolmogorov_bits_match(edges + special)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(0.0, 50.0))
+def test_kolmogorov_tail_matches_scipy_on_any_finite_point(x):
+    _assert_kolmogorov_bits_match([x])
+
+
+def _ks_two_sample_scipy(a, b) -> tuple:
+    """ks_two_sample as it was with scipy.special.kolmogorov: the oracle."""
+    a = np.sort(np.asarray(a, dtype=float))
+    b = np.sort(np.asarray(b, dtype=float))
+    pooled = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, pooled, side="right") / a.size
+    cdf_b = np.searchsorted(b, pooled, side="right") / b.size
+    stat = float(np.max(np.abs(cdf_a - cdf_b)))
+    n_eff = a.size * b.size / (a.size + b.size)
+    lam = (math.sqrt(n_eff) + 0.12 + 0.11 / math.sqrt(n_eff)) * stat
+    return stat, float(min(1.0, max(0.0, kolmogorov(lam))))
+
+
+_SAMPLES = st.lists(
+    st.floats(-1e6, 1e6) | st.sampled_from([0.0, 1.0]), min_size=1, max_size=80
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SAMPLES, _SAMPLES)
+def test_ks_two_sample_matches_the_scipy_version_bit_for_bit(a, b):
+    got = ks_two_sample(a, b)
+    assert _bits(got).tolist() == _bits(_ks_two_sample_scipy(a, b)).tolist()
+
+
 # ------------------------------------------------------------- configuration
 
 
@@ -81,6 +138,12 @@ def test_config_rejects_bad_eps():
     ):
         with pytest.raises(ValueError, match=f"{name} values must be positive and finite"):
             ExperimentConfig(kind="consistency", **{name: sweep})
+
+
+@pytest.mark.parametrize("x0", [0.0, -0.0])
+def test_config_rejects_zero_start(x0):
+    with pytest.raises(ValueError, match="x0 must be nonzero"):
+        ExperimentConfig(kind="consistency", x0=x0)
 
 
 def test_config_grids():
