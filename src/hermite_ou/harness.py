@@ -1,12 +1,14 @@
 """Monte Carlo experiments: consistency, limit distribution, running-maximum
 scaling and covariance audits, with deterministic CSV reports.
 
-Replications are keyed by (seed, stream), one stream per replication, so a
-configuration (including its seed) determines every output byte.  Worker
+Every driving path comes from ``_map_paths``, the one map from replication to
+RNG stream: replication i < R on grid g of ``ExperimentConfig.grids()`` (one
+per horizon T for the maximal kind, one otherwise) is task j = g R + i on
+stream (seed, j); the limit-dist KS sample continues from stream 10^6.  So a
+configuration, seed included, determines every output byte.  Worker
 concurrency is capped by the HERMITE_OU_THREADS environment variable
-(unset/1 = sequential, 0 = auto) and by the task and CPU counts; results
-are aggregated by replication index, so the degree of concurrency never
-changes the output.
+(unset/1 = sequential, 0 = auto) and by the task and CPU counts; results are
+aggregated by task index, so the degree of concurrency never changes the output.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from typing import Callable
 
 import numpy as np
 
-from .estimator import EstimatorConfig, minimize_l1, skeleton_separation, tangent_l1_coefficient
+from .estimator import (
+    _LOG_MAX, EstimatorConfig, minimize_l1, skeleton_separation, tangent_l1_coefficient,
+)
 from .hermite import (
     GridPath,
     HermiteSpec,
@@ -98,8 +102,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}; valid: {', '.join(KINDS)}")
-        if self.generator not in GENERATORS:
-            raise ValueError(f"unknown generator {self.generator!r}; valid: {', '.join(GENERATORS)}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         for name in ("theta0", "x0"):
@@ -118,13 +120,15 @@ class ExperimentConfig:
             raise ValueError("need n >= 2 and m >= 1")
         if self.ks_samples < 1:
             raise ValueError("ks_samples must be >= 1")
+        if self.kind == "covariance-audit" and self.n % 4 != 0:
+            raise ValueError(f"covariance audit needs n divisible by 4, got n = {self.n}")
         if self.kind == "limit-dist" and self.replications > _INDEPENDENT_STREAM_BASE:
             raise ValueError(
                 f"limit-dist needs replications <= {_INDEPENDENT_STREAM_BASE}, got "
                 f"{self.replications}: more would reuse the streams of the KS sample"
             )
         HermiteSpec(self.q, self.H)  # validates q and H
-        for steps, t_max in self.grids():  # sized before any run allocates
+        for steps, t_max in self.grids():  # generator checked and sized before any run allocates
             _check_driver_size(self.generator, self.q, steps, self.m, t_max)
         self.estimator_config()  # validates the window
 
@@ -180,20 +184,20 @@ def simulate_driver(
     Invalid input raises ValueError; errors about the order mention
     "order q".
     """
-    generator = _resolve_generator(generator, q)
-    if generator == "fbm":
-        if q != 1:
-            raise ValueError(f"the fbm generator needs order q = 1, got q={q}")
+    if _resolve_generator(generator, q) == "fbm":
         return simulate_fbm(H, n, t_max, rng)
-    if generator != "partial-sum":
-        raise ValueError(f"unknown generator {generator!r}; valid: {', '.join(GENERATORS)}")
     return simulate_partial_sum(HermiteSpec(q, H), n, m, t_max, rng)
 
 
 def _resolve_generator(generator: str, q: int) -> str:
-    """``auto`` is exact fBm for q = 1 and partial sums otherwise."""
+    """``auto`` is exact fBm for q = 1 and partial sums otherwise.  The one check
+    of the choice: an unknown generator, or fbm with q != 1, raises ValueError."""
+    if generator not in GENERATORS:
+        raise ValueError(f"unknown generator {generator!r}; valid: {', '.join(GENERATORS)}")
     if generator == "auto":
         return "fbm" if q == 1 else "partial-sum"
+    if generator == "fbm" and q != 1:
+        raise ValueError(f"the fbm generator needs order q = 1, got q={q}")
     return generator
 
 
@@ -206,8 +210,18 @@ def _check_driver_size(generator: str, q: int, n: int, m: int, t_max: float) -> 
         _unit_steps(n, m, t_max)
 
 
-def _driver(cfg: ExperimentConfig, stream: int, n: int, t_max: float) -> GridPath:
-    return simulate_driver(cfg.generator, cfg.q, cfg.H, n, cfg.m, t_max, make_rng(cfg.seed, stream))
+def _map_paths(cfg: ExperimentConfig, fn: Callable, count: int, first_stream: int = 0) -> list:
+    """fn(z) for ``count`` driving paths z on each grid of cfg.grids(), in one
+    _map_streams call: task j = g count + i, replication i on grid g, draws
+    its path from stream first_stream + j.  Results are in task order."""
+    grids = cfg.grids()
+
+    def task(j):
+        n, t_max = grids[j // count]
+        rng = make_rng(cfg.seed, first_stream + j)
+        return fn(simulate_driver(cfg.generator, cfg.q, cfg.H, n, cfg.m, t_max, rng))
+
+    return _map_streams(task, len(grids) * count)
 
 
 def _binomial_se(hits: int, reps: int) -> float:
@@ -287,22 +301,21 @@ def run_consistency(cfg: ExperimentConfig) -> list:
     """
     reps = cfg.replications
     est_cfg = cfg.estimator_config()
-    paths = _map_streams(lambda s: _driver(cfg, s, cfg.n, 1.0), reps)
-    m_hat = float(np.mean([running_max_abs(z).values[-1] for z in paths]))
+    eps_sorted = sorted(cfg.eps)
 
-    def errors_for(eps: float) -> np.ndarray:
-        def one(i):
-            x = exact_solution(OuSpec(cfg.theta0, eps, cfg.x0), paths[i])
-            return abs(minimize_l1(x, cfg.x0, est_cfg).theta_hat - cfg.theta0)
+    def one(z):
+        xs = (exact_solution(OuSpec(cfg.theta0, eps, cfg.x0), z) for eps in eps_sorted)
+        errors = [abs(minimize_l1(x, cfg.x0, est_cfg).theta_hat - cfg.theta0) for x in xs]
+        return running_max_abs(z).values[-1], errors
 
-        return np.array(_map_streams(one, reps))
-
-    abs_errors = {eps: errors_for(eps) for eps in sorted(cfg.eps)}
+    results = _map_paths(cfg, one, reps)
+    m_hat = float(np.mean([r[0] for r in results]))
+    abs_errors = np.array([r[1] for r in results])  # replication x eps
     rows = []
-    for eps in sorted(cfg.eps):
+    for k, eps in enumerate(eps_sorted):
         for delta in sorted(cfg.delta):
             g_delta = skeleton_separation(delta, cfg.theta0, cfg.x0, est_cfg)
-            hits = int(np.sum(abs_errors[eps] > delta))
+            hits = int(np.sum(abs_errors[:, k] > delta))
             p_hat = hits / reps
             threshold_ok = math.exp(-abs(cfg.theta0)) * g_delta / (2.0 * eps) > m_hat
             rows.append(
@@ -334,8 +347,7 @@ def run_limit_dist(cfg: ExperimentConfig) -> list:
     reps = cfg.replications
     est_cfg = cfg.estimator_config()
 
-    def paired(i):
-        z = _driver(cfg, i, cfg.n, 1.0)
+    def paired(z):
         y = noise_response(z, cfg.theta0)
         assert (y.provenance.seed, y.provenance.stream) == (z.provenance.seed, z.provenance.stream)
         zeta = tangent_l1_coefficient(y, cfg.theta0, cfg.x0)
@@ -349,14 +361,13 @@ def run_limit_dist(cfg: ExperimentConfig) -> list:
             u_by_eps[eps] = (minimize_l1(x, cfg.x0, est_cfg).theta_hat - cfg.theta0) / eps
         return zeta, u_by_eps
 
-    paired_results = _map_streams(paired, reps)
+    paired_results = _map_paths(cfg, paired, reps)
     zetas = np.array([r[0] for r in paired_results])
 
-    def independent_zeta(i):
-        z = _driver(cfg, _INDEPENDENT_STREAM_BASE + i, cfg.n, 1.0)
+    def independent_zeta(z):
         return tangent_l1_coefficient(noise_response(z, cfg.theta0), cfg.theta0, cfg.x0)
 
-    zeta_indep = np.array(_map_streams(independent_zeta, cfg.ks_samples))
+    zeta_indep = _map_paths(cfg, independent_zeta, cfg.ks_samples, _INDEPENDENT_STREAM_BASE)
 
     rows = []
     for eps in sorted(cfg.eps):
@@ -380,6 +391,21 @@ def run_limit_dist(cfg: ExperimentConfig) -> list:
     return rows
 
 
+def _check_moment_range(sups: np.ndarray, p: float, t_max: float, h: float) -> None:
+    """Raise ValueError naming p where the p-th moments of the running
+    maxima, the sum of their squares (for se), T^(pH) or the ratio of the
+    two would leave the range of normal doubles."""
+    top = float(sups.max())
+    log_moment = p * math.log(top) if top > 0 else -math.inf
+    log_scale = p * h * math.log(t_max)
+    logs = (math.log(sups.size) + 2 * abs(log_moment), abs(log_scale), log_moment - log_scale)
+    if max(logs) > _LOG_MAX:
+        raise ValueError(
+            f"p = {p:g} is too large: at T = {t_max:g}, with max sup |Z| = {top:.6g}, the "
+            f"moments, their squares or T^(pH) leave the double range"
+        )
+
+
 def run_maximal(cfg: ExperimentConfig) -> list:
     """Moments of the running maximum across horizons with n proportional to T.
 
@@ -387,16 +413,11 @@ def run_maximal(cfg: ExperimentConfig) -> list:
     by rescaling one path; ratio_to_TpH estimates the scaling constant
     E[(sup |Z|)^p] / T^(pH), which self-similarity makes T-free.
     """
+    all_sups = _map_paths(cfg, lambda z: running_max_abs(z).values[-1], cfg.replications)
     rows = []
-    for t_idx, (n_t, t_max) in enumerate(cfg.grids()):
-        base = t_idx * cfg.replications
-
-        def sup_one(i, t_max=t_max, n_t=n_t, base=base):
-            z = _driver(cfg, base + i, n_t, t_max)
-            return running_max_abs(z).values[-1]
-
-        sups = np.array(_map_streams(sup_one, cfg.replications))
+    for (n_t, t_max), sups in zip(cfg.grids(), np.reshape(all_sups, (-1, cfg.replications))):
         for p in sorted(cfg.p):
+            _check_moment_range(sups, p, t_max, cfg.H)
             moments = sups**p
             se = (
                 float(moments.std(ddof=1) / math.sqrt(cfg.replications))
@@ -419,11 +440,11 @@ def run_maximal(cfg: ExperimentConfig) -> list:
     return rows
 
 
-def _cov_rows(samples_a, samples_b, grid, label_pairs) -> list:
+def _cov_rows(samples, h, label_pairs) -> list:
     rows = []
     for (i, s), (j, t) in label_pairs:
-        prods = samples_a[:, i] * samples_b[:, j]
-        target = 0.5 * (s ** (2 * grid["H"]) + t ** (2 * grid["H"]) - abs(t - s) ** (2 * grid["H"]))
+        prods = samples[:, i] * samples[:, j]
+        target = 0.5 * (s ** (2 * h) + t ** (2 * h) - abs(t - s) ** (2 * h))
         se = float(prods.std(ddof=1) / math.sqrt(prods.size)) if prods.size > 1 else 0.0
         est = float(prods.mean())
         rows.append(
@@ -447,19 +468,15 @@ def run_covariance_audit(cfg: ExperimentConfig) -> list:
     block revalidates the first through the integral code path; rows are
     ordered path block first, each block sorted by (s, t) with s <= t.
     """
-    if cfg.n % 4 != 0:
-        raise ValueError("covariance audit needs n divisible by 4")
     grid_pts = (0.25, 0.5, 0.75, 1.0)
     idx = [cfg.n // 4, cfg.n // 2, 3 * cfg.n // 4, cfg.n]
-    reps = cfg.replications
 
-    def one(i):
-        z = _driver(cfg, i, cfg.n, 1.0)
+    def one(z):
         t = z.times
         integrals = [wiener_integral((t < s).astype(float), z) for s in grid_pts]
         return z.values[idx], integrals
 
-    results = _map_streams(one, reps)
+    results = _map_paths(cfg, one, cfg.replications)
     path_vals = np.array([r[0] for r in results])
     int_vals = np.array([r[1] for r in results])
     pairs = [
@@ -468,8 +485,7 @@ def run_covariance_audit(cfg: ExperimentConfig) -> list:
         for j, t in enumerate(grid_pts)
         if s <= t
     ]
-    grid = {"H": cfg.H}
-    return _cov_rows(path_vals, path_vals, grid, pairs) + _cov_rows(int_vals, int_vals, grid, pairs)
+    return _cov_rows(path_vals, cfg.H, pairs) + _cov_rows(int_vals, cfg.H, pairs)
 
 
 _RUNNERS = {
@@ -485,9 +501,7 @@ def run_experiment(cfg: ExperimentConfig) -> list:
 
 
 def _format_field(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer, np.bool_)):
         return str(int(value))
     return format(float(value), ".17g")
 

@@ -70,7 +70,6 @@ class HermiteSpec:
     H0: float = field(init=False)
 
     def __post_init__(self):
-        _check_order_and_hurst(self.q, self.H)
         object.__setattr__(self, "H0", hermite_exponent(self.q, self.H))
 
 

@@ -175,6 +175,41 @@ def test_experiment_rejects_grid_above_the_embedding_limit(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "kind, overrides, message",
+    [
+        ("consistency", ["generator=fbm", "q=2"], "the fbm generator needs order q = 1, got q=2"),
+        ("covariance-audit", ["n=30"], "covariance audit needs n divisible by 4, got n = 30"),
+    ],
+    ids=["fbm-q2", "audit-n30"],
+)
+def test_experiment_rejects_bad_generator_or_grid_before_sampling(
+    kind, overrides, message, tmp_path, capsys
+):
+    cfg = tmp_path / "b.cfg"
+    write_config(cfg, kind=kind, n=16, m=4, replications=4)
+    flags = [arg for item in overrides for arg in ("--set", item)]
+    fail = mock.Mock(side_effect=AssertionError("fgn_autocov called"))
+    with mock.patch.object(hermite, "fgn_autocov", fail):
+        code = run_cli("experiment", "--config", str(cfg), *flags,
+                       "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: invalid experiment configuration: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_experiment_maximal_rejects_moments_beyond_the_double_range(tmp_path, capsys):
+    # sup |Z|^800 and its square overflow a double: the run must stop with an
+    # error naming p instead of writing inf or nan
+    cfg = tmp_path / "m.cfg"
+    write_config(cfg, n=16, T="1,2", p="800", replications=3)
+    code = run_cli("experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: p = 800 is too large") and err.count("\n") == 1, err
+    assert not (tmp_path / "out" / "maximal.csv").exists()
+
+
 # ------------------------------------------------------------------ estimate
 
 

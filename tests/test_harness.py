@@ -186,6 +186,14 @@ def test_config_rejects_bad_process():
     # checked at construction: q! overflows a double from q = 171 on
     with pytest.raises(ValueError, match="order q"):
         ExperimentConfig(kind="maximal", q=171)
+    # the generator choice and the audit's quarter grid are checked at
+    # construction too, not when the runner starts
+    with pytest.raises(ValueError, match="unknown generator"):
+        ExperimentConfig(kind="maximal", generator="bogus")
+    with pytest.raises(ValueError, match="the fbm generator needs order q = 1"):
+        ExperimentConfig(kind="consistency", generator="fbm", q=2)
+    with pytest.raises(ValueError, match="divisible by 4"):
+        ExperimentConfig(kind="covariance-audit", n=30)
 
 
 def test_config_rejects_limit_dist_stream_collision():
@@ -226,6 +234,19 @@ def maximal_rows():
         kind="maximal", q=1, H=0.7, n=64, T=(2.0, 1.0), p=(2.0, 1.0), replications=200, seed=5
     )
     return run_maximal(cfg)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"p": (800.0,), "T": (2.0,)},  # sup^p (here up to 2.16^800) squared overflows
+        {"p": (150.0,), "T": (1e-3,)},  # T^(pH) and the squares underflow
+    ],
+)
+def test_maximal_rejects_moments_beyond_the_double_range(fields):
+    cfg = ExperimentConfig(kind="maximal", n=16, replications=3, seed=5, **fields)
+    with pytest.raises(ValueError, match=f"p = {fields['p'][0]:g} is too large"):
+        run_maximal(cfg)
 
 
 def test_maximal_rows_sorted_and_complete(maximal_rows):
@@ -398,6 +419,43 @@ def test_threads_do_not_change_output(kind, q, monkeypatch):
     sequential = render(run_experiment(cfg), kind)
     monkeypatch.setenv("HERMITE_OU_THREADS", "2")
     assert render(run_experiment(cfg), kind) == sequential
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("q", [1, 2])
+def test_stream_layout_of_every_kind(q, threads, monkeypatch):
+    # one replication-to-stream map: which (seed, stream) drives which grid
+    reps, ks, seed = 5, 4, 13
+    calls = []
+    simulate = harness.simulate_driver
+
+    def recording(generator, q, H, n, m, t_max, rng):
+        calls.append((rng.seed, rng.stream, n, t_max))
+        return simulate(generator, q, H, n, m, t_max, rng)
+
+    monkeypatch.setattr(harness, "simulate_driver", recording)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("HERMITE_OU_THREADS", threads)
+    for kind in harness.KINDS:
+        calls.clear()
+        run_experiment(ExperimentConfig(
+            kind=kind, q=q, eps=(0.5, 0.1), n=16, m=4, T=(2.0, 0.05),
+            replications=reps, ks_samples=ks, seed=seed,
+        ))
+        streams = sorted(stream for _, stream, _, _ in calls)
+        assert len(set(streams)) == len(streams), kind  # no stream repeats
+        assert {s for s, _, _, _ in calls} == {seed}
+        if kind == "maximal":
+            # grid g, in increasing T, on (max(2, round(n T)), T): streams g R .. g R + R - 1
+            grids = [(2, 0.05), (32, 2.0)]
+            want = {(g * reps + i, n, t) for g, (n, t) in enumerate(grids) for i in range(reps)}
+            assert {c[1:] for c in calls} == want
+            continue
+        want = list(range(reps))
+        if kind == "limit-dist":
+            want += list(range(10**6, 10**6 + ks))
+        assert streams == want, kind
+        assert {c[2:] for c in calls} == {(16, 1.0)}
 
 
 @pytest.mark.parametrize(

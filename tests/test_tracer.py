@@ -8,6 +8,8 @@ per-layer metrics.  This test only reads bench/ and changes nothing there.
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
@@ -27,3 +29,30 @@ def test_tracer_finds_every_wrap_point():
         assert tracer.missing == []
         assert hermite_ou.harness.simulate_partial_sum is not original
     assert hermite_ou.harness.simulate_partial_sum is original
+
+
+@pytest.mark.parametrize(
+    "kind, samples", [("consistency", 1), ("limit-dist", 2), ("maximal", 1), ("covariance-audit", 1)]
+)
+def test_every_path_is_simulated_in_a_task_of_one_map_per_sample(kind, samples, monkeypatch):
+    # per-layer attribution needs each path under a task span, and one
+    # map_streams span per independent sample (the limit-dist KS sample is
+    # the second)
+    from hermite_ou import harness
+
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("HERMITE_OU_THREADS", "2")
+    cfg = harness.ExperimentConfig(
+        kind=kind, q=2, eps=(0.5, 0.1), n=16, m=4, T=(1.0, 2.0),
+        replications=4, ks_samples=4, seed=3,
+    )
+    tracer = load_tracer().Tracer()
+    with tracer.installed():
+        harness.run_experiment(cfg)
+    names = {span.id: span.name for span in tracer.spans}
+    assert [s.name for s in tracer.spans].count("harness.map_streams") == samples
+    tasks = [s for s in tracer.spans if s.name == "harness.task"]
+    assert tasks and all(names.get(s.parent) == "harness.map_streams" for s in tasks)
+    paths = [s for s in tracer.spans if s.name.startswith("hermite.simulate_")]
+    assert len(paths) == len(tasks)
+    assert all(names.get(s.parent) == "harness.task" for s in paths)
