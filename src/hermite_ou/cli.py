@@ -241,7 +241,8 @@ def cmd_experiment(args) -> int:
     _validate_csv(out_path, cfg.kind)
     print(f"wrote {out_path} ({len(rows)} rows)")
     for name, passed, detail in band_summaries(cfg.kind, rows, wide_audit=cfg.q >= 2):
-        print(f"band {name}: {'PASS' if passed else 'FAIL'} ({detail})")
+        status = "SKIP" if passed is None else "PASS" if passed else "FAIL"
+        print(f"band {name}: {status} ({detail})")
     return 0
 
 

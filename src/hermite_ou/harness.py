@@ -104,6 +104,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}; valid: {', '.join(KINDS)}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         for name in ("theta0", "x0"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -514,9 +516,14 @@ def write_rows_csv(rows: list, kind: str, fh) -> None:
         fh.write(",".join(_format_field(row[c]) for c in columns) + "\n")
 
 
+_ONE_VALUE = "one {} value, nothing to compare"
+
+
 def band_summaries(kind: str, rows: list, wide_audit: bool = False) -> list:
     """(band name, passed, detail) per acceptance band of the experiment kind.
 
+    A band that compares rows across a sweep is not checked when the sweep
+    has one value: its ``passed`` is None and ``detail`` says why.
     ``wide_audit`` adds the 0.02 absolute bias allowance that the covariance
     audit grants non-Gaussian (q >= 2) partial-sum drivers.
     """
@@ -524,16 +531,22 @@ def band_summaries(kind: str, rows: list, wide_audit: bool = False) -> list:
     if kind == "maximal":
         for p in sorted({r["p"] for r in rows}):
             ratios = np.array([r["ratio_to_TpH"] for r in rows if r["p"] == p])
+            if ratios.size < 2:
+                out.append((f"scaling-ratio-spread(p={p:g})", None, _ONE_VALUE.format("T")))
+                continue
             spread = (ratios.max() - ratios.min()) / ratios.mean() if ratios.mean() else math.inf
             out.append((f"scaling-ratio-spread(p={p:g})", spread < 0.10, f"spread={spread:.4f} (<0.10)"))
     elif kind == "consistency":
         for delta in sorted({r["delta"] for r in rows}):
             sub = sorted((r for r in rows if r["delta"] == delta), key=lambda r: r["eps"])
-            monotone = all(
-                a["p_hat"] <= b["p_hat"] + 2 * math.hypot(a["se"], b["se"])
-                for a, b in zip(sub, sub[1:])
-            )
-            out.append((f"p-monotone-in-eps(delta={delta:g})", monotone, f"{len(sub)} eps values"))
+            if len(sub) < 2:
+                out.append((f"p-monotone-in-eps(delta={delta:g})", None, _ONE_VALUE.format("eps")))
+            else:
+                monotone = all(
+                    a["p_hat"] <= b["p_hat"] + 2 * math.hypot(a["se"], b["se"])
+                    for a, b in zip(sub, sub[1:])
+                )
+                out.append((f"p-monotone-in-eps(delta={delta:g})", monotone, f"{len(sub)} eps values"))
             bound_ok, checked = True, 0
             for r in sub:
                 if r["threshold_ok"]:
@@ -545,9 +558,12 @@ def band_summaries(kind: str, rows: list, wide_audit: bool = False) -> list:
             )
     elif kind == "limit-dist":
         sub = sorted(rows, key=lambda r: r["eps"])
-        decreasing = all(a["med_abs_gap"] <= b["med_abs_gap"] for a, b in zip(sub, sub[1:]))
-        out.append(("paired-gap-decreasing-in-eps", decreasing,
-                    "medians " + ", ".join(f"{r['med_abs_gap']:.4g}@{r['eps']:g}" for r in sub)))
+        if len(sub) < 2:
+            out.append(("paired-gap-decreasing-in-eps", None, _ONE_VALUE.format("eps")))
+        else:
+            decreasing = all(a["med_abs_gap"] <= b["med_abs_gap"] for a, b in zip(sub, sub[1:]))
+            out.append(("paired-gap-decreasing-in-eps", decreasing,
+                        "medians " + ", ".join(f"{r['med_abs_gap']:.4g}@{r['eps']:g}" for r in sub)))
         ks_ok = all(r["ks_p"] > 0.01 for r in rows)
         out.append(("ks-not-rejected(level 0.01)", ks_ok,
                     "p-values " + ", ".join(f"{r['ks_p']:.3g}" for r in sub)))

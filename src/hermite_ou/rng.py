@@ -7,10 +7,19 @@ exact in distribution and costs O(n log n).  The eigenvalues and the
 per-frequency amplitude sqrt(lambda / m) are cached on the AutocovSequence,
 so a sample costs one Box-Muller pass, written straight into the FFT input
 buffer, and one FFT.
+
+The FFT input and output buffers are reused across paths and threads: a
+call borrows a workspace from a module-level free list and returns it when
+it is done, so long embeddings stop allocating (and page-faulting) about
+6 MiB per path.  Idle workspaces stay resident after a run: at most one per
+caller that ran concurrently, each about 32 bytes per point of the largest
+embedding it served.  Samples are fresh arrays and never share a workspace.
 """
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -64,24 +73,28 @@ def make_rng(seed: int, stream: int = 0) -> RngState:
     return RngState(seed=int(seed), stream=int(stream))
 
 
-def _polar_pairs(gen: np.random.Generator, pairs: int) -> tuple:
-    """Box-Muller factors (r, cos(2 pi u2), sin(2 pi u2)) of ``pairs`` uniform pairs.
+def _polar_pairs(
+    gen: np.random.Generator, r: np.ndarray, angle: np.ndarray, cos: np.ndarray
+) -> tuple:
+    """Box-Muller factors (r, cos(2 pi u2), sin(2 pi u2)) of len(r) uniform pairs.
 
-    Pair k gives the two standard normals r[k] cos[k] and r[k] sin[k].
+    Fills the caller's contiguous float arrays r, angle and cos, all of one
+    length, and returns (r, cos, sin) with sin written over angle.  Pair k
+    gives the two standard normals r[k] cos[k] and r[k] sin[k].
     Pairwise, inverse-free and rejection-free, so the output is a fixed
     function of the underlying uniform stream.  log, sqrt, cos and sin run
     in place on contiguous arrays: numpy's SIMD and strided loops for them
     may differ in the last bit, so callers write only plain arithmetic
     (products, the division by sqrt 2, conjugation) through strided views.
     """
-    r = gen.random(pairs)
+    gen.random(out=r)
     np.subtract(1.0, r, out=r)  # u1 in (0, 1]
-    angle = gen.random(pairs)
+    gen.random(out=angle)
     np.log(r, out=r)
     np.multiply(-2.0, r, out=r)
     np.sqrt(r, out=r)
     np.multiply(2.0 * np.pi, angle, out=angle)
-    cos = np.cos(angle)
+    np.cos(angle, out=cos)
     return r, cos, np.sin(angle, out=angle)
 
 
@@ -89,11 +102,38 @@ def _box_muller(gen: np.random.Generator, size: int) -> np.ndarray:
     """size standard normals, interleaved as r cos, r sin per uniform pair."""
     if size <= 0:
         return np.empty(0)
-    r, cos, sin = _polar_pairs(gen, (size + 1) // 2)
-    out = np.empty(2 * r.size)
+    pairs = (size + 1) // 2
+    r, cos, sin = _polar_pairs(gen, *np.empty((3, pairs)))
+    out = np.empty(2 * pairs)
     np.multiply(r, cos, out=out[0::2])
     np.multiply(r, sin, out=out[1::2])
     return out[:size]
+
+
+_free_workspaces: list = []  # idle (v, w) complex buffer pairs
+_free_lock = threading.Lock()
+
+
+@contextmanager
+def _workspace(m: int):
+    """Borrow the spectrum and FFT output buffers (v, w) of an embedding of length m.
+
+    Both are contiguous complex prefix views of a workspace from the free
+    list; a workspace shorter than m is replaced by one of length m, so each
+    is as long as the largest embedding it has served.  The workspace goes
+    back to the list when the block exits, and idle workspaces stay resident
+    (at most one per concurrent caller), so the next path, in this thread or
+    another, reuses the memory instead of faulting fresh pages in.
+    """
+    with _free_lock:
+        ws = _free_workspaces.pop() if _free_workspaces else None
+    if ws is None or ws[0].size < m:
+        ws = (np.empty(m, dtype=complex), np.empty(m, dtype=complex))
+    try:
+        yield ws[0][:m], ws[1][:m]
+    finally:
+        with _free_lock:
+            _free_workspaces.append(ws)
 
 
 @dataclass(frozen=True)
@@ -195,15 +235,17 @@ def sample_stationary_gaussian(acov, n: int, rng: RngState) -> np.ndarray:
     scale = acov.embedding_scale
     m = scale.size  # 2(n-1), even
     half = m // 2
-    # the Hermitian spectrum v of m i.i.d. normals e: v[0] = e[0], v[half] = e[1],
-    # v[k] = (e[2k] + i e[2k+1]) / sqrt(2) for 0 < k < half, v[m-k] = conj(v[k])
-    r, cos, sin = _polar_pairs(gen, half)
-    v = np.empty(m, dtype=complex)
-    np.multiply(r, cos, out=v.real[:half])
-    np.multiply(r, sin, out=v.imag[:half])
-    v[half] = v.imag[0]
-    v.imag[0] = 0.0
-    np.divide(v[1:half], np.sqrt(2.0), out=v[1:half])
-    np.conjugate(v[1:half][::-1], out=v[half + 1 :])
-    np.multiply(scale, v, out=v)
-    return np.fft.fft(v).real[:n]
+    with _workspace(m) as (v, w):
+        # the Box-Muller arrays live in w, which is free until the FFT writes it
+        r, cos, sin = _polar_pairs(gen, *w.view(float)[: 3 * half].reshape(3, half))
+        # the Hermitian spectrum v of m i.i.d. normals e: v[0] = e[0], v[half] = e[1],
+        # v[k] = (e[2k] + i e[2k+1]) / sqrt(2) for 0 < k < half, v[m-k] = conj(v[k])
+        np.multiply(r, cos, out=v.real[:half])
+        np.multiply(r, sin, out=v.imag[:half])
+        v[half] = v.imag[0]
+        v.imag[0] = 0.0
+        np.divide(v[1:half], np.sqrt(2.0), out=v[1:half])
+        np.conjugate(v[1:half][::-1], out=v[half + 1 :])
+        np.multiply(scale, v, out=v)
+        np.fft.fft(v, out=w)
+        return w.real[:n].copy()

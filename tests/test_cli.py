@@ -198,6 +198,24 @@ def test_experiment_rejects_bad_generator_or_grid_before_sampling(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "flags, seed",
+    [(["--set", "seed=-1"], -1), (["--seed", str(2**64)], 2**64)],
+    ids=["set-negative", "flag-2^64"],
+)
+def test_experiment_rejects_out_of_range_seed_before_sampling(flags, seed, tmp_path, capsys):
+    cfg = tmp_path / "s.cfg"
+    write_config(cfg, n=16, replications=4)
+    fail = mock.Mock(side_effect=AssertionError("fgn_autocov called"))
+    with mock.patch.object(hermite, "fgn_autocov", fail):
+        code = run_cli("experiment", "--config", str(cfg), *flags, "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: invalid experiment configuration: seed must be a 64-bit unsigned integer, got {seed}\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_experiment_maximal_rejects_moments_beyond_the_double_range(tmp_path, capsys):
     # sup |Z|^800 and its square overflow a double: the run must stop with an
     # error naming p instead of writing inf or nan
@@ -352,6 +370,25 @@ def test_experiment_consistency_row_order(tmp_path):
     rows = (tmp_path / "out" / "consistency.csv").read_text().splitlines()[1:]
     keys = [(float(r.split(",")[0]), float(r.split(",")[1])) for r in rows]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize(
+    "fields, skip_line",
+    [
+        ({"kind": "maximal", "T": 1, "p": "1"},
+         "band scaling-ratio-spread(p=1): SKIP (one T value, nothing to compare)"),
+        ({"kind": "limit-dist", "q": 2, "m": 4, "eps": 0.1, "ks_samples": 4},
+         "band paired-gap-decreasing-in-eps: SKIP (one eps value, nothing to compare)"),
+    ],
+    ids=["maximal-one-T", "limit-dist-one-eps"],
+)
+def test_experiment_prints_skip_for_a_band_over_one_sweep_value(fields, skip_line, tmp_path, capsys):
+    cfg = tmp_path / "b.cfg"
+    write_config(cfg, n=16, replications=4, **fields)
+    assert run_cli("experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "out")) == 0
+    bands = [line for line in capsys.readouterr().out.splitlines() if line.startswith("band ")]
+    assert skip_line in bands
+    assert all(": SKIP (" not in line for line in bands if line != skip_line)
 
 
 def test_experiment_unknown_kind_lists_valid(tmp_path, capsys):

@@ -178,6 +178,12 @@ def test_config_accepts_grids_at_the_embedding_limit():
     ExperimentConfig(kind="maximal", q=2, n=1 << 14, m=32, T=(0.5, 16.0))
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_config_rejects_seed_outside_64_bits(seed):
+    with pytest.raises(ValueError, match=f"seed must be a 64-bit unsigned integer, got {seed}"):
+        ExperimentConfig(kind="maximal", seed=seed)
+
+
 def test_config_rejects_bad_process():
     with pytest.raises(ValueError):
         ExperimentConfig(kind="maximal", q=0)
@@ -505,3 +511,28 @@ def test_band_summaries_shapes():
     name, passed, detail = bands[0]
     assert "spread" in detail
     assert isinstance(bool(passed), bool)
+
+
+@pytest.mark.parametrize(
+    "fields, skipped",
+    [
+        ({"kind": "maximal", "T": (1.0,), "p": (1.0, 2.0)},
+         ["scaling-ratio-spread(p=1)", "scaling-ratio-spread(p=2)"]),
+        ({"kind": "limit-dist", "eps": (0.1,), "ks_samples": 4}, ["paired-gap-decreasing-in-eps"]),
+        ({"kind": "consistency", "eps": (0.1,), "delta": (0.5,)}, ["p-monotone-in-eps(delta=0.5)"]),
+        ({"kind": "maximal", "T": (1.0, 2.0)}, []),
+        ({"kind": "limit-dist", "eps": (0.2, 0.1), "ks_samples": 4}, []),
+        ({"kind": "consistency", "eps": (0.2, 0.1)}, []),
+    ],
+    ids=["maximal-one-T", "limit-dist-one-eps", "consistency-one-eps",
+         "maximal-two-T", "limit-dist-two-eps", "consistency-two-eps"],
+)
+def test_band_is_checked_only_over_a_sweep_of_two_or_more_values(fields, skipped):
+    cfg = ExperimentConfig(n=16, m=4, q=2, replications=4, seed=3, **fields)
+    bands = band_summaries(cfg.kind, run_experiment(cfg))
+    assert [name for name, passed, _ in bands if passed is None] == skipped
+    for name, passed, detail in bands:
+        if passed is None:
+            assert detail == f"one {'T' if cfg.kind == 'maximal' else 'eps'} value, nothing to compare"
+        else:
+            assert isinstance(passed, (bool, np.bool_)), name

@@ -1,4 +1,7 @@
 import dataclasses
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from hermite_ou import (
     make_rng,
     sample_stationary_gaussian,
 )
+from hermite_ou import rng as rng_module
 from hermite_ou.rng import _box_muller
 
 
@@ -150,6 +154,69 @@ def test_embedding_scale_is_cached_and_read_only():
         scale[0] = 1.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         acov.embedding_scale = scale
+
+
+# ------------------------------------------------- reused sampler workspaces
+
+
+@pytest.fixture
+def fresh_workspaces(monkeypatch):
+    """An empty workspace free list, so the test sees every workspace grow."""
+    monkeypatch.setattr(rng_module, "_free_workspaces", [])
+
+
+@pytest.mark.usefixtures("fresh_workspaces")
+def test_sample_owns_its_memory_across_later_calls():
+    small, large = fgn_autocov(0.7, 257), fgn_autocov(0.7, 4097)
+    a = sample_stationary_gaussian(small, 257, make_rng(4, 0))
+    kept = a.copy()
+    b = sample_stationary_gaussian(small, 257, make_rng(4, 1))  # same embedding size
+    assert np.array_equal(bits(a), bits(kept))
+    assert not np.shares_memory(a, b)
+    kept_b = b.copy()
+    c = sample_stationary_gaussian(large, 4097, make_rng(4, 2))  # grows the workspace
+    assert np.array_equal(bits(a), bits(kept))
+    assert np.array_equal(bits(b), bits(kept_b))
+    assert not np.shares_memory(b, c)
+    assert a.flags.c_contiguous and a.flags.owndata
+
+
+def test_threaded_samples_of_mixed_sizes_match_sequential(monkeypatch):
+    # sizes rise, fall and rise again, so workspaces grow while both workers run
+    jobs = [(n, stream) for stream, n in enumerate([33, 1025, 129, 4097, 2, 513, 16385, 65, 8193, 3])]
+
+    def draw(job):
+        n, stream = job
+        return sample_stationary_gaussian(fgn_autocov(0.7, n), n, make_rng(99, stream))
+
+    monkeypatch.setattr(rng_module, "_free_workspaces", [])
+    sequential = [draw(job) for job in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so borrowing interleaves
+    try:
+        for _ in range(3):
+            monkeypatch.setattr(rng_module, "_free_workspaces", [])
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                threaded = list(pool.map(draw, jobs * 2, timeout=60))
+            for got, want in zip(threaded, sequential * 2):
+                assert np.array_equal(bits(got), bits(want))
+            assert len(rng_module._free_workspaces) <= 2
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.usefixtures("fresh_workspaces")
+def test_warm_sample_allocates_only_its_result():
+    n = 65537  # embedding of m = 131072 points
+    acov = fgn_autocov(0.85, n)
+    sample_stationary_gaussian(acov, n, make_rng(1, 0))
+    tracemalloc.start()
+    try:
+        x = sample_stationary_gaussian(acov, n, make_rng(1, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= x.nbytes + 64 * 1024, (peak, x.nbytes)
 
 
 # ------------------------------------------- bit identity with the old sampler
