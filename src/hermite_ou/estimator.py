@@ -5,7 +5,10 @@ compact search interval.  S is continuous but not smooth, so the minimizer
 is located by a coarse scan (guarding against non-unimodality, one blocked
 array reduction over the theta grid) followed by golden-section refinement
 inside the best bracket; ties are always broken toward the smaller theta,
-which makes the selection deterministic.
+which makes the selection deterministic.  Several paths on one grid (one
+driving path at several noise levels) are minimized in lockstep: the scan's
+skeletons are shared and each refinement step is one array pass over the
+paths, with the same result per path as minimizing it alone.
 
 The small-noise limit of the rescaled error is the minimizer of a weighted
 L1 fit of the noise response Y to the tangent curve t x0 e^(theta0 t);
@@ -27,6 +30,7 @@ __all__ = [
     "EstimateResult",
     "l1_objective",
     "minimize_l1",
+    "minimize_l1_rows",
     "skeleton_separation",
     "weighted_median",
     "tangent_l1_coefficient",
@@ -35,7 +39,7 @@ __all__ = [
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _TIE_TOL = 1e-12  # objective values this close count as tied
-_SCAN_BLOCK = 1 << 16  # grid values per coarse-scan block (512 KiB of doubles)
+_SCAN_BLOCK = 1 << 16  # grid values of the coarse scan's two block buffers (512 KiB of doubles)
 _MAX_COARSE_POINTS = 1 << 20  # coarse-scan grid of at most 8 MiB of theta values
 _LOG_MAX = math.log(np.finfo(float).max)
 
@@ -77,28 +81,51 @@ def l1_objective(x: GridPath, theta: float, x0: float) -> float:
     return float((dev[0] + dev[-1]) / 2 + dev[1:-1].sum()) * x.dt
 
 
-def _coarse_scan(x: GridPath, thetas: np.ndarray, x0: float) -> np.ndarray:
-    """l1_objective(x, theta, x0) for every theta in ``thetas``, bit for bit.
+def _skeleton_rows(thetas, times: np.ndarray, x0: float, out: np.ndarray) -> np.ndarray:
+    """x0 e^(theta t) on the grid ``times``, one row per theta, built in ``out``."""
+    np.multiply.outer(thetas, times, out=out)
+    np.exp(out, out=out)
+    np.multiply(out, x0, out=out)
+    return out
 
-    Rows |X_t - x0 e^(theta t)| for a block of theta values are built in
-    place in one reused buffer of ``_SCAN_BLOCK`` grid values (one row when
-    a row is longer) and reduced with the same trapezoid sum.
+
+def _l1_rows(values: np.ndarray, skeletons: np.ndarray, dt: float, out: np.ndarray) -> np.ndarray:
+    """Trapezoid integral of |values - skeleton| per row of ``skeletons``
+    (``values`` one path or one path per row), with the operations of
+    l1_objective; the deviations are built in ``out``."""
+    np.subtract(values, skeletons, out=out)
+    np.abs(out, out=out)
+    return ((out[:, 0] + out[:, -1]) / 2 + out[:, 1:-1].sum(axis=1)) * dt
+
+
+def _coarse_scan(xs: list, thetas: np.ndarray, x0: float) -> np.ndarray:
+    """l1_objective(xs[r], theta, x0) for every path r and every theta in
+    ``thetas``, bit for bit, as an array of shape (len(xs), thetas.size).
+
+    The paths share one grid.  The skeletons x0 e^(theta t) of a block of
+    theta values are built once and serve every path; each path's
+    deviations go to a second buffer of the same shape.  The two take
+    ``_SCAN_BLOCK`` grid values together (one row each when a row is
+    longer): twice that, freed at the top of a thread's heap, was trimmed
+    and faulted in again on some calls.
     """
-    times = x.times
-    rows = max(1, _SCAN_BLOCK // times.size)
-    buf = np.empty((min(rows, thetas.size), times.size))
-    out = np.empty(thetas.size)
+    times, dt = xs[0].times, xs[0].dt
+    rows = max(1, _SCAN_BLOCK // (2 * times.size))
+    skel, dev = np.empty((2, min(rows, thetas.size), times.size))
+    out = np.empty((len(xs), thetas.size))
     for start in range(0, thetas.size, rows):
         block = thetas[start : start + rows]
-        b = buf[: block.size]
-        np.multiply.outer(block, times, out=b)
-        np.exp(b, out=b)
-        np.multiply(b, x0, out=b)
-        np.subtract(x.values, b, out=b)
-        np.abs(b, out=b)
-        row_sums = (b[:, 0] + b[:, -1]) / 2 + b[:, 1:-1].sum(axis=1)
-        out[start : start + block.size] = row_sums * x.dt
+        s = _skeleton_rows(block, times, x0, skel[: block.size])
+        for r, x in enumerate(xs):
+            out[r, start : start + block.size] = _l1_rows(x.values, s, dt, dev[: block.size])
     return out
+
+
+def _objective_at(values: np.ndarray, thetas: list, grid: GridPath, x0: float) -> np.ndarray:
+    """l1_objective at thetas[r] of the path in row r of ``values`` (all on
+    ``grid``), for every r, bit for bit, in one array pass."""
+    skel = _skeleton_rows(thetas, grid.times, x0, np.empty(values.shape))
+    return _l1_rows(values, skel, grid.dt, skel)
 
 
 def _check_window(x: GridPath, x0: float, cfg: EstimatorConfig) -> None:
@@ -123,6 +150,90 @@ def _check_window(x: GridPath, x0: float, cfg: EstimatorConfig) -> None:
         )
 
 
+class _GoldenSection:
+    """One path's refinement: the best coarse point, the golden-section
+    bracket [a, b] around it with interior points c < d, and their objective
+    values.  ``step`` shrinks the bracket and returns the one new point to
+    evaluate; ``take`` stores its value; ``result`` picks the estimate."""
+
+    __slots__ = ("best", "a", "b", "c", "d", "fc", "fd", "moved_left", "n_evals")
+
+    def __init__(self, thetas: np.ndarray, scan: np.ndarray):
+        k = int(np.flatnonzero(scan <= scan.min() + _TIE_TOL)[0])
+        self.best = (float(thetas[k]), float(scan[k]))
+        a, b = float(thetas[max(k - 1, 0)]), float(thetas[min(k + 1, thetas.size - 1)])
+        self.a, self.b = a, b
+        self.c = b - _INVPHI * (b - a)
+        self.d = a + _INVPHI * (b - a)
+        self.n_evals = thetas.size + 2  # the scan, then the two interior points
+
+    def step(self) -> float:
+        self.moved_left = self.fc <= self.fd + _TIE_TOL  # ties move left, toward smaller theta
+        if self.moved_left:
+            self.b, self.d, self.fd = self.d, self.c, self.fc
+            self.c = self.b - _INVPHI * (self.b - self.a)
+            return self.c
+        self.a, self.c, self.fc = self.c, self.d, self.fd
+        self.d = self.a + _INVPHI * (self.b - self.a)
+        return self.d
+
+    def take(self, value: float) -> None:
+        self.n_evals += 1
+        if self.moved_left:
+            self.fc = value
+        else:
+            self.fd = value
+
+    def result(self) -> EstimateResult:
+        best_theta, best_val = self.best
+        for theta, val in ((self.c, self.fc), (self.d, self.fd)):
+            if val < best_val - _TIE_TOL or (val <= best_val + _TIE_TOL and theta < best_theta):
+                best_theta, best_val = theta, val
+        return EstimateResult(best_theta, best_val, self.n_evals, (self.a, self.b))
+
+
+def minimize_l1_rows(xs: list, x0: float, cfg: EstimatorConfig) -> list:
+    """minimize_l1 of every path in ``xs``, which share one grid: one
+    EstimateResult per path, in order.
+
+    The paths are minimized in lockstep.  The coarse-scan skeletons are
+    built once for all of them, and each golden-section step evaluates the
+    new point of every path whose bracket is still wider than
+    ``refine_tol`` in one array pass.  Every bracket, comparison and tie is
+    still decided per path with the arithmetic of a one-path loop, so each
+    result, ``n_evals`` included, is the one that path gets alone.  A window
+    on which a skeleton would overflow raises ValueError, as does a path on
+    another grid than the first.
+    """
+    grid = xs[0]
+    for x in xs:
+        if (x.n, x.t_max) != (grid.n, grid.t_max):
+            raise ValueError(
+                f"paths minimized together must share one grid, got n = {x.n} on "
+                f"[0, {x.t_max}] and n = {grid.n} on [0, {grid.t_max}]"
+            )
+        _check_window(x, x0, cfg)
+    thetas = np.linspace(cfg.theta_lo, cfg.theta_hi, cfg.coarse_points)
+    coarse = _coarse_scan(xs, thetas, x0)
+    values = np.stack([x.values for x in xs])
+
+    rows = [_GoldenSection(thetas, scan) for scan in coarse]
+    for g, fc, fd in zip(
+        rows,
+        _objective_at(values, [g.c for g in rows], grid, x0).tolist(),
+        _objective_at(values, [g.d for g in rows], grid, x0).tolist(),
+    ):
+        g.fc, g.fd = fc, fd
+
+    active = [r for r, g in enumerate(rows) if g.b - g.a > cfg.refine_tol]
+    while active:
+        points = [rows[r].step() for r in active]
+        for r, value in zip(active, _objective_at(values[active], points, grid, x0).tolist()):
+            rows[r].take(value)
+        active = [r for r in active if rows[r].b - rows[r].a > cfg.refine_tol]
+    return [g.result() for g in rows]
+
+
 def minimize_l1(x: GridPath, x0: float, cfg: EstimatorConfig) -> EstimateResult:
     """Minimum L1-norm drift estimate over [theta_lo, theta_hi].
 
@@ -131,39 +242,10 @@ def minimize_l1(x: GridPath, x0: float, cfg: EstimatorConfig) -> EstimateResult:
     narrower than ``refine_tol``.  Under ties (within 1e-12 on S) the
     smaller theta wins.  A boundary minimizer is flagged by the returned
     bracket touching the interval end.  A window on which the skeleton
-    would overflow raises ValueError.
+    would overflow raises ValueError.  This is minimize_l1_rows of the one
+    path, which returns the same result for each of several paths.
     """
-    _check_window(x, x0, cfg)
-    thetas = np.linspace(cfg.theta_lo, cfg.theta_hi, cfg.coarse_points)
-    coarse = _coarse_scan(x, thetas, x0)
-    n_evals = cfg.coarse_points
-
-    def objective(theta):
-        nonlocal n_evals
-        n_evals += 1
-        return l1_objective(x, theta, x0)
-
-    k = int(np.flatnonzero(coarse <= coarse.min() + _TIE_TOL)[0])
-    a = thetas[max(k - 1, 0)]
-    b = thetas[min(k + 1, cfg.coarse_points - 1)]
-    best_theta, best_val = float(thetas[k]), float(coarse[k])
-
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = objective(c), objective(d)
-    while b - a > cfg.refine_tol:
-        if fc <= fd + _TIE_TOL:  # ties move left, toward smaller theta
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = objective(d)
-    for theta, val in ((c, fc), (d, fd)):
-        if val < best_val - _TIE_TOL or (val <= best_val + _TIE_TOL and theta < best_theta):
-            best_theta, best_val = float(theta), float(val)
-    return EstimateResult(best_theta, best_val, n_evals, (float(a), float(b)))
+    return minimize_l1_rows([x], x0, cfg)[0]
 
 
 def _skeleton_l1_distance(theta: float, theta0: float, x0: float) -> float:

@@ -5,9 +5,12 @@ Every driving path comes from ``_map_paths``, the one map from replication to
 RNG stream: replication i < R on grid g of ``ExperimentConfig.grids()`` (one
 per horizon T for the maximal kind, one otherwise) is task j = g R + i on
 stream (seed, j); the limit-dist KS sample continues from stream 10^6.  So a
-configuration, seed included, determines every output byte.  Worker
-concurrency is capped by the HERMITE_OU_THREADS environment variable
-(unset/1 = sequential, 0 = auto) and by the task and CPU counts; results are
+configuration, seed included, determines every output byte.  Tasks always run
+on a pool of worker threads, never on the calling thread: on the main thread
+glibc trims its heap after each large temporary is freed, so every FFT and
+array pass of the next path faults its pages in again.  The pool size is
+capped by the HERMITE_OU_THREADS environment variable (unset/1 = one worker,
+so one task at a time; 0 = auto) and by the task and CPU counts; results are
 aggregated by task index, so the degree of concurrency never changes the output.
 """
 
@@ -15,14 +18,20 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .estimator import (
-    _LOG_MAX, EstimatorConfig, minimize_l1, skeleton_separation, tangent_l1_coefficient,
+    _LOG_MAX,
+    EstimatorConfig,
+    minimize_l1,  # noqa: F401  (not called here; bench/tracer.py wraps harness.minimize_l1)
+    minimize_l1_rows,
+    skeleton_separation,
+    tangent_l1_coefficient,
 )
 from .hermite import (
     GridPath,
@@ -166,14 +175,37 @@ def _worker_count() -> int:
 
 
 def _map_streams(fn: Callable[[int], object], count: int) -> list:
-    """fn(i) for i in range(count); aggregation is ordered by index, so the
-    result does not depend on how many workers ran.  At most one worker per
-    task and per CPU is started."""
+    """fn(i) for i in range(count), on a pool of worker threads; aggregation
+    is ordered by index, so the result does not depend on how many workers
+    ran.  At most one worker per task and per CPU is started.  Once a task
+    has raised, no task starts fn any more, and the exception of the first
+    failed task in index order is raised; an interrupt of the calling
+    thread also cancels every task not yet started."""
+    if count == 0:
+        return []
     workers = min(_worker_count(), count, os.cpu_count() or 1)
-    if workers <= 1:
-        return [fn(i) for i in range(count)]
+    failed = threading.Event()
+
+    def task(i):
+        # a task dequeued after a failure has a higher index than the failed one
+        if failed.is_set():
+            return None
+        try:
+            return fn(i)
+        except BaseException:
+            failed.set()
+            raise
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
+        futures = [pool.submit(task, i) for i in range(count)]
+        try:
+            # one wake-up of the calling thread, not one per task: each
+            # wake-up takes the GIL from the workers
+            wait(futures, return_when=FIRST_EXCEPTION)
+            return [f.result() for f in futures]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def simulate_driver(
@@ -306,8 +338,8 @@ def run_consistency(cfg: ExperimentConfig) -> list:
     eps_sorted = sorted(cfg.eps)
 
     def one(z):
-        xs = (exact_solution(OuSpec(cfg.theta0, eps, cfg.x0), z) for eps in eps_sorted)
-        errors = [abs(minimize_l1(x, cfg.x0, est_cfg).theta_hat - cfg.theta0) for x in xs]
+        xs = [exact_solution(OuSpec(cfg.theta0, eps, cfg.x0), z) for eps in eps_sorted]
+        errors = [abs(r.theta_hat - cfg.theta0) for r in minimize_l1_rows(xs, cfg.x0, est_cfg)]
         return running_max_abs(z).values[-1], errors
 
     results = _map_paths(cfg, one, reps)
@@ -353,14 +385,14 @@ def run_limit_dist(cfg: ExperimentConfig) -> list:
         y = noise_response(z, cfg.theta0)
         assert (y.provenance.seed, y.provenance.stream) == (z.provenance.seed, z.provenance.stream)
         zeta = tangent_l1_coefficient(y, cfg.theta0, cfg.x0)
-        u_by_eps = {}
-        for eps in cfg.eps:
-            x = exact_solution(OuSpec(cfg.theta0, eps, cfg.x0), z)
+        xs = [exact_solution(OuSpec(cfg.theta0, eps, cfg.x0), z) for eps in cfg.eps]
+        for x in xs:
             assert (x.provenance.seed, x.provenance.stream) == (
                 y.provenance.seed,
                 y.provenance.stream,
             ), "paired comparison must reuse the same driving path"
-            u_by_eps[eps] = (minimize_l1(x, cfg.x0, est_cfg).theta_hat - cfg.theta0) / eps
+        estimates = minimize_l1_rows(xs, cfg.x0, est_cfg)
+        u_by_eps = {eps: (r.theta_hat - cfg.theta0) / eps for eps, r in zip(cfg.eps, estimates)}
         return zeta, u_by_eps
 
     paired_results = _map_paths(cfg, paired, reps)

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.polynomial.hermite_e import hermeval
 
 from .rng import RngState, fgn_autocov, sample_stationary_gaussian
 
@@ -214,6 +213,23 @@ def _partial_sum_std(q: int, h0: float, k: int) -> float:
     return math.sqrt(var)
 
 
+def _hermite_in_place(x: np.ndarray, q: int) -> np.ndarray:
+    """He_q(x) written over x, q >= 1, with the Clenshaw steps of numpy's
+    hermeval for the coefficients e_q, in its order: c1 = 0 + 1 x, then
+    (c0, c1) <- (0 - (nd - 1) c1, c0 + c1 x) for nd = q - 1 .. 1.  So every
+    bit is hermeval's, signed zeros included.  x is replaced by 0 + x at
+    the first step: the two differ only in the sign of a zero, which every
+    later use adds to a c0 that is never -0, so no result bit changes.
+    Only steps before the last allocate (none for q <= 2)."""
+    np.add(0.0, x, out=x)
+    c0, c1 = 0.0 - (q - 1), x
+    for nd in range(q - 1, 0, -1):
+        if nd == 1:
+            return np.add(c0, np.multiply(c1, x, out=x), out=x)
+        c0, c1 = 0.0 - c1 * (nd - 1), c0 + c1 * x
+    return x
+
+
 def simulate_partial_sum(
     spec: HermiteSpec, n: int, m: int, t_max: float, rng: RngState
 ) -> GridPath:
@@ -231,9 +247,7 @@ def simulate_partial_sum(
         raise ValueError(f"n and m must be >= 1, got n={n}, m={m}")
     k_unit = _unit_steps(n, m, t_max)  # internal points per unit of time
     xi = _fgn_increments(spec.H0, n * m, rng)
-    coeffs = np.zeros(spec.q + 1)
-    coeffs[spec.q] = 1.0
-    sums = np.cumsum(hermeval(xi, coeffs))
+    sums = np.cumsum(_hermite_in_place(xi, spec.q))
     values = np.concatenate([[0.0], sums[m - 1 :: m]]) / _partial_sum_std(
         spec.q, spec.H0, k_unit
     )

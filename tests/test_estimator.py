@@ -11,6 +11,7 @@ from hermite_ou.estimator import (
     EstimatorConfig,
     l1_objective,
     minimize_l1,
+    minimize_l1_rows,
     skeleton_separation,
     tangent_l1_coefficient,
     tangent_l1_objective,
@@ -130,16 +131,17 @@ def test_minimize_unchanged_when_window_widens():
 
 def test_minimize_counts_scan_and_refinement_evaluations():
     # the coarse scan counts one evaluation per grid point without calling
-    # l1_objective; the golden-section refinement calls it once per evaluation
+    # _objective_at; every refinement evaluation is one point passed to it
     z = simulate_fbm(H, 512, 1.0, make_rng(34, 0))
     x = exact_solution(OuSpec(1.0, 0.1, 1.0), z)
     calls = []
+    objective_at = estimator._objective_at
 
-    def counted(*args):
-        calls.append(args[1])
-        return l1_objective(*args)
+    def counted(values, thetas, grid, x0):
+        calls.extend(thetas)
+        return objective_at(values, thetas, grid, x0)
 
-    with mock.patch.object(estimator, "l1_objective", counted):
+    with mock.patch.object(estimator, "_objective_at", counted):
         res = minimize_l1(x, 1.0, CFG)
     assert res.n_evals == CFG.coarse_points + len(calls) == 235
     step = (CFG.theta_hi - CFG.theta_lo) / (CFG.coarse_points - 1)
@@ -169,16 +171,21 @@ def _windows(draw):
     t_max=st.floats(0.25, 1.0),
     seed=st.integers(0, 2**32 - 1),
     block=st.just(estimator._SCAN_BLOCK) | st.integers(1, 4 * 3001),
+    paths=st.integers(1, 4),
 )
-@example(n=64, points=10, window=(-1.0, 2.0), x0=1.0, t_max=1.0, seed=0, block=3 * 65)
-@example(n=64, points=10, window=(-1.0, 2.0), x0=-0.7, t_max=1.0, seed=1, block=64)
-def test_coarse_scan_matches_objective_bit_for_bit(n, points, window, x0, t_max, seed, block):
-    # block=3*65 leaves a partial last block; block=64 < n + 1 gives one row per block
-    x = _noisy_skeleton(n, x0, t_max, seed)
+@example(n=64, points=10, window=(-1.0, 2.0), x0=1.0, t_max=1.0, seed=0, block=2 * 3 * 65, paths=1)
+@example(n=64, points=10, window=(-1.0, 2.0), x0=-0.7, t_max=1.0, seed=1, block=64, paths=3)
+def test_coarse_scan_matches_objective_bit_for_bit(n, points, window, x0, t_max, seed, block, paths):
+    # the two buffers share the block: block=2*3*65 is 3 rows each and leaves
+    # a partial last block; block=64 < 2 (n + 1) gives one row per block;
+    # every path of a row scan shares the skeletons and must still match on its own
+    xs = [_noisy_skeleton(n, x0, t_max, seed + r) for r in range(paths)]
     thetas = np.linspace(*window, points)
     with mock.patch.object(estimator, "_SCAN_BLOCK", block):
-        scan = estimator._coarse_scan(x, thetas, x0)
-    assert np.array_equal(scan, [l1_objective(x, theta, x0) for theta in thetas])
+        scan = estimator._coarse_scan(xs, thetas, x0)
+    assert scan.shape == (paths, points)
+    for x, row in zip(xs, scan):
+        assert np.array_equal(row, [l1_objective(x, theta, x0) for theta in thetas])
 
 
 @settings(max_examples=40, deadline=None)
@@ -229,7 +236,7 @@ def test_minimize_exact_coarse_tie_goes_to_the_smaller_theta():
     thetas = np.linspace(cfg.theta_lo, cfg.theta_hi, cfg.coarse_points)
     ia, ib = 10, 30  # theta = -1 and 1: two separate local minima of S
     values, moved = _two_skeleton_tie(thetas, ia, ib)
-    coarse = estimator._coarse_scan(path_from(values.copy()), thetas, 1.0)
+    coarse = estimator._coarse_scan([path_from(values.copy())], thetas, 1.0)[0]
     assert coarse[ia] == coarse[ib] == coarse.min()
     assert np.sort(coarse)[2] - coarse[ia] > 1e-3  # every other theta is clearly worse
     res = minimize_l1(path_from(values.copy()), 1.0, cfg)
@@ -280,14 +287,109 @@ def test_minimize_coarse_choice_is_scale_invariant(n, points, x0, seed, k):
     c = 2.0**k
     scaled_x = path_from(c * x.values)
     thetas = np.linspace(cfg.theta_lo, cfg.theta_hi, points)
-    coarse = estimator._coarse_scan(x, thetas, x0)
-    assert np.array_equal(estimator._coarse_scan(scaled_x, thetas, c * x0), c * coarse)
+    coarse = estimator._coarse_scan([x], thetas, x0)[0]
+    assert np.array_equal(estimator._coarse_scan([scaled_x], thetas, c * x0)[0], c * coarse)
     low, runner_up = np.partition(coarse, 1)[:2]
     assume(min(1.0, c) * (runner_up - low) > estimator._TIE_TOL)
     best = int(np.argmin(coarse))
     lo, hi = thetas[max(best - 1, 0)], thetas[min(best + 1, points - 1)]
     for res in (minimize_l1(x, x0, cfg), minimize_l1(scaled_x, c * x0, cfg)):
         assert lo <= res.theta_hat <= hi
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_section_oracle(x, x0, cfg):
+    """The one-path minimizer as a scalar loop: a coarse scan of l1_objective
+    values, then golden-section steps that call l1_objective once each."""
+    tie = estimator._TIE_TOL
+    thetas = np.linspace(cfg.theta_lo, cfg.theta_hi, cfg.coarse_points)
+    coarse = np.array([l1_objective(x, theta, x0) for theta in thetas])
+    n_evals = cfg.coarse_points
+
+    def objective(theta):
+        nonlocal n_evals
+        n_evals += 1
+        return l1_objective(x, theta, x0)
+
+    k = int(np.flatnonzero(coarse <= coarse.min() + tie)[0])
+    a = thetas[max(k - 1, 0)]
+    b = thetas[min(k + 1, cfg.coarse_points - 1)]
+    best_theta, best_val = float(thetas[k]), float(coarse[k])
+
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = objective(c), objective(d)
+    while b - a > cfg.refine_tol:
+        if fc <= fd + tie:  # ties move left, toward smaller theta
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = objective(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = objective(d)
+    for theta, val in ((c, fc), (d, fd)):
+        if val < best_val - tie or (val <= best_val + tie and theta < best_theta):
+            best_theta, best_val = float(theta), float(val)
+    return estimator.EstimateResult(best_theta, best_val, n_evals, (float(a), float(b)))
+
+
+def _row_paths(kinds, n, x0, thetas):
+    """One path per (kind, seed): a noisy skeleton with drift in [-3, 3]
+    (outside the window [-2, 2] its minimum is at an edge), a constant, the
+    exact skeleton of a coarse-grid theta (S = 0 there) or a repeat of the
+    previous path."""
+    t = np.arange(n + 1) / n
+    xs = []
+    for kind, seed in kinds:
+        if kind == "repeat" and xs:
+            values = xs[-1].values
+        elif kind == "constant":
+            values = np.full(n + 1, np.random.default_rng(seed).uniform(-2.0, 2.0))
+        elif kind == "skeleton":
+            values = x0 * np.exp(thetas[seed % thetas.size] * t)
+        else:
+            values = _noisy_skeleton(n, x0, 1.0, seed).values
+        xs.append(path_from(values))
+    return xs
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kinds=st.lists(
+        st.tuples(
+            st.sampled_from(["noisy", "constant", "skeleton", "repeat"]), st.integers(0, 2**32 - 1)
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    n=st.integers(2, 600),
+    points=st.integers(3, 300),
+    x0=st.just(0.0) | st.floats(0.05, 3.0) | st.floats(-3.0, -0.05),
+    refine_tol=st.sampled_from([1e-8, 1e-3, 1e-12]),
+)
+@example(  # an edge row (a one-step bracket) finishes before the interior rows
+    kinds=[("skeleton", 200), ("noisy", 0), ("constant", 1), ("skeleton", 100)],
+    n=64, points=201, x0=1.0, refine_tol=1e-8,
+)
+@example(kinds=[("noisy", 5), ("repeat", 0)], n=32, points=11, x0=0.0, refine_tol=1e-8)  # all tie
+def test_minimize_rows_equals_the_scalar_loop_on_every_row(kinds, n, points, x0, refine_tol):
+    cfg = EstimatorConfig(-2.0, 2.0, points, refine_tol)
+    xs = _row_paths(kinds, n, x0, np.linspace(cfg.theta_lo, cfg.theta_hi, points))
+    results = minimize_l1_rows(xs, x0, cfg)
+    assert len(results) == len(xs)
+    for x, res in zip(xs, results):
+        assert res == _golden_section_oracle(x, x0, cfg)
+        assert all(type(v) is float for v in (res.theta_hat, res.objective_value, *res.bracket))
+
+
+def test_minimize_rows_rejects_paths_on_different_grids():
+    with pytest.raises(ValueError, match="share one grid"):
+        minimize_l1_rows([path_from(np.ones(65)), path_from(np.ones(33))], 1.0, CFG)
+    with pytest.raises(ValueError, match="share one grid"):
+        minimize_l1_rows([path_from(np.ones(65)), path_from(np.ones(65), 2.0)], 1.0, CFG)
 
 
 def test_minimize_rejects_overflowing_window():

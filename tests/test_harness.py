@@ -1,5 +1,8 @@
 import io
 import math
+import threading
+import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -472,14 +475,14 @@ def test_stream_layout_of_every_kind(q, threads, monkeypatch):
         ("3", 100, 8, 3),
         ("0", 100, 8, 8),  # 0 = one per CPU
         ("0", 3, 8, 3),
-        ("4", 100, 1, None),  # one CPU: sequential, no pool
-        ("4", 100, None, None),  # CPU count unknown: sequential
-        ("4", 1, 8, None),  # one task: sequential
-        ("4", 0, 8, None),
+        ("4", 100, 1, 1),  # one CPU: one worker
+        ("4", 100, None, 1),  # CPU count unknown: one worker
+        ("4", 1, 8, 1),  # one task: one worker
+        ("4", 0, 8, None),  # no task: no pool
     ],
 )
 def test_map_streams_caps_workers(monkeypatch, requested, count, cpus, expected):
-    # the recorder runs tasks sequentially, so no real thread is started
+    # the recorder runs tasks on the calling thread, so no real thread is started
     sizes = []
 
     class RecordingPool:
@@ -492,14 +495,62 @@ def test_map_streams_caps_workers(monkeypatch, requested, count, cpus, expected)
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
     monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
     monkeypatch.setenv("HERMITE_OU_THREADS", requested)
     assert harness._map_streams(lambda i: i * i, count) == [i * i for i in range(count)]
     assert sizes == ([] if expected is None else [expected])
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_map_streams_runs_tasks_off_the_main_thread(threads, monkeypatch):
+    # at one thread too: on the main thread glibc's main arena trims the heap
+    # after each large temporary, and the next path faults its pages in again
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("HERMITE_OU_THREADS", threads)
+    ran_on = harness._map_streams(lambda i: threading.current_thread(), 6)
+    assert all(t is not threading.main_thread() for t in ran_on)
+    assert len(set(ran_on)) <= int(threads)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_map_streams_fails_fast(threads, monkeypatch):
+    # the first task raises: the tasks not yet started are cancelled
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("HERMITE_OU_THREADS", threads)
+    ran = []
+
+    def task(i):
+        ran.append(i)
+        if i == 0:
+            raise RuntimeError("task 0 failed")
+        return i
+
+    with pytest.raises(RuntimeError, match="task 0 failed"):
+        harness._map_streams(task, 500)
+    assert len(ran) < 10
+
+
+def test_map_streams_cancels_queued_tasks_when_the_caller_is_interrupted(monkeypatch):
+    def interrupted(futures, return_when):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(harness, "wait", interrupted)
+    monkeypatch.setenv("HERMITE_OU_THREADS", "1")
+    ran = []
+
+    def task(i):
+        ran.append(i)
+        time.sleep(0.001)
+
+    with pytest.raises(KeyboardInterrupt):
+        harness._map_streams(task, 500)
+    assert len(ran) < 10
 
 
 def test_band_summaries_shapes():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.hermite_e import hermeroots, hermeval
 from scipy.linalg import eigvalsh, toeplitz
 from scipy.stats import ks_2samp
 
@@ -136,6 +137,23 @@ def test_fbm_rejects_bad_arguments():
         simulate_fbm(1.2, 64, 1.0, make_rng(0, 0))
     with pytest.raises(ValueError):
         simulate_fbm(0.7, 1, 1.0, make_rng(0, 0))
+
+
+@pytest.mark.parametrize("q", range(1, 7))
+def test_hermite_in_place_matches_hermeval_bit_for_bit(q):
+    # signed zeros, tiny values, the roots and their neighbours, |x| up to 40
+    rng = np.random.default_rng(q)
+    roots = hermeroots([0.0] * q + [1.0])
+    x = np.concatenate([
+        rng.standard_normal(4000),
+        rng.uniform(-40.0, 40.0, 4000),
+        [0.0, -0.0, 40.0, -40.0, 1.0, -1.0, 5e-324, -5e-324, 1e-160, -1e-160],
+        roots, -roots, np.nextafter(roots, np.inf), np.nextafter(roots, -np.inf),
+    ])
+    want = hermeval(x, [0.0] * q + [1.0])
+    got = x.copy()
+    assert hermite._hermite_in_place(got, q) is got
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_partial_sum_q1_matches_fbm_in_law():
