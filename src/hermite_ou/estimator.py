@@ -34,6 +34,7 @@ __all__ = [
     "skeleton_separation",
     "weighted_median",
     "tangent_l1_coefficient",
+    "tangent_l1_coefficient_rows",
     "tangent_l1_objective",
 ]
 
@@ -128,25 +129,26 @@ def _objective_at(values: np.ndarray, thetas: list, grid: GridPath, x0: float) -
     return _l1_rows(values, skel, grid.dt, skel)
 
 
-def _check_window(x: GridPath, x0: float, cfg: EstimatorConfig) -> None:
+def _check_window(values: np.ndarray, grid: GridPath, x0: float, cfg: EstimatorConfig) -> None:
     """Raise ValueError where e^(theta t), x0 e^(theta t) or the row sum of
-    the L1 objective would overflow a double for some theta in the window."""
+    the L1 objective would overflow a double for some theta in the window
+    and some path, one per row of ``values``, on ``grid``."""
     if not math.isfinite(x0):
         raise ValueError(f"x0 must be finite, got {x0}")
-    lo, hi = cfg.theta_lo * x.t_max, cfg.theta_hi * x.t_max
+    lo, hi = cfg.theta_lo * grid.t_max, cfg.theta_hi * grid.t_max
     # the row sum has n + 1 terms, each at most 2 max(|x0|, max|X|) e^(max(theta t, 0));
     # max(., 1) also keeps e^(theta t) itself finite
-    size = max(abs(x0), float(np.max(np.abs(x.values))), 1.0)
-    headroom = _LOG_MAX - math.log(2 * (x.n + 1) * size)
+    size = max(abs(x0), float(np.max(np.abs(values))), 1.0)
+    headroom = _LOG_MAX - math.log(2 * (grid.n + 1) * size)
     if headroom < 0:
         raise ValueError(
-            f"path values overflow: the L1 objective of {x.n + 1} grid points with "
+            f"path values overflow: the L1 objective of {grid.n + 1} grid points with "
             f"max(|x0|, max|X|) = {size:.6g} is not a finite double"
         )
     if not (math.isfinite(lo) and max(hi, 0.0) <= headroom):
         raise ValueError(
             f"window [{cfg.theta_lo}, {cfg.theta_hi}] overflows: x0 e^(theta t) with "
-            f"x0 = {x0} is not a finite double on t in [0, {x.t_max}]"
+            f"x0 = {x0} is not a finite double on t in [0, {grid.t_max}]"
         )
 
 
@@ -212,10 +214,10 @@ def minimize_l1_rows(xs: list, x0: float, cfg: EstimatorConfig) -> list:
                 f"paths minimized together must share one grid, got n = {x.n} on "
                 f"[0, {x.t_max}] and n = {grid.n} on [0, {grid.t_max}]"
             )
-        _check_window(x, x0, cfg)
+    values = np.stack([x.values for x in xs])
+    _check_window(values, grid, x0, cfg)
     thetas = np.linspace(cfg.theta_lo, cfg.theta_hi, cfg.coarse_points)
     coarse = _coarse_scan(xs, thetas, x0)
-    values = np.stack([x.values for x in xs])
 
     rows = [_GoldenSection(thetas, scan) for scan in coarse]
     for g, fc, fd in zip(
@@ -291,26 +293,49 @@ def weighted_median(values, weights) -> float:
     weight reaches half the total (the lower median under an even split)."""
     v = np.asarray(values, dtype=float)
     w = np.asarray(weights, dtype=float)
-    if v.size == 0 or v.shape != w.shape:
+    if v.size == 0 or v.ndim != 1 or v.shape != w.shape:
         raise ValueError("values and weights must be nonempty and equally long")
-    if np.any(w < 0):
+    if not np.all(w >= 0):
         raise ValueError("weights must be nonnegative")
-    order = np.argsort(v, kind="stable")
-    cum = np.cumsum(w[order])
-    idx = int(np.searchsorted(cum, 0.5 * cum[-1], side="left"))
-    return float(v[order][min(idx, v.size - 1)])
+    return float(_weighted_median_rows(v, w))
 
 
-def _tangent_terms(y: GridPath, theta0: float, x0: float):
-    """Left-endpoint weights and targets of int_0^1 |Y_t - u t x0 e^(theta0 t)| dt.
+def _weighted_median_rows(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """weighted_median along the last axis of ``values``, for every row at
+    once; ``weights`` (finite, nonnegative) has the shape of ``values`` or of
+    one row.  Each row is sorted stably and summed in sorted order as in a
+    one-row call, and the first index whose cumulative weight reaches half
+    the total is counted rather than searched, so every row's pick is the
+    one its own call makes."""
+    order = np.argsort(values, axis=-1, kind="stable")
+    w = np.broadcast_to(weights, values.shape)
+    cum = np.cumsum(np.take_along_axis(w, order, axis=-1), axis=-1)
+    # cum is nondecreasing, so the entries below half the total are a prefix
+    idx = np.minimum(np.count_nonzero(cum < 0.5 * cum[..., -1:], axis=-1), values.shape[-1] - 1)
+    pick = np.take_along_axis(order, np.asarray(idx)[..., np.newaxis], axis=-1)
+    return np.take_along_axis(values, pick, axis=-1)[..., 0]
+
+
+def _tangent_weights(grid: GridPath, theta0: float, x0: float) -> np.ndarray:
+    """Left-endpoint weights t_i x0 e^(theta0 t_i), i = 1..n-1, of
+    int_0^1 |Y_t - u t x0 e^(theta0 t)| dt on ``grid``.
 
     The t = 0 term carries zero weight, so it is dropped.
     """
     if x0 == 0.0:
         raise ValueError("x0 = 0 leaves the fit coefficient unidentified")
-    t = y.times[:-1]
-    w = t * x0 * np.exp(theta0 * t)
-    return y.values[: y.n][1:], w[1:]
+    t = grid.times[:-1]
+    return (t * x0 * np.exp(theta0 * t))[1:]
+
+
+def tangent_l1_coefficient_rows(
+    ys: np.ndarray, grid: GridPath, theta0: float, x0: float
+) -> np.ndarray:
+    """tangent_l1_coefficient of every row of ``ys``, each a noise response
+    on ``grid``: the weights are built once, and the ratios and weighted
+    medians are row passes with every row's result bit for bit its own."""
+    w = _tangent_weights(grid, theta0, x0)
+    return _weighted_median_rows(ys[..., 1 : grid.n] / w, grid.dt * np.abs(w))
 
 
 def tangent_l1_coefficient(y: GridPath, theta0: float, x0: float) -> float:
@@ -318,13 +343,13 @@ def tangent_l1_coefficient(y: GridPath, theta0: float, x0: float) -> float:
 
     With w_i = t_i x0 e^(theta0 t_i) the objective sum_i dt |Y_i - u w_i|
     equals sum_i (dt |w_i|) |Y_i / w_i - u|, whose minimizer is the weighted
-    median of the ratios.
+    median of the ratios.  This is tangent_l1_coefficient_rows of the one
+    path.
     """
-    yv, w = _tangent_terms(y, theta0, x0)
-    return weighted_median(yv / w, y.dt * np.abs(w))
+    return float(tangent_l1_coefficient_rows(y.values, y, theta0, x0))
 
 
 def tangent_l1_objective(y: GridPath, u: float, theta0: float, x0: float) -> float:
     """The discretized tangent-fit objective at u (convex, piecewise linear)."""
-    yv, w = _tangent_terms(y, theta0, x0)
-    return float(y.dt * np.sum(np.abs(yv - u * w)))
+    w = _tangent_weights(y, theta0, x0)
+    return float(y.dt * np.sum(np.abs(y.values[1 : y.n] - u * w)))

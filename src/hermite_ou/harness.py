@@ -3,15 +3,20 @@ scaling and covariance audits, with deterministic CSV reports.
 
 Every driving path comes from ``_map_paths``, the one map from replication to
 RNG stream: replication i < R on grid g of ``ExperimentConfig.grids()`` (one
-per horizon T for the maximal kind, one otherwise) is task j = g R + i on
-stream (seed, j); the limit-dist KS sample continues from stream 10^6.  So a
-configuration, seed included, determines every output byte.  Tasks always run
-on a pool of worker threads, never on the calling thread: on the main thread
-glibc trims its heap after each large temporary is freed, so every FFT and
-array pass of the next path faults its pages in again.  The pool size is
-capped by the HERMITE_OU_THREADS environment variable (unset/1 = one worker,
-so one task at a time; 0 = auto) and by the task and CPU counts; results are
-aggregated by task index, so the degree of concurrency never changes the output.
+per horizon T for the maximal kind, one otherwise) draws its path from stream
+(seed, g R + i); the limit-dist KS sample continues from stream 10^6.  So a
+configuration, seed included, determines every output byte.  A task is a
+block of contiguous replications on one grid (``_block_plan``): its paths are
+sampled one by one, and the OU solves, noise responses, tangent fits and L1
+minimisations of the whole block run as row passes in which every row is bit
+for bit the one-path result, so the split into blocks never changes an output.
+Tasks always run on a pool of worker threads, never on the calling thread: on
+the main thread glibc trims its heap after each large temporary is freed, so
+every FFT and array pass of the next path faults its pages in again.  The pool
+size is capped by the HERMITE_OU_THREADS environment variable (unset/1 = one
+worker, so one task at a time; 0 = auto) and by the task and CPU counts;
+results are aggregated by task index, so the degree of concurrency never
+changes the output either.
 """
 
 from __future__ import annotations
@@ -25,13 +30,17 @@ from typing import Callable
 
 import numpy as np
 
-from .estimator import (
+# minimize_l1, tangent_l1_coefficient, noise_response and exact_solution are
+# the one-path forms of the row functions called here: bench/tracer.py wraps
+# them under these names
+from .estimator import (  # noqa: F401
     _LOG_MAX,
     EstimatorConfig,
-    minimize_l1,  # noqa: F401  (not called here; bench/tracer.py wraps harness.minimize_l1)
+    minimize_l1,
     minimize_l1_rows,
     skeleton_separation,
     tangent_l1_coefficient,
+    tangent_l1_coefficient_rows,
 )
 from .hermite import (
     GridPath,
@@ -42,8 +51,13 @@ from .hermite import (
     simulate_fbm,
     simulate_partial_sum,
 )
-from .integrals import noise_response, wiener_integral
-from .ou import OuSpec, exact_solution
+from .integrals import (  # noqa: F401
+    discounted_integral_rows,
+    noise_response,
+    noise_response_rows,
+    wiener_integral,
+)
+from .ou import exact_solution, exact_solution_rows  # noqa: F401
 from .rng import RngState, make_rng
 
 __all__ = [
@@ -174,6 +188,11 @@ def _worker_count() -> int:
     return max(1, workers)
 
 
+def _workers() -> int:
+    """Worker threads a pool may start: HERMITE_OU_THREADS, capped by the CPUs."""
+    return min(_worker_count(), os.cpu_count() or 1)
+
+
 def _map_streams(fn: Callable[[int], object], count: int) -> list:
     """fn(i) for i in range(count), on a pool of worker threads; aggregation
     is ordered by index, so the result does not depend on how many workers
@@ -183,7 +202,7 @@ def _map_streams(fn: Callable[[int], object], count: int) -> list:
     thread also cancels every task not yet started."""
     if count == 0:
         return []
-    workers = min(_worker_count(), count, os.cpu_count() or 1)
+    workers = min(_workers(), count)
     failed = threading.Event()
 
     def task(i):
@@ -244,18 +263,78 @@ def _check_driver_size(generator: str, q: int, n: int, m: int, t_max: float) -> 
         _unit_steps(n, m, t_max)
 
 
-def _map_paths(cfg: ExperimentConfig, fn: Callable, count: int, first_stream: int = 0) -> list:
-    """fn(z) for ``count`` driving paths z on each grid of cfg.grids(), in one
-    _map_streams call: task j = g count + i, replication i on grid g, draws
-    its path from stream first_stream + j.  Results are in task order."""
+# doubles that one row array of a block may hold: rows x max(n + 1, coarse_points)
+# (the minimiser's coarse-scan table and its stacked paths); 512 KiB
+_BLOCK_VALUES = 1 << 16
+
+
+def _block_plan(
+    steps: list, count: int, workers: int, rows_per_path: int, coarse_points: int
+) -> list:
+    """(g, lo, hi) for each block of replications lo .. hi - 1 on grid g,
+    where grid g has steps[g] steps: the blocks of each grid in replication
+    order, the grids from the longest to the shortest, so that the workers
+    end on the cheapest blocks.
+
+    Each grid gets at least min(workers, count) blocks, so that no worker
+    idles, and as many more as keep the rows_per_path (hi - lo) rows of a
+    block, times max(n + 1, coarse_points), within _BLOCK_VALUES; a block
+    of one replication may exceed it.  The replications are split as
+    evenly as possible.
+    """
+    plan = []
+    for g, n in sorted(enumerate(steps), key=lambda grid: -grid[1]):
+        per_block = max(1, _BLOCK_VALUES // (rows_per_path * max(n + 1, coarse_points)))
+        blocks = max(min(workers, count), -(-count // per_block))
+        plan += [(g, b * count // blocks, (b + 1) * count // blocks) for b in range(blocks)]
+    return plan
+
+
+def _map_paths(
+    cfg: ExperimentConfig, fn: Callable, count: int, first_stream: int = 0, rows_per_path: int = 1
+) -> list:
+    """fn(paths) for ``count`` driving paths on each grid of cfg.grids(), one
+    task per block of contiguous replications on one grid (_block_plan, with
+    fn's rows_per_path rows per path), all in one _map_streams call.
+
+    Replication i on grid g draws its path from stream
+    first_stream + g count + i; each path of a block is sampled alone, in
+    replication order.  fn returns one result per path of its block, and
+    the results come back in replication order, grid by grid, so they do
+    not depend on how the replications were split into blocks.
+    """
     grids = cfg.grids()
+    plan = _block_plan([n for n, _ in grids], count, _workers(), rows_per_path, cfg.coarse_points)
 
-    def task(j):
-        n, t_max = grids[j // count]
-        rng = make_rng(cfg.seed, first_stream + j)
-        return fn(simulate_driver(cfg.generator, cfg.q, cfg.H, n, cfg.m, t_max, rng))
+    def task(k):
+        g, lo, hi = plan[k]
+        n, t_max = grids[g]
+        rngs = [make_rng(cfg.seed, first_stream + g * count + i) for i in range(lo, hi)]
+        return fn([simulate_driver(cfg.generator, cfg.q, cfg.H, n, cfg.m, t_max, rng) for rng in rngs])
 
-    return _map_streams(task, len(grids) * count)
+    results = [None] * (len(grids) * count)
+    for (g, lo, hi), block in zip(plan, _map_streams(task, len(plan))):
+        results[g * count + lo : g * count + hi] = block
+    return results
+
+
+def _discounted_block(paths: list, theta: float) -> tuple:
+    """A block's grid, the discounted integrals of its driving paths at theta
+    (one row per path) and e^(theta t) on the grid."""
+    grid = paths[0]
+    integral = discounted_integral_rows(np.stack([z.values for z in paths]), grid.times, theta)
+    return grid, integral, np.exp(theta * grid.times)
+
+
+def _ou_rows(paths: list, integral: np.ndarray, growth: np.ndarray, eps_values, x0: float) -> list:
+    """The OU paths of a block, path by path and, per path, one per eps:
+    row k of the solution at one eps belongs to paths[k]."""
+    solutions = [exact_solution_rows(integral, growth, eps, x0) for eps in eps_values]
+    return [
+        z.with_values(x[k], f"ou-exact(eps={eps:g})")
+        for k, z in enumerate(paths)
+        for eps, x in zip(eps_values, solutions)
+    ]
 
 
 def _binomial_se(hits: int, reps: int) -> float:
@@ -337,12 +416,13 @@ def run_consistency(cfg: ExperimentConfig) -> list:
     est_cfg = cfg.estimator_config()
     eps_sorted = sorted(cfg.eps)
 
-    def one(z):
-        xs = [exact_solution(OuSpec(cfg.theta0, eps, cfg.x0), z) for eps in eps_sorted]
-        errors = [abs(r.theta_hat - cfg.theta0) for r in minimize_l1_rows(xs, cfg.x0, est_cfg)]
-        return running_max_abs(z).values[-1], errors
+    def block(paths):
+        _, integral, growth = _discounted_block(paths, cfg.theta0)
+        xs = _ou_rows(paths, integral, growth, eps_sorted, cfg.x0)
+        errors = iter([abs(r.theta_hat - cfg.theta0) for r in minimize_l1_rows(xs, cfg.x0, est_cfg)])
+        return [(running_max_abs(z).values[-1], [next(errors) for _ in eps_sorted]) for z in paths]
 
-    results = _map_paths(cfg, one, reps)
+    results = _map_paths(cfg, block, reps, rows_per_path=len(eps_sorted))
     m_hat = float(np.mean([r[0] for r in results]))
     abs_errors = np.array([r[1] for r in results])  # replication x eps
     rows = []
@@ -381,27 +461,28 @@ def run_limit_dist(cfg: ExperimentConfig) -> list:
     reps = cfg.replications
     est_cfg = cfg.estimator_config()
 
-    def paired(z):
-        y = noise_response(z, cfg.theta0)
-        assert (y.provenance.seed, y.provenance.stream) == (z.provenance.seed, z.provenance.stream)
-        zeta = tangent_l1_coefficient(y, cfg.theta0, cfg.x0)
-        xs = [exact_solution(OuSpec(cfg.theta0, eps, cfg.x0), z) for eps in cfg.eps]
-        for x in xs:
-            assert (x.provenance.seed, x.provenance.stream) == (
-                y.provenance.seed,
-                y.provenance.stream,
-            ), "paired comparison must reuse the same driving path"
-        estimates = minimize_l1_rows(xs, cfg.x0, est_cfg)
-        u_by_eps = {eps: (r.theta_hat - cfg.theta0) / eps for eps, r in zip(cfg.eps, estimates)}
-        return zeta, u_by_eps
+    def zeta_rows(grid, integral, growth):
+        ys = noise_response_rows(integral, growth)
+        return tangent_l1_coefficient_rows(ys, grid, cfg.theta0, cfg.x0)
 
-    paired_results = _map_paths(cfg, paired, reps)
+    def paired(paths):
+        # u and zeta of replication i both come from row i of one integral block
+        grid, integral, growth = _discounted_block(paths, cfg.theta0)
+        zetas = zeta_rows(grid, integral, growth)
+        xs = _ou_rows(paths, integral, growth, cfg.eps, cfg.x0)
+        estimates = iter(minimize_l1_rows(xs, cfg.x0, est_cfg))
+        return [
+            (float(zeta), {eps: (next(estimates).theta_hat - cfg.theta0) / eps for eps in cfg.eps})
+            for zeta in zetas
+        ]
+
+    paired_results = _map_paths(cfg, paired, reps, rows_per_path=len(cfg.eps))
     zetas = np.array([r[0] for r in paired_results])
 
-    def independent_zeta(z):
-        return tangent_l1_coefficient(noise_response(z, cfg.theta0), cfg.theta0, cfg.x0)
+    def independent_zetas(paths):
+        return zeta_rows(*_discounted_block(paths, cfg.theta0)).tolist()
 
-    zeta_indep = _map_paths(cfg, independent_zeta, cfg.ks_samples, _INDEPENDENT_STREAM_BASE)
+    zeta_indep = _map_paths(cfg, independent_zetas, cfg.ks_samples, _INDEPENDENT_STREAM_BASE)
 
     rows = []
     for eps in sorted(cfg.eps):
@@ -447,7 +528,9 @@ def run_maximal(cfg: ExperimentConfig) -> list:
     by rescaling one path; ratio_to_TpH estimates the scaling constant
     E[(sup |Z|)^p] / T^(pH), which self-similarity makes T-free.
     """
-    all_sups = _map_paths(cfg, lambda z: running_max_abs(z).values[-1], cfg.replications)
+    all_sups = _map_paths(
+        cfg, lambda paths: [running_max_abs(z).values[-1] for z in paths], cfg.replications
+    )
     rows = []
     for (n_t, t_max), sups in zip(cfg.grids(), np.reshape(all_sups, (-1, cfg.replications))):
         for p in sorted(cfg.p):
@@ -510,7 +593,7 @@ def run_covariance_audit(cfg: ExperimentConfig) -> list:
         integrals = [wiener_integral((t < s).astype(float), z) for s in grid_pts]
         return z.values[idx], integrals
 
-    results = _map_paths(cfg, one, cfg.replications)
+    results = _map_paths(cfg, lambda paths: [one(z) for z in paths], cfg.replications)
     path_vals = np.array([r[0] for r in results])
     int_vals = np.array([r[1] for r in results])
     pairs = [

@@ -23,7 +23,9 @@ __all__ = [
     "wiener_integral",
     "covariance_functional",
     "discounted_integral",
+    "discounted_integral_rows",
     "noise_response",
+    "noise_response_rows",
     "response_covariance",
 ]
 
@@ -78,15 +80,35 @@ def covariance_functional(f, g, h: float, t_max: float = 1.0) -> float:
     return float(h * (2.0 * h - 1.0) * np.dot(fv[:-1], conv))
 
 
-def discounted_integral(z: GridPath, theta: float) -> np.ndarray:
-    """int_0^(t_i) e^(-theta s) dZ_s on the grid of z, starting from 0.
+def discounted_integral_rows(values: np.ndarray, times: np.ndarray, theta: float) -> np.ndarray:
+    """int_0^(t_i) e^(-theta s) dZ_s for every row of ``values``, each a
+    driving path on the grid ``times``, starting from 0.
 
     The discrete variation-of-constants integral: cumulative left-endpoint
-    sums [0, cumsum(e^(-theta t_i) (z_{i+1} - z_i))].  Both noise_response
-    and ou.exact_solution are built on it.
+    sums [0, cumsum(e^(-theta t_i) (z_{i+1} - z_i))] along each row, with
+    e^(-theta t_i) computed once for all rows.  Each row of a C-contiguous
+    block is bit for bit the integral of that path alone, since the
+    differences, products and running sums are the same operations in the
+    same order.  noise_response_rows and ou.exact_solution_rows are built on
+    it.
     """
-    incr = np.exp(-theta * z.times[:-1]) * np.diff(z.values)
-    return np.concatenate([[0.0], np.cumsum(incr)])
+    out = np.empty(values.shape)
+    out[..., 0] = 0.0
+    incr = np.exp(-theta * times[:-1]) * np.diff(values, axis=-1)
+    np.cumsum(incr, axis=-1, out=out[..., 1:])
+    return out
+
+
+def discounted_integral(z: GridPath, theta: float) -> np.ndarray:
+    """discounted_integral_rows of the one path z."""
+    return discounted_integral_rows(z.values, z.times, theta)
+
+
+def noise_response_rows(integral: np.ndarray, growth: np.ndarray) -> np.ndarray:
+    """Y_t = e^(theta t) * int_0^t e^(-theta s) dZ_s for every row of
+    ``integral`` (discounted_integral_rows at theta), with
+    ``growth`` = e^(theta t) on the same grid, computed once per block."""
+    return growth * integral
 
 
 def noise_response(z: GridPath, theta: float) -> GridPath:
@@ -94,8 +116,9 @@ def noise_response(z: GridPath, theta: float) -> GridPath:
 
     Discretized with the left-endpoint Wiener integral; Y_0 = 0 and
     eps * Y equals the exact OU solution minus its deterministic skeleton.
+    This is noise_response_rows of the one path.
     """
-    y = np.exp(theta * z.times) * discounted_integral(z, theta)
+    y = noise_response_rows(discounted_integral(z, theta), np.exp(theta * z.times))
     return z.with_values(y, f"noise-response(theta={theta:g})")
 
 

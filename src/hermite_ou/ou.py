@@ -6,7 +6,7 @@ solution follows the variation-of-constants formula
     X_t = e^(theta t) (x0 + eps int_0^t e^(-theta s) dZ_s),
 
 evaluated with the discrete left-endpoint integral
-integrals.discounted_integral.
+integrals.discounted_integral_rows, for one path or a block of paths.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from .hermite import GridPath
 from .integrals import discounted_integral
 
-__all__ = ["OuSpec", "deterministic_solution", "exact_solution"]
+__all__ = ["OuSpec", "deterministic_solution", "exact_solution", "exact_solution_rows"]
 
 
 @dataclass(frozen=True)
@@ -39,11 +39,22 @@ def deterministic_solution(theta: float, x0: float, grid: GridPath) -> GridPath:
     return grid.with_values(x0 * np.exp(theta * grid.times), f"skeleton(theta={theta:g})")
 
 
+def exact_solution_rows(
+    integral: np.ndarray, growth: np.ndarray, eps: float, x0: float
+) -> np.ndarray:
+    """X_t = e^(theta t) (x0 + eps int_0^t e^(-theta s) dZ_s) for every row
+    of ``integral`` (integrals.discounted_integral_rows at theta), with
+    ``growth`` = e^(theta t) on the same grid.  One discounted integral
+    serves the noise response and the solutions at every eps of a path."""
+    return growth * (x0 + eps * integral)
+
+
 def exact_solution(spec: OuSpec, z: GridPath) -> GridPath:
-    """Variation-of-constants solution driven by the path z (z_0 must be 0)."""
+    """Variation-of-constants solution driven by the path z (z_0 must be 0);
+    exact_solution_rows of the one path."""
     if z.values[0] != 0.0:
         raise ValueError("driving path must start at 0")
     integral = discounted_integral(z, spec.theta)
-    values = np.exp(spec.theta * z.times) * (spec.x0 + spec.eps * integral)
+    values = exact_solution_rows(integral, np.exp(spec.theta * z.times), spec.eps, spec.x0)
     tag = f"ou-exact(theta={spec.theta:g},eps={spec.eps:g},x0={spec.x0:g})"
     return z.with_values(values, tag)

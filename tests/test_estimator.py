@@ -494,6 +494,32 @@ def test_weighted_median_is_smallest_minimizer_by_brute_force(pairs):
     assert weighted_median(values, weights) == min(u for u, f in objective.items() if f == best)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.integers(1, 5),
+    data=st.data(),
+)
+def test_weighted_median_rows_equal_each_row_alone(rows, data):
+    # the row form counts the entries below half the total weight where a
+    # one-row search would use searchsorted; the reference is that search
+    k = data.draw(st.integers(1, 12))
+    cells = st.lists(st.integers(-4, 4).map(float), min_size=k, max_size=k)
+    values = np.array(data.draw(st.lists(cells, min_size=rows, max_size=rows)))
+    weight = st.sampled_from([0.0, 0.5, 1.0, 3.0])
+    weights = np.array(data.draw(st.lists(weight, min_size=k, max_size=k)))
+    got = estimator._weighted_median_rows(values, weights)
+    for row, pick in zip(values, got):
+        order = np.argsort(row, kind="stable")
+        cum = np.cumsum(weights[order])
+        idx = int(np.searchsorted(cum, 0.5 * cum[-1], side="left"))
+        assert pick == row[order][min(idx, k - 1)] == weighted_median(row, weights)
+
+
+def test_weighted_median_rejects_nan_weights():
+    with pytest.raises(ValueError, match="nonnegative"):
+        weighted_median([1.0, 2.0], [1.0, math.nan])
+
+
 def test_weighted_median_lower_median_on_even_split():
     assert weighted_median([0.0, 1.0], [1.0, 1.0]) == 0.0
 

@@ -1,8 +1,10 @@
 import io
 import math
+import os
 import threading
 import time
 from concurrent.futures import Future
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +26,10 @@ from hermite_ou.harness import (
     simulate_driver,
     write_rows_csv,
 )
+from hermite_ou.estimator import minimize_l1, tangent_l1_coefficient, tangent_l1_coefficient_rows
 from hermite_ou.hermite import HermiteSpec, simulate_fbm, simulate_partial_sum
+from hermite_ou.integrals import noise_response, noise_response_rows
+from hermite_ou.ou import OuSpec, exact_solution
 from hermite_ou.rng import _box_muller
 
 
@@ -465,6 +470,108 @@ def test_stream_layout_of_every_kind(q, threads, monkeypatch):
             want += list(range(10**6, 10**6 + ks))
         assert streams == want, kind
         assert {c[2:] for c in calls} == {(16, 1.0)}
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    workers=st.integers(1, 4),
+    reps=st.integers(1, 7),
+    per_block=st.integers(1, 7),
+    first_stream=st.integers(0, 3),
+    kind=st.sampled_from(["maximal", "limit-dist"]),
+)
+def test_map_paths_gives_each_path_its_own_result_under_any_block_plan(
+    workers, reps, per_block, first_stream, kind
+):
+    # a block-wide fn (noise responses and tangent fits as row passes) must
+    # give, in replication order, what each path gives alone from its stream
+    cfg = ExperimentConfig(kind=kind, q=2, n=16, m=4, T=(1.0, 2.0), replications=reps, seed=21)
+    width = max(cfg.n * 2 + 1, cfg.coarse_points)  # the widest grid's row
+    sizes = []
+
+    def fn(paths):
+        sizes.append(len(paths))
+        grid, integral, growth = harness._discounted_block(paths, 0.8)
+        zetas = tangent_l1_coefficient_rows(noise_response_rows(integral, growth), grid, 0.8, 1.0)
+        return [(z.provenance.stream, z.n, zeta.hex()) for z, zeta in zip(paths, zetas.tolist())]
+
+    with (
+        mock.patch.object(harness, "_BLOCK_VALUES", per_block * width),
+        mock.patch.object(harness.os, "cpu_count", lambda: 4),
+        mock.patch.dict(os.environ, {"HERMITE_OU_THREADS": str(workers)}),
+    ):
+        got = harness._map_paths(cfg, fn, reps, first_stream)
+    want = []
+    for g, (n, t_max) in enumerate(cfg.grids()):
+        for i in range(reps):
+            stream = first_stream + g * reps + i
+            z = simulate_driver(cfg.generator, cfg.q, cfg.H, n, cfg.m, t_max, make_rng(cfg.seed, stream))
+            want.append((stream, n, tangent_l1_coefficient(noise_response(z, 0.8), 0.8, 1.0).hex()))
+    assert got == want
+    blocks_per_grid = max(min(workers, reps), -(-reps // per_block))
+    assert len(sizes) == len(cfg.grids()) * blocks_per_grid
+    assert max(sizes) <= per_block
+
+
+def test_limit_dist_pairs_u_and_zeta_of_one_stream(monkeypatch):
+    # every row equals the one computed path by path: u and zeta of
+    # replication i both from stream i, the KS sample from 10^6 + i
+    cfg = ExperimentConfig(
+        kind="limit-dist", q=2, eps=(0.3, 0.05), n=32, m=4, replications=7, ks_samples=5,
+        seed=17, theta0=0.6, x0=1.5,
+    )
+    monkeypatch.setattr(harness, "_BLOCK_VALUES", 2 * len(cfg.eps) * cfg.coarse_points)  # 2 paths a block
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("HERMITE_OU_THREADS", "2")
+    rows = run_limit_dist(cfg)
+
+    def driver(stream):
+        return simulate_driver(cfg.generator, cfg.q, cfg.H, cfg.n, cfg.m, 1.0, make_rng(cfg.seed, stream))
+
+    def zeta(z):
+        return tangent_l1_coefficient(noise_response(z, cfg.theta0), cfg.theta0, cfg.x0)
+
+    est_cfg = cfg.estimator_config()
+    zetas, us = [], []
+    for i in range(cfg.replications):
+        z = driver(i)
+        zetas.append(zeta(z))
+        us.append([
+            (minimize_l1(exact_solution(OuSpec(cfg.theta0, eps, cfg.x0), z), cfg.x0, est_cfg).theta_hat
+             - cfg.theta0) / eps
+            for eps in sorted(cfg.eps)
+        ])
+    indep = [zeta(driver(10**6 + i)) for i in range(cfg.ks_samples)]
+    for k, row in enumerate(rows):
+        u = np.array([r[k] for r in us])
+        gaps = np.abs(u - np.array(zetas))
+        assert row["med_abs_gap"] == float(np.median(gaps))
+        assert row["q90_abs_gap"] == float(np.quantile(gaps, 0.9))
+        assert (row["ks_stat"], row["ks_p"]) == ks_two_sample(u, indep)
+
+
+@pytest.mark.parametrize(
+    "steps, count, coarse_points",
+    [([512], 10**6, 201), ([512], 400, 1 << 20), ([2, 32, 2048], 50, 201), ([16], 3, 201)],
+)
+@pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize("rows_per_path", [1, 4])
+def test_block_plan_bounds_the_memory_of_a_block(steps, count, coarse_points, workers, rows_per_path):
+    # the plan alone, nothing allocated: a block's rows times the longer of
+    # its grid and its coarse scan stay within the budget unless the block
+    # is one replication, and every worker of the pool gets a block
+    plan = harness._block_plan(steps, count, workers, rows_per_path, coarse_points)
+    order = [steps[g] for g, _, _ in plan]  # longest grid first, each grid's blocks together
+    assert order == sorted(order, reverse=True)
+    for g, n in enumerate(steps):
+        bounds = [(lo, hi) for grid, lo, hi in plan if grid == g]
+        assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
+        assert bounds[-1][1] == count
+        assert len(bounds) >= min(workers, count)
+        sizes = [hi - lo for lo, hi in bounds]
+        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+        width = rows_per_path * max(n + 1, coarse_points)
+        assert all(size == 1 or size * width <= harness._BLOCK_VALUES for size in sizes)
 
 
 @pytest.mark.parametrize(

@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 
 from hermite_ou import make_rng
+from hermite_ou.estimator import tangent_l1_coefficient, tangent_l1_coefficient_rows
 from hermite_ou.hermite import GridPath, Provenance, simulate_fbm
 from hermite_ou.integrals import (
     covariance_functional,
     discounted_integral,
+    discounted_integral_rows,
     noise_response,
+    noise_response_rows,
     response_covariance,
     wiener_integral,
 )
-from hermite_ou.ou import OuSpec, deterministic_solution, exact_solution
+from hermite_ou.ou import OuSpec, deterministic_solution, exact_solution, exact_solution_rows
 
 H = 0.7
 
@@ -151,6 +154,35 @@ def test_noise_response_keeps_rng_provenance():
     z = simulate_fbm(H, 32, 1.0, make_rng(11, 5))
     y = noise_response(z, 1.0)
     assert (y.provenance.seed, y.provenance.stream) == (11, 5)
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("n, t_max, theta, x0", [(64, 1.0, 1.0, 1.0), (37, 2.0, -0.7, -2.5)])
+def test_block_rows_equal_the_one_path_functions_bit_for_bit(n, t_max, theta, x0):
+    # the block-wide solves of the limit-dist and consistency kinds: one
+    # discounted integral per path and e^(theta t) once per block
+    rng = np.random.default_rng(5)
+    paths = [simulate_fbm(H, n, t_max, make_rng(41, s)) for s in range(4)]
+    for scale in (1e-3, 1e3):
+        walk = np.concatenate([[0.0], np.cumsum(rng.standard_normal(n) * scale)])
+        paths.append(GridPath(t_max, n, walk, Provenance(0, 9, "walk")))
+    paths.append(zero_path(n, t_max))
+    grid = paths[0]
+    integral = discounted_integral_rows(np.stack([z.values for z in paths]), grid.times, theta)
+    growth = np.exp(theta * grid.times)
+    ys = noise_response_rows(integral, growth)
+    zetas = tangent_l1_coefficient_rows(ys, grid, theta, x0)
+    for k, z in enumerate(paths):
+        assert np.array_equal(bits(integral[k]), bits(discounted_integral(z, theta)))
+        assert np.array_equal(bits(ys[k]), bits(noise_response(z, theta).values))
+        assert bits(zetas[k]) == bits(tangent_l1_coefficient(noise_response(z, theta), theta, x0))
+    for eps in (0.5, 1e-3):
+        xs = exact_solution_rows(integral, growth, eps, x0)
+        for k, z in enumerate(paths):
+            assert np.array_equal(bits(xs[k]), bits(exact_solution(OuSpec(theta, eps, x0), z).values))
 
 
 # ------------------------------------------------------- response covariance

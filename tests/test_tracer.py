@@ -53,6 +53,10 @@ def test_every_path_is_simulated_in_a_task_of_one_map_per_sample(kind, samples, 
     assert [s.name for s in tracer.spans].count("harness.map_streams") == samples
     tasks = [s for s in tracer.spans if s.name == "harness.task"]
     assert tasks and all(names.get(s.parent) == "harness.map_streams" for s in tasks)
+    # a task simulates a block of paths: every path once, each under a task,
+    # and no task without a path
     paths = [s for s in tracer.spans if s.name.startswith("hermite.simulate_")]
-    assert len(paths) == len(tasks)
+    ks = cfg.ks_samples if kind == "limit-dist" else 0
+    assert len(paths) == cfg.replications * len(cfg.grids()) + ks
     assert all(names.get(s.parent) == "harness.task" for s in paths)
+    assert {s.parent for s in paths} == {s.id for s in tasks}
