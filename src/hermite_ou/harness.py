@@ -10,13 +10,13 @@ block of contiguous replications on one grid (``_block_plan``): its paths are
 sampled one by one, and the OU solves, noise responses, tangent fits and L1
 minimisations of the whole block run as row passes in which every row is bit
 for bit the one-path result, so the split into blocks never changes an output.
-Tasks always run on a pool of worker threads, never on the calling thread: on
-the main thread glibc trims its heap after each large temporary is freed, so
-every FFT and array pass of the next path faults its pages in again.  The pool
-size is capped by the HERMITE_OU_THREADS environment variable (unset/1 = one
-worker, so one task at a time; 0 = auto) and by the task and CPU counts;
-results are aggregated by task index, so the degree of concurrency never
-changes the output either.
+All the tasks of an experiment, of every sample and grid, run on one pool of
+worker threads, never on the calling thread: on the main thread glibc trims
+its heap after each large temporary is freed, so every FFT and array pass of
+the next path faults its pages in again.  The pool size is capped by the
+HERMITE_OU_THREADS environment variable (unset/1 = one worker, so one task at
+a time; 0 = auto) and by the task and CPU counts; results are aggregated by
+task index, so the degree of concurrency never changes the output either.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import os
 import threading
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -263,58 +263,101 @@ def _check_driver_size(generator: str, q: int, n: int, m: int, t_max: float) -> 
         _unit_steps(n, m, t_max)
 
 
-# doubles that one row array of a block may hold: rows x max(n + 1, coarse_points)
-# (the minimiser's coarse-scan table and its stacked paths); 512 KiB
+# doubles that one row array of a block may hold: rows x the row width, where a
+# minimiser's row is max(n + 1, coarse_points) (its coarse-scan table and its
+# stacked paths) and a per-path row is the path, n + 1; 512 KiB
 _BLOCK_VALUES = 1 << 16
 
 
-def _block_plan(
-    steps: list, count: int, workers: int, rows_per_path: int, coarse_points: int
-) -> list:
-    """(g, lo, hi) for each block of replications lo .. hi - 1 on grid g,
-    where grid g has steps[g] steps: the blocks of each grid in replication
-    order, the grids from the longest to the shortest, so that the workers
-    end on the cheapest blocks.
+class _Sample(NamedTuple):
+    """An independent sample of ``count`` driving paths on each grid of
+    cfg.grids(), mapped block by block by fn (one result per path).
 
-    Each grid gets at least min(workers, count) blocks, so that no worker
-    idles, and as many more as keep the rows_per_path (hi - lo) rows of a
-    block, times max(n + 1, coarse_points), within _BLOCK_VALUES; a block
-    of one replication may exceed it.  The replications are split as
-    evenly as possible.
+    ``minimised_rows`` is the number of rows per path that fn minimises in
+    lockstep with minimize_l1_rows, or 0 if fn works path by path.
     """
+
+    fn: Callable
+    count: int
+    first_stream: int = 0
+    minimised_rows: int = 0
+
+
+def _block_plan(units: list, workers: int, coarse_points: int) -> list:
+    """(u, lo, hi) for each block of replications lo .. hi - 1 of unit u, a
+    (steps, count, minimised_rows) sample on one grid, in the order the
+    blocks are queued; each unit's blocks are contiguous and in replication
+    order.
+
+    Minimiser units (minimised_rows > 0) come first, longest grid first:
+    each is split as evenly as possible into at least min(workers, count)
+    blocks, and into more where needed to keep minimised_rows (hi - lo)
+    rows of max(n + 1, coarse_points) doubles within _BLOCK_VALUES.  Their
+    lockstep steps have a fixed cost per block, so they are never split
+    finer.  The per-path units follow, longest grid first, in guided blocks
+    (Polychronopoulos & Kuck 1987) of half a worker's share, as in factoring
+    (Hummel, Schonberg & Flynn 1992): a block on a grid of n steps takes
+    ceil(remaining / (2 workers n)) paths, where remaining is the steps
+    times paths of every per-path block not yet planned, capped so that its
+    paths of n + 1 doubles stay within _BLOCK_VALUES.  The blocks shrink to
+    one path at the end, so the workers finish together; the half share
+    keeps a first block of long paths, which cost more per step than short
+    ones, from finishing last.  With one worker there is nothing to balance,
+    and every unit is split evenly into as few blocks as the budget allows.
+    A block of one path may exceed the budget.
+    """
+    order = sorted(range(len(units)), key=lambda u: (units[u][2] == 0, -units[u][0]))
+    remaining = sum(n * count for n, count, rows in units if rows == 0)
     plan = []
-    for g, n in sorted(enumerate(steps), key=lambda grid: -grid[1]):
-        per_block = max(1, _BLOCK_VALUES // (rows_per_path * max(n + 1, coarse_points)))
-        blocks = max(min(workers, count), -(-count // per_block))
-        plan += [(g, b * count // blocks, (b + 1) * count // blocks) for b in range(blocks)]
+    for u in order:
+        n, count, rows = units[u]
+        width = rows * max(n + 1, coarse_points) if rows else n + 1
+        per_block = max(1, _BLOCK_VALUES // width)
+        if rows or workers == 1:
+            blocks = max(min(workers, count), -(-count // per_block))
+            plan += [(u, b * count // blocks, (b + 1) * count // blocks) for b in range(blocks)]
+            continue
+        lo = 0
+        while lo < count:
+            size = min(count - lo, per_block, -(-remaining // (2 * workers * n)))
+            plan.append((u, lo, lo + size))
+            lo += size
+            remaining -= size * n
     return plan
 
 
-def _map_paths(
-    cfg: ExperimentConfig, fn: Callable, count: int, first_stream: int = 0, rows_per_path: int = 1
-) -> list:
-    """fn(paths) for ``count`` driving paths on each grid of cfg.grids(), one
-    task per block of contiguous replications on one grid (_block_plan, with
-    fn's rows_per_path rows per path), all in one _map_streams call.
+def _map_paths(cfg: ExperimentConfig, samples: list) -> list:
+    """The results of every _Sample of an experiment, one list per sample,
+    from one _map_streams call with one task per block of _block_plan.
 
-    Replication i on grid g draws its path from stream
+    Replication i on grid g of a sample draws its path from stream
     first_stream + g count + i; each path of a block is sampled alone, in
-    replication order.  fn returns one result per path of its block, and
-    the results come back in replication order, grid by grid, so they do
-    not depend on how the replications were split into blocks.
+    replication order.  fn returns one result per path of its block, and a
+    sample's results come back in replication order, grid by grid, so they
+    do not depend on how the replications were split into blocks.
     """
     grids = cfg.grids()
-    plan = _block_plan([n for n, _ in grids], count, _workers(), rows_per_path, cfg.coarse_points)
+    units = [(s, g) for s in range(len(samples)) for g in range(len(grids))]
+    plan = _block_plan(
+        [(grids[g][0], samples[s].count, samples[s].minimised_rows) for s, g in units],
+        _workers(),
+        cfg.coarse_points,
+    )
 
     def task(k):
-        g, lo, hi = plan[k]
-        n, t_max = grids[g]
-        rngs = [make_rng(cfg.seed, first_stream + g * count + i) for i in range(lo, hi)]
-        return fn([simulate_driver(cfg.generator, cfg.q, cfg.H, n, cfg.m, t_max, rng) for rng in rngs])
+        u, lo, hi = plan[k]
+        s, g = units[u]
+        sample, (n, t_max) = samples[s], grids[g]
+        rngs = [make_rng(cfg.seed, sample.first_stream + g * sample.count + i) for i in range(lo, hi)]
+        return sample.fn(
+            [simulate_driver(cfg.generator, cfg.q, cfg.H, n, cfg.m, t_max, rng) for rng in rngs]
+        )
 
-    results = [None] * (len(grids) * count)
-    for (g, lo, hi), block in zip(plan, _map_streams(task, len(plan))):
-        results[g * count + lo : g * count + hi] = block
+    results = [[None] * (len(grids) * sample.count) for sample in samples]
+    for (u, lo, hi), block in zip(plan, _map_streams(task, len(plan))):
+        s, g = units[u]
+        first = g * samples[s].count
+        results[s][first + lo : first + hi] = block
     return results
 
 
@@ -422,7 +465,7 @@ def run_consistency(cfg: ExperimentConfig) -> list:
         errors = iter([abs(r.theta_hat - cfg.theta0) for r in minimize_l1_rows(xs, cfg.x0, est_cfg)])
         return [(running_max_abs(z).values[-1], [next(errors) for _ in eps_sorted]) for z in paths]
 
-    results = _map_paths(cfg, block, reps, rows_per_path=len(eps_sorted))
+    (results,) = _map_paths(cfg, [_Sample(block, reps, minimised_rows=len(eps_sorted))])
     m_hat = float(np.mean([r[0] for r in results]))
     abs_errors = np.array([r[1] for r in results])  # replication x eps
     rows = []
@@ -476,13 +519,14 @@ def run_limit_dist(cfg: ExperimentConfig) -> list:
             for zeta in zetas
         ]
 
-    paired_results = _map_paths(cfg, paired, reps, rows_per_path=len(cfg.eps))
-    zetas = np.array([r[0] for r in paired_results])
-
     def independent_zetas(paths):
         return zeta_rows(*_discounted_block(paths, cfg.theta0)).tolist()
 
-    zeta_indep = _map_paths(cfg, independent_zetas, cfg.ks_samples, _INDEPENDENT_STREAM_BASE)
+    paired_results, zeta_indep = _map_paths(cfg, [
+        _Sample(paired, reps, minimised_rows=len(cfg.eps)),
+        _Sample(independent_zetas, cfg.ks_samples, _INDEPENDENT_STREAM_BASE),
+    ])
+    zetas = np.array([r[0] for r in paired_results])
 
     rows = []
     for eps in sorted(cfg.eps):
@@ -528,8 +572,8 @@ def run_maximal(cfg: ExperimentConfig) -> list:
     by rescaling one path; ratio_to_TpH estimates the scaling constant
     E[(sup |Z|)^p] / T^(pH), which self-similarity makes T-free.
     """
-    all_sups = _map_paths(
-        cfg, lambda paths: [running_max_abs(z).values[-1] for z in paths], cfg.replications
+    (all_sups,) = _map_paths(
+        cfg, [_Sample(lambda paths: [running_max_abs(z).values[-1] for z in paths], cfg.replications)]
     )
     rows = []
     for (n_t, t_max), sups in zip(cfg.grids(), np.reshape(all_sups, (-1, cfg.replications))):
@@ -593,7 +637,7 @@ def run_covariance_audit(cfg: ExperimentConfig) -> list:
         integrals = [wiener_integral((t < s).astype(float), z) for s in grid_pts]
         return z.values[idx], integrals
 
-    results = _map_paths(cfg, lambda paths: [one(z) for z in paths], cfg.replications)
+    (results,) = _map_paths(cfg, [_Sample(lambda paths: [one(z) for z in paths], cfg.replications)])
     path_vals = np.array([r[0] for r in results])
     int_vals = np.array([r[1] for r in results])
     pairs = [

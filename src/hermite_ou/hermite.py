@@ -127,7 +127,8 @@ class GridPath:
 
 
 # largest circulant embedding the FFT samplers may build: 2^24 points, one
-# 256 MiB complex buffer (the benchmark workloads use at most 2^17)
+# 256 MiB complex spectrum buffer per worker, transformed in place (the
+# benchmark workloads use at most 2^17)
 _EMBEDDING_MAX_POINTS = 1 << 24
 
 

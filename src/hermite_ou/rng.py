@@ -5,14 +5,14 @@ gamma(0..n-1) is extended evenly to a circulant of length 2(n-1) whose FFT
 gives the embedding eigenvalues.  If those are nonnegative the method is
 exact in distribution and costs O(n log n).  The eigenvalues and the
 per-frequency amplitude sqrt(lambda / m) are cached on the AutocovSequence,
-so a sample costs one Box-Muller pass, written straight into the FFT input
-buffer, and one FFT.
+so a sample costs one Box-Muller pass, written straight into the spectrum,
+and one FFT in place.
 
-The FFT input and output buffers are reused across paths and threads: a
-call borrows a workspace from a module-level free list and returns it when
-it is done, so long embeddings stop allocating (and page-faulting) about
-6 MiB per path.  Idle workspaces stay resident after a run: at most one per
-caller that ran concurrently, each about 32 bytes per point of the largest
+The spectrum buffer is reused across paths and threads: a call borrows a
+workspace from a module-level free list and returns it when it is done, so
+long embeddings stop allocating (and page-faulting) fresh memory per path.
+Idle workspaces stay resident after a run: at most one per caller that ran
+concurrently, each one complex array of 16 bytes per point of the largest
 embedding it served.  Samples are fresh arrays and never share a workspace.
 """
 
@@ -73,29 +73,37 @@ def make_rng(seed: int, stream: int = 0) -> RngState:
     return RngState(seed=int(seed), stream=int(stream))
 
 
-def _polar_pairs(
-    gen: np.random.Generator, r: np.ndarray, angle: np.ndarray, cos: np.ndarray
-) -> tuple:
-    """Box-Muller factors (r, cos(2 pi u2), sin(2 pi u2)) of len(r) uniform pairs.
+def _polar_pairs(gen: np.random.Generator, v: np.ndarray) -> np.ndarray:
+    """k pairs of standard normals r cos(2 pi u2) + i r sin(2 pi u2) in v[:k].
 
-    Fills the caller's contiguous float arrays r, angle and cos, all of one
-    length, and returns (r, cos, sin) with sin written over angle.  Pair k
-    gives the two standard normals r[k] cos[k] and r[k] sin[k].
-    Pairwise, inverse-free and rejection-free, so the output is a fixed
-    function of the underlying uniform stream.  log, sqrt, cos and sin run
-    in place on contiguous arrays: numpy's SIMD and strided loops for them
-    may differ in the last bit, so callers write only plain arithmetic
-    (products, the division by sqrt 2, conjugation) through strided views.
+    v is a contiguous complex array of 2k points.  The uniforms u1 and u2
+    are drawn into the two contiguous float halves of v[k:], which is left
+    as scratch, and the radius r = sqrt(-2 log(1 - u1)) is formed in place
+    there; then v[:k] = exp(i 2 pi u2), times r.  Pairwise, inverse-free and
+    rejection-free, so the output is a fixed function of the underlying
+    uniform stream.  log, sqrt and exp run in place on contiguous arrays;
+    exp runs on complex, where glibc's cexp of i theta is (cos theta,
+    sin theta) from sincos, bit for bit numpy's contiguous cos and sin.
+    numpy's SIMD and strided loops for these functions may differ in the
+    last bit, so strided views get plain arithmetic only (products, the
+    division by sqrt 2, conjugation).
     """
+    k = v.size // 2
+    f = v.view(float)
+    r, u = f[2 * k : 3 * k], f[3 * k :]
     gen.random(out=r)
     np.subtract(1.0, r, out=r)  # u1 in (0, 1]
-    gen.random(out=angle)
+    gen.random(out=u)
     np.log(r, out=r)
     np.multiply(-2.0, r, out=r)
     np.sqrt(r, out=r)
-    np.multiply(2.0 * np.pi, angle, out=angle)
-    np.cos(angle, out=cos)
-    return r, cos, np.sin(angle, out=angle)
+    e = v[:k]
+    np.multiply(2.0 * np.pi, u, out=e.imag)
+    e.real = 0.0
+    np.exp(e, out=e)  # cos + i sin of the angle, on the contiguous complex array
+    np.multiply(e.real, r, out=e.real)
+    np.multiply(e.imag, r, out=e.imag)
+    return e
 
 
 def _box_muller(gen: np.random.Generator, size: int) -> np.ndarray:
@@ -103,34 +111,31 @@ def _box_muller(gen: np.random.Generator, size: int) -> np.ndarray:
     if size <= 0:
         return np.empty(0)
     pairs = (size + 1) // 2
-    r, cos, sin = _polar_pairs(gen, *np.empty((3, pairs)))
-    out = np.empty(2 * pairs)
-    np.multiply(r, cos, out=out[0::2])
-    np.multiply(r, sin, out=out[1::2])
-    return out[:size]
+    return _polar_pairs(gen, np.empty(2 * pairs, dtype=complex)).view(float)[:size]
 
 
-_free_workspaces: list = []  # idle (v, w) complex buffer pairs
+_free_workspaces: list = []  # idle complex spectrum buffers
 _free_lock = threading.Lock()
 
 
 @contextmanager
 def _workspace(m: int):
-    """Borrow the spectrum and FFT output buffers (v, w) of an embedding of length m.
+    """Borrow the spectrum buffer of an embedding of length m.
 
-    Both are contiguous complex prefix views of a workspace from the free
-    list; a workspace shorter than m is replaced by one of length m, so each
-    is as long as the largest embedding it has served.  The workspace goes
-    back to the list when the block exits, and idle workspaces stay resident
-    (at most one per concurrent caller), so the next path, in this thread or
+    The buffer is a contiguous complex prefix view of a workspace from the
+    free list, in which the spectrum is built and transformed in place; a
+    workspace shorter than m is replaced by one of length m, so each is as
+    long as the largest embedding it has served.  The workspace goes back
+    to the list when the block exits, and idle workspaces stay resident (at
+    most one per concurrent caller), so the next path, in this thread or
     another, reuses the memory instead of faulting fresh pages in.
     """
     with _free_lock:
         ws = _free_workspaces.pop() if _free_workspaces else None
-    if ws is None or ws[0].size < m:
-        ws = (np.empty(m, dtype=complex), np.empty(m, dtype=complex))
+    if ws is None or ws.size < m:
+        ws = np.empty(m, dtype=complex)
     try:
-        yield ws[0][:m], ws[1][:m]
+        yield ws[:m]
     finally:
         with _free_lock:
             _free_workspaces.append(ws)
@@ -235,17 +240,16 @@ def sample_stationary_gaussian(acov, n: int, rng: RngState) -> np.ndarray:
     scale = acov.embedding_scale
     m = scale.size  # 2(n-1), even
     half = m // 2
-    with _workspace(m) as (v, w):
-        # the Box-Muller arrays live in w, which is free until the FFT writes it
-        r, cos, sin = _polar_pairs(gen, *w.view(float)[: 3 * half].reshape(3, half))
+    with _workspace(m) as v:
         # the Hermitian spectrum v of m i.i.d. normals e: v[0] = e[0], v[half] = e[1],
-        # v[k] = (e[2k] + i e[2k+1]) / sqrt(2) for 0 < k < half, v[m-k] = conj(v[k])
-        np.multiply(r, cos, out=v.real[:half])
-        np.multiply(r, sin, out=v.imag[:half])
+        # v[k] = (e[2k] + i e[2k+1]) / sqrt(2) for 0 < k < half, v[m-k] = conj(v[k]);
+        # the moves below overwrite the Box-Muller scratch in v[half:] only
+        # after _polar_pairs has consumed it
+        _polar_pairs(gen, v)
         v[half] = v.imag[0]
         v.imag[0] = 0.0
         np.divide(v[1:half], np.sqrt(2.0), out=v[1:half])
         np.conjugate(v[1:half][::-1], out=v[half + 1 :])
         np.multiply(scale, v, out=v)
-        np.fft.fft(v, out=w)
-        return w.real[:n].copy()
+        np.fft.fft(v, out=v)
+        return v.real[:n].copy()

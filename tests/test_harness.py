@@ -486,21 +486,22 @@ def test_map_paths_gives_each_path_its_own_result_under_any_block_plan(
     # a block-wide fn (noise responses and tangent fits as row passes) must
     # give, in replication order, what each path gives alone from its stream
     cfg = ExperimentConfig(kind=kind, q=2, n=16, m=4, T=(1.0, 2.0), replications=reps, seed=21)
-    width = max(cfg.n * 2 + 1, cfg.coarse_points)  # the widest grid's row
     sizes = []
 
     def fn(paths):
-        sizes.append(len(paths))
+        sizes.append((paths[0].n, len(paths)))
         grid, integral, growth = harness._discounted_block(paths, 0.8)
         zetas = tangent_l1_coefficient_rows(noise_response_rows(integral, growth), grid, 0.8, 1.0)
         return [(z.provenance.stream, z.n, zeta.hex()) for z, zeta in zip(paths, zetas.tolist())]
 
+    budget = per_block * (cfg.n * 2 + 1)  # per_block paths of the widest grid
     with (
-        mock.patch.object(harness, "_BLOCK_VALUES", per_block * width),
+        mock.patch.object(harness, "_BLOCK_VALUES", budget),
         mock.patch.object(harness.os, "cpu_count", lambda: 4),
         mock.patch.dict(os.environ, {"HERMITE_OU_THREADS": str(workers)}),
     ):
-        got = harness._map_paths(cfg, fn, reps, first_stream)
+        (got,) = harness._map_paths(cfg, [harness._Sample(fn, reps, first_stream)])
+        plan = harness._block_plan([(n, reps, 0) for n, _ in cfg.grids()], workers, cfg.coarse_points)
     want = []
     for g, (n, t_max) in enumerate(cfg.grids()):
         for i in range(reps):
@@ -508,9 +509,9 @@ def test_map_paths_gives_each_path_its_own_result_under_any_block_plan(
             z = simulate_driver(cfg.generator, cfg.q, cfg.H, n, cfg.m, t_max, make_rng(cfg.seed, stream))
             want.append((stream, n, tangent_l1_coefficient(noise_response(z, 0.8), 0.8, 1.0).hex()))
     assert got == want
-    blocks_per_grid = max(min(workers, reps), -(-reps // per_block))
-    assert len(sizes) == len(cfg.grids()) * blocks_per_grid
-    assert max(sizes) <= per_block
+    steps = [n for n, _ in cfg.grids()]
+    assert sorted(sizes) == sorted((steps[u], hi - lo) for u, lo, hi in plan)
+    assert all(size <= max(1, budget // (n + 1)) for n, size in sizes)
 
 
 def test_limit_dist_pairs_u_and_zeta_of_one_stream(monkeypatch):
@@ -557,21 +558,71 @@ def test_limit_dist_pairs_u_and_zeta_of_one_stream(monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2, 4])
 @pytest.mark.parametrize("rows_per_path", [1, 4])
 def test_block_plan_bounds_the_memory_of_a_block(steps, count, coarse_points, workers, rows_per_path):
-    # the plan alone, nothing allocated: a block's rows times the longer of
-    # its grid and its coarse scan stay within the budget unless the block
-    # is one replication, and every worker of the pool gets a block
-    plan = harness._block_plan(steps, count, workers, rows_per_path, coarse_points)
-    order = [steps[g] for g, _, _ in plan]  # longest grid first, each grid's blocks together
-    assert order == sorted(order, reverse=True)
-    for g, n in enumerate(steps):
-        bounds = [(lo, hi) for grid, lo, hi in plan if grid == g]
+    # the plan alone, nothing allocated: a minimiser unit (rows_per_path rows
+    # per path) and a per-path unit on each grid.  A block's rows times its
+    # row width stay within the budget unless the block is one replication,
+    # and every worker of the pool gets a block of each minimiser unit
+    units = [(n, count, rows_per_path) for n in steps] + [(n, count, 0) for n in steps]
+    plan = harness._block_plan(units, workers, coarse_points)
+    # minimiser units first, then the per-path ones, each longest grid first
+    order = [(units[u][2] == 0, -units[u][0]) for u, _, _ in plan]
+    assert order == sorted(order)
+    for u, (n, _, rows) in enumerate(units):
+        bounds = [(lo, hi) for unit, lo, hi in plan if unit == u]
         assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
         assert bounds[-1][1] == count
-        assert len(bounds) >= min(workers, count)
         sizes = [hi - lo for lo, hi in bounds]
-        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
-        width = rows_per_path * max(n + 1, coarse_points)
+        assert min(sizes) >= 1
+        if rows:
+            assert len(bounds) >= min(workers, count)
+            assert max(sizes) - min(sizes) <= 1
+        width = rows * max(n + 1, coarse_points) if rows else n + 1
         assert all(size == 1 or size * width <= harness._BLOCK_VALUES for size in sizes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    units=st.lists(
+        st.tuples(st.integers(2, 5000), st.integers(0, 300), st.sampled_from([0, 0, 1, 3])),
+        min_size=1,
+        max_size=5,
+    ),
+    workers=st.integers(1, 4),
+    budget=st.integers(1, 1 << 17),
+    coarse_points=st.integers(3, 400),
+)
+def test_block_plan_is_guided_for_per_path_units(units, workers, budget, coarse_points):
+    with mock.patch.object(harness, "_BLOCK_VALUES", budget):
+        plan = harness._block_plan(units, workers, coarse_points)
+
+    def even_split(n, count, rows):
+        width = rows * max(n + 1, coarse_points) if rows else n + 1
+        blocks = max(min(workers, count), -(-count // max(1, budget // width)))
+        return [(b * count // blocks, (b + 1) * count // blocks) for b in range(blocks)]
+
+    for u, (n, count, rows) in enumerate(units):
+        # every replication once, contiguously, in replication order
+        bounds = [(lo, hi) for unit, lo, hi in plan if unit == u]
+        assert [i for lo, hi in bounds for i in range(lo, hi)] == list(range(count))
+        assert all(hi > lo for lo, hi in bounds)
+        width = rows * max(n + 1, coarse_points) if rows else n + 1
+        assert all(hi - lo == 1 or (hi - lo) * width <= budget for lo, hi in bounds)
+        if rows or workers == 1:
+            assert bounds == even_split(n, count, rows)
+    # minimiser units are queued before every per-path unit
+    kinds = [units[u][2] == 0 for u, _, _ in plan]
+    assert kinds == sorted(kinds)
+    if workers == 1:
+        return
+    # a guided block takes at most half a worker's share of the per-path
+    # work left, counted in steps times paths and rounded up to whole paths
+    guided = [(units[u][0], hi - lo) for u, lo, hi in plan if units[u][2] == 0]
+    remaining = sum(n * size for n, size in guided)
+    for n, size in guided:
+        assert size <= -(-remaining // (2 * workers * n))
+        remaining -= n * size
+    if guided:
+        assert guided[-1][1] == 1
 
 
 @pytest.mark.parametrize(

@@ -206,6 +206,31 @@ def test_threaded_samples_of_mixed_sizes_match_sequential(monkeypatch):
 
 
 @pytest.mark.usefixtures("fresh_workspaces")
+@pytest.mark.parametrize("sizes", [[513], [4097, 257], [257, 4097, 1025]])
+def test_workspace_is_one_spectrum_buffer_of_the_embedding(sizes):
+    for n in sizes:
+        sample_stationary_gaussian(fgn_autocov(0.7, n), n, make_rng(5, n))
+    m = 2 * (max(sizes) - 1)  # one workspace, grown to the largest embedding
+    assert len(rng_module._free_workspaces) == 1
+    for ws in rng_module._free_workspaces:
+        assert isinstance(ws, np.ndarray) and ws.dtype == complex and ws.flags.c_contiguous
+        assert ws.nbytes == 16 * m
+
+
+def test_complex_exp_gives_cos_and_sin_bit_for_bit():
+    # the Box-Muller angle factor is exp(i 2 pi u) on a contiguous complex
+    # array; it must equal numpy's contiguous cos and sin of 2 pi u exactly
+    edges = [0.0, 2.0**-53, 0.25, 0.5, 0.75, 1.0 - 2.0**-53]
+    u = np.concatenate([make_rng(2025, 7).generator().random(1 << 20), edges])
+    theta = 2.0 * np.pi * u
+    e = np.zeros(u.size, dtype=complex)
+    np.multiply(2.0 * np.pi, u, out=e.imag)
+    np.exp(e, out=e)
+    assert np.array_equal(bits(e.real.copy()), bits(np.cos(theta)))
+    assert np.array_equal(bits(e.imag.copy()), bits(np.sin(theta)))
+
+
+@pytest.mark.usefixtures("fresh_workspaces")
 def test_warm_sample_allocates_only_its_result():
     n = 65537  # embedding of m = 131072 points
     acov = fgn_autocov(0.85, n)

@@ -36,8 +36,8 @@ def test_tracer_finds_every_wrap_point():
 )
 def test_every_path_is_simulated_in_a_task_of_one_map_per_sample(kind, samples, monkeypatch):
     # per-layer attribution needs each path under a task span, and one
-    # map_streams span per independent sample (the limit-dist KS sample is
-    # the second)
+    # map_streams span per experiment, which runs the blocks of all of its
+    # independent samples (the limit-dist KS sample is the second)
     from hermite_ou import harness
 
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
@@ -50,13 +50,13 @@ def test_every_path_is_simulated_in_a_task_of_one_map_per_sample(kind, samples, 
     with tracer.installed():
         harness.run_experiment(cfg)
     names = {span.id: span.name for span in tracer.spans}
-    assert [s.name for s in tracer.spans].count("harness.map_streams") == samples
+    assert [s.name for s in tracer.spans].count("harness.map_streams") == 1
     tasks = [s for s in tracer.spans if s.name == "harness.task"]
     assert tasks and all(names.get(s.parent) == "harness.map_streams" for s in tasks)
     # a task simulates a block of paths: every path once, each under a task,
     # and no task without a path
     paths = [s for s in tracer.spans if s.name.startswith("hermite.simulate_")]
-    ks = cfg.ks_samples if kind == "limit-dist" else 0
+    ks = cfg.ks_samples * (samples - 1)
     assert len(paths) == cfg.replications * len(cfg.grids()) + ks
     assert all(names.get(s.parent) == "harness.task" for s in paths)
     assert {s.parent for s in paths} == {s.id for s in tasks}
