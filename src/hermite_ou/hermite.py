@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .rng import RngState, fgn_autocov, sample_stationary_gaussian
+from .rng import RngState, _filled_once, fgn_autocov, sample_stationary_gaussian
 
 __all__ = [
     "HermiteSpec",
@@ -126,9 +126,12 @@ class GridPath:
         return GridPath(self.t_max, self.n, values, self.provenance.derive(tag))
 
 
-# largest circulant embedding the FFT samplers may build: 2^24 points, one
-# 256 MiB complex spectrum buffer per worker, transformed in place (the
-# benchmark workloads use at most 2^17)
+# largest circulant embedding the FFT samplers may build: 2^24 points.  That
+# is one 256 MiB complex workspace per worker, in which every path is drawn
+# and reduced to its grid, plus, once per process, the cached 128 MiB scale,
+# the 64 MiB autocovariance of 2^23 + 1 lags and, for partial sums, the
+# normalization's of up to 2^24 lags (the benchmark workloads use at most
+# 2^17 points)
 _EMBEDDING_MAX_POINTS = 1 << 24
 
 
@@ -172,18 +175,18 @@ def _unit_steps(n: int, m: int, t_max: float) -> int:
     return max(1, round(units))
 
 
-def _fgn_increments(h: float, n_incr: int, rng: RngState) -> np.ndarray:
-    """n_incr unit-variance FGN(h) values, via a power-of-two embedding.
+def _fgn_increments(h: float, n_incr: int, rng: RngState, reduce):
+    """reduce(x) for x of at least n_incr unit-variance FGN(h) values, via a
+    power-of-two embedding; reduce reads x[:n_incr] and may overwrite x.
 
     The embedding length is padded to the next power of two (by sampling a
-    slightly longer stationary stretch and truncating), which keeps the FFT
-    fast; the marginal law of the first n_incr values is unchanged.
+    slightly longer stationary stretch, which reduce truncates), which keeps
+    the FFT fast; the marginal law of the first n_incr values is unchanged.
+    x lives in the sampler's workspace (see sample_stationary_gaussian), so
+    only what reduce returns is allocated.
     """
-    if n_incr == 1:
-        return sample_stationary_gaussian(fgn_autocov(h, 1), 1, rng)
-    n_pad = _embedding_lags(n_incr)
-    x = sample_stationary_gaussian(fgn_autocov(h, n_pad), n_pad, rng)
-    return x[:n_incr]
+    n_pad = 1 if n_incr == 1 else _embedding_lags(n_incr)
+    return sample_stationary_gaussian(fgn_autocov(h, n_pad), n_pad, rng, reduce=reduce)
 
 
 def simulate_fbm(h: float, n: int, t_max: float, rng: RngState) -> GridPath:
@@ -196,21 +199,29 @@ def simulate_fbm(h: float, n: int, t_max: float, rng: RngState) -> GridPath:
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     _check_embedding(n)
-    incr = _fgn_increments(h, n, rng) * (t_max / n) ** h
-    values = np.concatenate([[0.0], np.cumsum(incr)])
+
+    def grid(x):
+        incr = np.multiply(x[:n], (t_max / n) ** h, out=x[:n])
+        return np.concatenate([[0.0], np.cumsum(incr, out=incr)])
+
+    values = _fgn_increments(h, n, rng, grid)
     return GridPath(t_max, n, values, Provenance(rng.seed, rng.stream, f"fbm(H={h:g})"))
 
 
+@_filled_once
 @lru_cache(maxsize=64)
 def _partial_sum_std(q: int, h0: float, k: int) -> float:
     """Exact standard deviation of sum_{j=1}^{k} He_q(xi_j) for FGN(h0) input.
 
     Uses E[He_q(X) He_q(Y)] = q! * corr(X,Y)^q for jointly standard normal
-    pairs, so the variance is q! * sum_{j,l<=k} rho(|j-l|)^q.
+    pairs, so the variance is q! * sum_{j,l<=k} rho(|j-l|)^q.  Filled once
+    per process, as its k-lag temporaries are as long as the autocovariance.
     """
     rho = fgn_autocov(h0, k).values
     lags = np.arange(1, k, dtype=float)
-    var = math.factorial(q) * (k + 2.0 * np.sum((k - lags) * rho[1:] ** q))
+    terms = rho[1:] ** q
+    np.multiply(np.subtract(k, lags, out=lags), terms, out=terms)  # (k - lags) rho^q
+    var = math.factorial(q) * (k + 2.0 * np.sum(terms))
     return math.sqrt(var)
 
 
@@ -247,11 +258,15 @@ def simulate_partial_sum(
     if n < 1 or m < 1:
         raise ValueError(f"n and m must be >= 1, got n={n}, m={m}")
     k_unit = _unit_steps(n, m, t_max)  # internal points per unit of time
-    xi = _fgn_increments(spec.H0, n * m, rng)
-    sums = np.cumsum(_hermite_in_place(xi, spec.q))
-    values = np.concatenate([[0.0], sums[m - 1 :: m]]) / _partial_sum_std(
-        spec.q, spec.H0, k_unit
-    )
+
+    def grid(x):
+        xi = _hermite_in_place(x[: n * m], spec.q)
+        sums = np.cumsum(xi, out=xi)
+        return np.concatenate([[0.0], sums[m - 1 :: m]]) / _partial_sum_std(
+            spec.q, spec.H0, k_unit
+        )
+
+    values = _fgn_increments(spec.H0, n * m, rng, grid)
     tag = f"partial-sum(q={spec.q},H={spec.H:g},m={m})"
     return GridPath(t_max, n, values, Provenance(rng.seed, rng.stream, tag))
 

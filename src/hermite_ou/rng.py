@@ -3,17 +3,21 @@
 Sampling uses circulant embedding (Davies-Harte): the target autocovariance
 gamma(0..n-1) is extended evenly to a circulant of length 2(n-1) whose FFT
 gives the embedding eigenvalues.  If those are nonnegative the method is
-exact in distribution and costs O(n log n).  The eigenvalues and the
-per-frequency amplitude sqrt(lambda / m) are cached on the AutocovSequence,
-so a sample costs one Box-Muller pass, written straight into the spectrum,
-and one FFT in place.
+exact in distribution and costs O(n log n).  Only the per-frequency
+amplitude sqrt(lambda / m) is cached on the AutocovSequence, so a sample
+costs one Box-Muller pass, written straight into the spectrum, and one FFT
+in place.
 
 The spectrum buffer is reused across paths and threads: a call borrows a
 workspace from a module-level free list and returns it when it is done, so
 long embeddings stop allocating (and page-faulting) fresh memory per path.
-Idle workspaces stay resident after a run: at most one per caller that ran
-concurrently, each one complex array of 16 bytes per point of the largest
-embedding it served.  Samples are fresh arrays and never share a workspace.
+The eigenvalues of a new embedding size are built in a borrowed workspace
+too.  A caller that wants less than the sample, such as a path's grid
+values, passes a reducer that runs on the sample inside the workspace, so
+only the reduced result is allocated.  Idle workspaces stay resident after
+a run: at most one per caller that ran concurrently, each one complex
+array of 16 bytes per point of the largest embedding it served.  Results
+are fresh arrays and never share a workspace.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -116,6 +120,7 @@ def _box_muller(gen: np.random.Generator, size: int) -> np.ndarray:
 
 _free_workspaces: list = []  # idle complex spectrum buffers
 _free_lock = threading.Lock()
+_scale_lock = threading.Lock()  # held while an embedding scale is filled
 
 
 @contextmanager
@@ -123,12 +128,15 @@ def _workspace(m: int):
     """Borrow the spectrum buffer of an embedding of length m.
 
     The buffer is a contiguous complex prefix view of a workspace from the
-    free list, in which the spectrum is built and transformed in place; a
-    workspace shorter than m is replaced by one of length m, so each is as
-    long as the largest embedding it has served.  The workspace goes back
-    to the list when the block exits, and idle workspaces stay resident (at
-    most one per concurrent caller), so the next path, in this thread or
-    another, reuses the memory instead of faulting fresh pages in.
+    free list, in which the spectrum (or, for a new embedding size, the
+    circulant extension) is built and transformed in place, and the sample
+    is reduced before the block exits; a workspace shorter than m is
+    replaced by one of length m, so each is as long as the largest
+    embedding it has served.  The workspace goes back to the list when the
+    block exits, and idle workspaces stay resident (at most one per
+    concurrent caller), so the next path, in this thread or another, reuses
+    the memory instead of faulting fresh pages in.  A borrow nested inside
+    another takes a second workspace.
     """
     with _free_lock:
         ws = _free_workspaces.pop() if _free_workspaces else None
@@ -163,68 +171,103 @@ class AutocovSequence:
     def __len__(self) -> int:
         return self.values.size
 
-    @cached_property
+    @property
     def embedding_eigenvalues(self) -> np.ndarray:
         """FFT eigenvalues of the even circulant extension of length 2(n-1).
 
         Raises NegativeEigenvalueError if any eigenvalue is below
         -EIG_TOL * max(eigenvalues); mildly negative values are clipped to 0.
-        Cached on the sequence, so repeated sampling pays the FFT once.
+        The extension is written into a borrowed workspace and transformed
+        there, so only the returned array is allocated; it is fresh on each
+        call and not cached.
         """
         gamma = self.values
-        circ = np.concatenate([gamma, gamma[-2:0:-1]])  # length 2(n-1)
-        lam = np.fft.fft(circ).real
-        lam_max = lam.max()
-        if lam_max <= 0:
-            raise NegativeEigenvalueError("embedding has no positive eigenvalue")
-        bad = lam < -EIG_TOL * lam_max
-        if np.any(bad):
-            raise NegativeEigenvalueError(
-                f"circulant embedding has negative eigenvalue {lam[bad].min():.6g} "
-                f"(max {lam_max:.6g}); the autocovariance is invalid for this method"
-            )
-        lam = np.clip(lam, 0.0, None)
-        lam.setflags(write=False)
-        return lam
+        tail = gamma[-2:0:-1]
+        with _workspace(gamma.size + tail.size) as buf:
+            buf.real[: gamma.size] = gamma
+            buf.real[gamma.size :] = tail
+            buf.imag = 0.0
+            np.fft.fft(buf, out=buf)
+            lam = buf.real
+            lam_max, lam_min = lam.max(), lam.min()
+            if lam_max <= 0:
+                raise NegativeEigenvalueError("embedding has no positive eigenvalue")
+            if lam_min < -EIG_TOL * lam_max:
+                raise NegativeEigenvalueError(
+                    f"circulant embedding has negative eigenvalue {lam_min:.6g} "
+                    f"(max {lam_max:.6g}); the autocovariance is invalid for this method"
+                )
+            return np.clip(lam, 0.0, None)
 
-    @cached_property
+    @property
     def embedding_scale(self) -> np.ndarray:
         """Per-frequency amplitude sqrt(lambda / m) of the embedding of length m.
 
-        Read-only and cached with the eigenvalues, so repeated sampling
-        pays the square root once.
+        Read-only and filled once per sequence, under a lock, so repeated
+        and concurrent sampling pay the eigenvalues and the square root once.
         """
-        lam = self.embedding_eigenvalues
-        scale = np.sqrt(lam / lam.size)
-        scale.setflags(write=False)
+        scale = self.__dict__.get("_scale")
+        if scale is None:
+            with _scale_lock:
+                scale = self.__dict__.get("_scale")
+                if scale is None:
+                    scale = self.embedding_eigenvalues
+                    np.divide(scale, scale.size, out=scale)
+                    np.sqrt(scale, out=scale)
+                    scale.setflags(write=False)
+                    object.__setattr__(self, "_scale", scale)
         return scale
 
 
+def _filled_once(cached):
+    """The lru_cache function cached behind a lock of its own, so that
+    callers racing on a cold key fill its entry once; cache_info and
+    cache_clear stay.  A fill may call another such function, never its own."""
+    lock = threading.Lock()
+
+    @wraps(cached)
+    def locked(*args, **kwargs):
+        with lock:
+            return cached(*args, **kwargs)
+
+    locked.cache_info = cached.cache_info
+    locked.cache_clear = cached.cache_clear
+    return locked
+
+
+@_filled_once
 @lru_cache(maxsize=64)
 def fgn_autocov(h: float, n: int) -> AutocovSequence:
     """Autocovariance of unit-variance fractional Gaussian noise with Hurst h.
 
     gamma(k) = 0.5 * (|k+1|^(2h) - 2|k|^(2h) + |k-1|^(2h)); gamma(0) = 1.
-    Results are cached (the returned array is read-only), and with them
-    their embedding eigenvalues.
+    The powers p(j) = j^(2h), j = 0..n, are taken once and shared by the
+    three terms, combined in that order.  Results are cached, each filled
+    once per process (the returned array is read-only), and with them their
+    embedding scale.
     """
     if not 0.0 < h < 1.0:
         raise ValueError(f"h must be in (0, 1), got {h}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    k = np.arange(n, dtype=float)
-    two_h = 2.0 * h
-    gamma = 0.5 * ((k + 1) ** two_h - 2 * k**two_h + np.abs(k - 1) ** two_h)
+    p = np.arange(n + 1, dtype=float) ** (2.0 * h)
+    gamma = 2.0 * p[:n]
+    np.subtract(p[1:], gamma, out=gamma)
+    np.add(gamma[1:], p[: n - 1], out=gamma[1:])  # |k-1|^(2h) for k >= 1
+    np.multiply(0.5, gamma, out=gamma)
     gamma[0] = 1.0
     return AutocovSequence(gamma)
 
 
-def sample_stationary_gaussian(acov, n: int, rng: RngState) -> np.ndarray:
+def sample_stationary_gaussian(acov, n: int, rng: RngState, *, reduce=np.copy):
     """Exact-in-distribution stationary Gaussian sample of length n.
 
     acov may be an AutocovSequence or a plain array of autocovariances and
     must provide at least n lags.  Equal (seed, stream, acov, n) give equal
-    output vectors.
+    output vectors.  Returns reduce(x) for the sample x: x is a writable,
+    strided view into the borrowed workspace, which reduce may overwrite
+    but must not keep, since the next path reuses the memory.  The default
+    returns a fresh contiguous copy of the sample.
     """
     if not isinstance(acov, AutocovSequence):
         acov = AutocovSequence(acov)
@@ -234,10 +277,10 @@ def sample_stationary_gaussian(acov, n: int, rng: RngState) -> np.ndarray:
         raise ValueError(f"need {n} autocovariance lags, got {len(acov)}")
     gen = rng.generator()
     if n == 1:
-        return np.sqrt(acov.values[0]) * _box_muller(gen, 1)
+        return reduce(np.sqrt(acov.values[0]) * _box_muller(gen, 1))
     if len(acov) > n:
         acov = AutocovSequence(acov.values[:n])
-    scale = acov.embedding_scale
+    scale = acov.embedding_scale  # before the borrow below: its fill borrows one
     m = scale.size  # 2(n-1), even
     half = m // 2
     with _workspace(m) as v:
@@ -252,4 +295,4 @@ def sample_stationary_gaussian(acov, n: int, rng: RngState) -> np.ndarray:
         np.conjugate(v[1:half][::-1], out=v[half + 1 :])
         np.multiply(scale, v, out=v)
         np.fft.fft(v, out=v)
-        return v.real[:n].copy()
+        return reduce(v.real[:n])

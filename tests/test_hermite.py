@@ -1,6 +1,11 @@
 import dataclasses
+import inspect
 import io
 import math
+import threading
+import time
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -12,6 +17,7 @@ from scipy.linalg import eigvalsh, toeplitz
 from scipy.stats import ks_2samp
 
 from hermite_ou import fgn_autocov, hermite, make_rng
+from hermite_ou import rng as rng_module
 from hermite_ou.hermite import (
     GridPath,
     HermiteSpec,
@@ -243,6 +249,79 @@ def test_partial_sum_sizes_its_normalization_before_allocating():
             simulate_partial_sum(spec, 512, 32, 1e-7, make_rng(0, 0))
         with pytest.raises(_Sampled):
             simulate_partial_sum(spec, 512, 32, 512 * 32 / (1 << 24), make_rng(0, 0))
+
+
+def _partial_sum_std_reference(q, h0, k):
+    rho = fgn_autocov(h0, k).values
+    lags = np.arange(1, k, dtype=float)
+    var = math.factorial(q) * (k + 2.0 * np.sum((k - lags) * rho[1:] ** q))
+    return math.sqrt(var)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.integers(1, 6),
+    h=st.floats(0.51, 0.99),
+    k=st.one_of(st.integers(1, 40), st.sampled_from([512, 4097, 16384])),
+)
+def test_partial_sum_std_matches_reference_bit_for_bit(q, h, k):
+    h0 = hermite_exponent(q, h)
+    got = inspect.unwrap(hermite._partial_sum_std)(q, h0, k)  # the uncached function
+    assert got == _partial_sum_std_reference(q, h0, k)
+
+
+def test_racing_workers_fill_the_normalization_once(monkeypatch):
+    # a slowed autocovariance keeps both workers inside the cold fill at once
+    def slow_autocov(h, n):
+        time.sleep(0.05)
+        return fgn_autocov(h, n)
+
+    monkeypatch.setattr(hermite, "fgn_autocov", slow_autocov)
+    key = (2, 0.8090169943, 257)  # a key no other test uses
+    misses = hermite._partial_sum_std.cache_info().misses
+    barrier = threading.Barrier(2, timeout=30)
+
+    def fill(_):
+        barrier.wait()
+        return hermite._partial_sum_std(*key)
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        a, b = pool.map(fill, range(2), timeout=60)
+    assert hermite._partial_sum_std.cache_info().misses - misses == 1
+    assert a == b == _partial_sum_std_reference(*key)
+
+
+@pytest.fixture
+def warm_path_memory(monkeypatch):
+    """Peak bytes traced while simulate() draws a path, after one warm-up
+    draw has filled the caches and grown the sampler's workspace."""
+    monkeypatch.setattr(rng_module, "_free_workspaces", [])
+
+    def peak(simulate):
+        simulate(make_rng(8, 0))
+        tracemalloc.start()
+        try:
+            path = simulate(make_rng(8, 1))
+            return tracemalloc.get_traced_memory()[1], path
+        finally:
+            tracemalloc.stop()
+
+    return peak
+
+
+def test_partial_sum_path_is_reduced_inside_the_workspace(warm_path_memory):
+    # 65,536 increments in a 131,072-point embedding (2 MiB of workspace)
+    spec = HermiteSpec(2, 0.7)
+    peak, path = warm_path_memory(lambda rng: simulate_partial_sum(spec, 2048, 32, 1.0, rng))
+    assert path.n == 2048
+    assert peak <= 256 * 1024, peak
+
+
+def test_fbm_path_is_reduced_inside_the_workspace(warm_path_memory):
+    n = 65536  # a 131,072-point embedding
+    peak, path = warm_path_memory(lambda rng: simulate_fbm(0.7, n, 1.0, rng))
+    assert path.n == n
+    assert peak <= 8 * (n + 1) + 256 * 1024, peak
 
 
 # ------------------------------------------------------------- running max

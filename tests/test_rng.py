@@ -1,5 +1,8 @@
 import dataclasses
+import inspect
 import sys
+import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -262,6 +265,21 @@ def _box_muller_reference(gen, size):
     return out[:size]
 
 
+def _eigenvalues_reference(gamma):
+    circ = np.concatenate([gamma, gamma[-2:0:-1]])  # length 2(n-1)
+    lam = np.fft.fft(circ).real
+    lam_max = lam.max()
+    if lam_max <= 0:
+        raise NegativeEigenvalueError("embedding has no positive eigenvalue")
+    bad = lam < -rng_module.EIG_TOL * lam_max
+    if np.any(bad):
+        raise NegativeEigenvalueError(
+            f"circulant embedding has negative eigenvalue {lam[bad].min():.6g} "
+            f"(max {lam_max:.6g}); the autocovariance is invalid for this method"
+        )
+    return np.clip(lam, 0.0, None)
+
+
 def _sample_reference(acov, n, rng):
     if not isinstance(acov, AutocovSequence):
         acov = AutocovSequence(acov)
@@ -270,7 +288,7 @@ def _sample_reference(acov, n, rng):
         return np.sqrt(acov.values[0]) * _box_muller_reference(gen, 1)
     if len(acov) > n:
         acov = AutocovSequence(acov.values[:n])
-    lam = acov.embedding_eigenvalues
+    lam = _eigenvalues_reference(acov.values)
     m = lam.size
     half = m // 2
     e = _box_muller_reference(gen, m)
@@ -320,3 +338,114 @@ def test_normal_deviates_match_reference_bit_for_bit(size, seed, stream):
     want = _box_muller_reference(make_rng(seed, stream).generator(), size)
     assert got.shape == (size,)
     assert np.array_equal(bits(got), bits(want))
+
+
+# ------------------------------------------- the eigenvalues and the scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([2, 3, 33] + [(1 << k) + 1 for k in range(1, 17)]),
+    h=st.floats(0.05, 0.95),
+)
+@example(n=65537, h=0.85)  # m = 131072
+@example(n=3, h=0.25)  # 2h = 0.5
+def test_embedding_eigenvalues_match_reference_bit_for_bit(n, h):
+    values = fgn_autocov(h, n).values
+    got = AutocovSequence(values).embedding_eigenvalues
+    want = _eigenvalues_reference(values)
+    assert got.shape == want.shape == (2 * (n - 1),)
+    assert np.array_equal(bits(got), bits(want))
+
+
+@pytest.mark.parametrize(
+    "values", [[1.0, 0.8, -0.8], [1.0, 0.2, -0.9], [1.0, 0.9, 0.1, 0.9], [1.0, -1.0, 1.0, -1.0, 0.0]]
+)
+def test_invalid_embedding_raises_the_reference_error(values):
+    with pytest.raises(NegativeEigenvalueError) as want:
+        _eigenvalues_reference(np.array(values))
+    with pytest.raises(NegativeEigenvalueError) as got:
+        AutocovSequence(np.array(values)).embedding_eigenvalues
+    assert str(got.value) == str(want.value)
+
+
+def test_only_the_scale_is_cached():
+    acov = AutocovSequence(fgn_autocov(0.7, 1025).values)
+    scale = acov.embedding_scale
+    lam = acov.embedding_eigenvalues
+    arrays = [v for v in vars(acov).values() if isinstance(v, np.ndarray)]
+    assert not any(a.shape == lam.shape and np.array_equal(a, lam) for a in arrays)
+    assert sum(a.nbytes for a in arrays) == acov.values.nbytes + scale.nbytes
+
+
+@pytest.mark.usefixtures("fresh_workspaces")
+def test_scale_of_a_new_embedding_size_allocates_only_itself():
+    n = 65537  # embedding of m = 131072 points
+    m = 2 * (n - 1)
+    sample_stationary_gaussian(fgn_autocov(0.85, n), n, make_rng(1, 0))  # warm workspace
+    acov = AutocovSequence(fgn_autocov(0.85, n).values)  # a new sequence: no scale yet
+    tracemalloc.start()
+    try:
+        scale = acov.embedding_scale
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scale.size == m
+    assert peak <= 9 * m + 64 * 1024, (peak, m)
+
+
+def test_racing_workers_fill_each_cache_entry_once(monkeypatch):
+    # stand-ins slow enough that both workers are inside a cold fill at once
+    class SlowSequence(AutocovSequence):
+        def __post_init__(self):
+            time.sleep(0.05)
+            super().__post_init__()
+
+    eigenvalues = AutocovSequence.__dict__["embedding_eigenvalues"]
+    fills = []
+
+    def slow_eigenvalues(self):
+        fills.append(self)
+        time.sleep(0.05)
+        return eigenvalues.__get__(self, type(self))
+
+    monkeypatch.setattr(rng_module, "AutocovSequence", SlowSequence)
+    monkeypatch.setattr(AutocovSequence, "embedding_eigenvalues", property(slow_eigenvalues))
+    key = (0.6180339887, 129)  # a key no other test uses
+    misses = fgn_autocov.cache_info().misses
+    barrier = threading.Barrier(2, timeout=30)
+
+    def fill(_):
+        barrier.wait()
+        acov = fgn_autocov(*key)
+        barrier.wait()
+        return acov, acov.embedding_scale
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        (a, scale_a), (b, scale_b) = pool.map(fill, range(2), timeout=60)
+    assert fgn_autocov.cache_info().misses - misses == 1
+    assert a is b and type(a) is SlowSequence
+    assert scale_a is scale_b and len(fills) == 1
+
+
+# ------------------------------------------- frozen autocovariance formulas
+
+
+def _fgn_autocov_reference(h, n):
+    k = np.arange(n, dtype=float)
+    two_h = 2.0 * h
+    gamma = 0.5 * ((k + 1) ** two_h - 2 * k**two_h + np.abs(k - 1) ** two_h)
+    gamma[0] = 1.0
+    return gamma
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    h=st.one_of(st.floats(0.01, 0.99), st.sampled_from([0.25, 0.3, 0.5, 0.55, 0.65, 0.7, 0.85, 0.99])),
+    n=st.one_of(st.integers(1, 40), st.sampled_from([16385, 65537])),
+)
+@example(h=0.25, n=17)  # 2h = 0.5
+@example(h=0.5, n=3)  # 2h = 1
+def test_fgn_autocov_matches_reference_bit_for_bit(h, n):
+    got = inspect.unwrap(fgn_autocov)(h, n).values  # the uncached function
+    assert np.array_equal(bits(got), bits(_fgn_autocov_reference(h, n)))

@@ -60,3 +60,24 @@ def test_every_path_is_simulated_in_a_task_of_one_map_per_sample(kind, samples, 
     assert len(paths) == cfg.replications * len(cfg.grids()) + ks
     assert all(names.get(s.parent) == "harness.task" for s in paths)
     assert {s.parent for s in paths} == {s.id for s in tasks}
+
+
+@pytest.mark.parametrize("kind, q", [("consistency", 1), ("limit-dist", 2), ("maximal", 2)])
+def test_every_path_is_one_sampler_span_under_its_generator(kind, q):
+    # a path's grid reduction runs inside the sampler call, and the
+    # rng.sample_stationary_gaussian span still counts one call per path
+    from hermite_ou import harness
+
+    cfg = harness.ExperimentConfig(
+        kind=kind, q=q, eps=(0.5, 0.1), n=16, m=4, T=(1.0, 2.0),
+        replications=4, ks_samples=4, seed=3,
+    )
+    tracer = load_tracer().Tracer()
+    with tracer.installed():
+        harness.run_experiment(cfg)
+    names = {span.id: span.name for span in tracer.spans}
+    paths = {s.id for s in tracer.spans if s.name.startswith("hermite.simulate_")}
+    samples = [s for s in tracer.spans if s.name == "rng.sample_stationary_gaussian"]
+    assert paths and len(samples) == len(paths)
+    assert {s.parent for s in samples} == paths
+    assert all(names[s.parent].startswith("hermite.simulate_") for s in samples)
