@@ -5,10 +5,10 @@ compact search interval.  S is continuous but not smooth, so the minimizer
 is located by a coarse scan (guarding against non-unimodality, one blocked
 array reduction over the theta grid) followed by golden-section refinement
 inside the best bracket; ties are always broken toward the smaller theta,
-which makes the selection deterministic.  Several paths on one grid (one
-driving path at several noise levels) are minimized in lockstep: the scan's
-skeletons are shared and each refinement step is one array pass over the
-paths, with the same result per path as minimizing it alone.
+which makes the selection deterministic.  The paths of a block, each at
+several noise levels, are minimized in lockstep as the rows of one array:
+the scan's skeletons are shared and each refinement step is one array pass
+over the rows, with the same result per row as minimizing it alone.
 
 The small-noise limit of the rescaled error is the minimizer of a weighted
 L1 fit of the noise response Y to the tangent curve t x0 e^(theta0 t);
@@ -99,26 +99,25 @@ def _l1_rows(values: np.ndarray, skeletons: np.ndarray, dt: float, out: np.ndarr
     return ((out[:, 0] + out[:, -1]) / 2 + out[:, 1:-1].sum(axis=1)) * dt
 
 
-def _coarse_scan(xs: list, thetas: np.ndarray, x0: float) -> np.ndarray:
-    """l1_objective(xs[r], theta, x0) for every path r and every theta in
-    ``thetas``, bit for bit, as an array of shape (len(xs), thetas.size).
+def _coarse_scan(values: np.ndarray, grid: GridPath, thetas: np.ndarray, x0: float) -> np.ndarray:
+    """l1_objective at every theta in ``thetas`` of the path in every row of
+    ``values`` (on ``grid``), bit for bit, as a (rows, thetas.size) array.
 
-    The paths share one grid.  The skeletons x0 e^(theta t) of a block of
-    theta values are built once and serve every path; each path's
-    deviations go to a second buffer of the same shape.  The two take
-    ``_SCAN_BLOCK`` grid values together (one row each when a row is
-    longer): twice that, freed at the top of a thread's heap, was trimmed
-    and faulted in again on some calls.
+    The skeletons x0 e^(theta t) of a block of theta values are built once
+    and serve every row; each row's deviations go to a second buffer of the
+    same shape.  The two take ``_SCAN_BLOCK`` grid values together (one row
+    each when a row is longer): twice that, freed at the top of a thread's
+    heap, was trimmed and faulted in again on some calls.
     """
-    times, dt = xs[0].times, xs[0].dt
+    times, dt = grid.times, grid.dt
     rows = max(1, _SCAN_BLOCK // (2 * times.size))
     skel, dev = np.empty((2, min(rows, thetas.size), times.size))
-    out = np.empty((len(xs), thetas.size))
+    out = np.empty((len(values), thetas.size))
     for start in range(0, thetas.size, rows):
         block = thetas[start : start + rows]
         s = _skeleton_rows(block, times, x0, skel[: block.size])
-        for r, x in enumerate(xs):
-            out[r, start : start + block.size] = _l1_rows(x.values, s, dt, dev[: block.size])
+        for r, row in enumerate(values):
+            out[r, start : start + block.size] = _l1_rows(row, s, dt, dev[: block.size])
     return out
 
 
@@ -130,15 +129,18 @@ def _objective_at(values: np.ndarray, thetas: list, grid: GridPath, x0: float) -
 
 
 def _check_window(values: np.ndarray, grid: GridPath, x0: float, cfg: EstimatorConfig) -> None:
-    """Raise ValueError where e^(theta t), x0 e^(theta t) or the row sum of
-    the L1 objective would overflow a double for some theta in the window
-    and some path, one per row of ``values``, on ``grid``."""
+    """Raise ValueError where a row of ``values`` (paths on ``grid``) holds a
+    non-finite value, or where e^(theta t), x0 e^(theta t) or the row sum of
+    the L1 objective would overflow a double for some theta in the window."""
     if not math.isfinite(x0):
         raise ValueError(f"x0 must be finite, got {x0}")
+    top = max(float(values.max()), -float(values.min()))  # max |X|, NaN if any X is NaN
+    if not math.isfinite(top):
+        raise ValueError("path contains non-finite values")
     lo, hi = cfg.theta_lo * grid.t_max, cfg.theta_hi * grid.t_max
     # the row sum has n + 1 terms, each at most 2 max(|x0|, max|X|) e^(max(theta t, 0));
     # max(., 1) also keeps e^(theta t) itself finite
-    size = max(abs(x0), float(np.max(np.abs(values))), 1.0)
+    size = max(abs(x0), top, 1.0)
     headroom = _LOG_MAX - math.log(2 * (grid.n + 1) * size)
     if headroom < 0:
         raise ValueError(
@@ -194,30 +196,24 @@ class _GoldenSection:
         return EstimateResult(best_theta, best_val, self.n_evals, (self.a, self.b))
 
 
-def minimize_l1_rows(xs: list, x0: float, cfg: EstimatorConfig) -> list:
-    """minimize_l1 of every path in ``xs``, which share one grid: one
-    EstimateResult per path, in order.
+def minimize_l1_rows(values: np.ndarray, grid: GridPath, x0: float, cfg: EstimatorConfig) -> list:
+    """minimize_l1 of the path in every row of ``values``, a (rows, n + 1)
+    array on the grid of ``grid``: one EstimateResult per row, in order.
 
-    The paths are minimized in lockstep.  The coarse-scan skeletons are
-    built once for all of them, and each golden-section step evaluates the
-    new point of every path whose bracket is still wider than
-    ``refine_tol`` in one array pass.  Every bracket, comparison and tie is
-    still decided per path with the arithmetic of a one-path loop, so each
-    result, ``n_evals`` included, is the one that path gets alone.  A window
-    on which a skeleton would overflow raises ValueError, as does a path on
-    another grid than the first.
+    The rows are minimized in lockstep.  The coarse-scan skeletons are built
+    once for all of them, and each golden-section step evaluates the new
+    point of every row whose bracket is still wider than ``refine_tol`` in
+    one array pass.  Every bracket, comparison and tie is still decided per
+    row with the arithmetic of a one-path loop, so each result, ``n_evals``
+    included, is the one that path gets alone.  Rows of another shape than
+    (rows, n + 1), a non-finite value, or a window on which a skeleton would
+    overflow raise ValueError.
     """
-    grid = xs[0]
-    for x in xs:
-        if (x.n, x.t_max) != (grid.n, grid.t_max):
-            raise ValueError(
-                f"paths minimized together must share one grid, got n = {x.n} on "
-                f"[0, {x.t_max}] and n = {grid.n} on [0, {grid.t_max}]"
-            )
-    values = np.stack([x.values for x in xs])
+    if values.ndim != 2 or values.shape[1] != grid.n + 1:
+        raise ValueError(f"values must be (rows, n + 1 = {grid.n + 1}) path rows, got shape {values.shape}")
     _check_window(values, grid, x0, cfg)
     thetas = np.linspace(cfg.theta_lo, cfg.theta_hi, cfg.coarse_points)
-    coarse = _coarse_scan(xs, thetas, x0)
+    coarse = _coarse_scan(values, grid, thetas, x0)
 
     rows = [_GoldenSection(thetas, scan) for scan in coarse]
     for g, fc, fd in zip(
@@ -247,7 +243,7 @@ def minimize_l1(x: GridPath, x0: float, cfg: EstimatorConfig) -> EstimateResult:
     would overflow raises ValueError.  This is minimize_l1_rows of the one
     path, which returns the same result for each of several paths.
     """
-    return minimize_l1_rows([x], x0, cfg)[0]
+    return minimize_l1_rows(x.values[np.newaxis], x, x0, cfg)[0]
 
 
 def _skeleton_l1_distance(theta: float, theta0: float, x0: float) -> float:

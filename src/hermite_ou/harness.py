@@ -7,9 +7,9 @@ per horizon T for the maximal kind, one otherwise) draws its path from stream
 (seed, g R + i); the limit-dist KS sample continues from stream 10^6.  So a
 configuration, seed included, determines every output byte.  A task is a
 block of contiguous replications on one grid (``_block_plan``): its paths are
-sampled one by one, and the OU solves, noise responses, tangent fits and L1
-minimisations of the whole block run as row passes in which every row is bit
-for bit the one-path result, so the split into blocks never changes an output.
+sampled one by one, its OU solutions at every eps form one row array that
+minimize_l1_rows takes whole, and every row pass gives each row bit for bit
+its one-path result, so the split into blocks never changes an output.
 All the tasks of an experiment, of every sample and grid, run on one pool of
 worker threads, never on the calling thread: on the main thread glibc trims
 its heap after each large temporary is freed, so every FFT and array pass of
@@ -155,7 +155,12 @@ class ExperimentConfig:
         HermiteSpec(self.q, self.H)  # validates q and H
         for steps, t_max in self.grids():  # generator checked and sized before any run allocates
             _check_driver_size(self.generator, self.q, steps, self.m, t_max)
-        self.estimator_config()  # validates the window
+        est_cfg = self.estimator_config()  # validates the window
+        # an estimand outside the window pins every theta_hat at its edge
+        if self.kind == "consistency":  # the widest delta is the one that can leave it
+            skeleton_separation(max(self.delta), self.theta0, self.x0, est_cfg)
+        elif self.kind == "limit-dist" and not self.theta_lo < self.theta0 < self.theta_hi:
+            raise ValueError(f"theta0 = {self.theta0} must lie inside ({self.theta_lo}, {self.theta_hi})")
 
     def estimator_config(self) -> EstimatorConfig:
         return EstimatorConfig(self.theta_lo, self.theta_hi, self.coarse_points, self.refine_tol)
@@ -265,7 +270,7 @@ def _check_driver_size(generator: str, q: int, n: int, m: int, t_max: float) -> 
 
 # doubles that one row array of a block may hold: rows x the row width, where a
 # minimiser's row is max(n + 1, coarse_points) (its coarse-scan table and its
-# stacked paths) and a per-path row is the path, n + 1; 512 KiB
+# row of the OU row array) and a per-path row is the path, n + 1; 512 KiB
 _BLOCK_VALUES = 1 << 16
 
 
@@ -369,15 +374,20 @@ def _discounted_block(paths: list, theta: float) -> tuple:
     return grid, integral, np.exp(theta * grid.times)
 
 
-def _ou_rows(paths: list, integral: np.ndarray, growth: np.ndarray, eps_values, x0: float) -> list:
-    """The OU paths of a block, path by path and, per path, one per eps:
-    row k of the solution at one eps belongs to paths[k]."""
-    solutions = [exact_solution_rows(integral, growth, eps, x0) for eps in eps_values]
-    return [
-        z.with_values(x[k], f"ou-exact(eps={eps:g})")
-        for k, z in enumerate(paths)
-        for eps, x in zip(eps_values, solutions)
-    ]
+def _ou_rows(integral: np.ndarray, growth: np.ndarray, eps_values, x0: float) -> np.ndarray:
+    """The OU paths of a block as one C-contiguous (paths E, n + 1) array:
+    row k E + e is the path of integral row k at eps_values[e], bit for bit
+    its one-path solution, as exact_solution_rows broadcasts over eps."""
+    eps = np.array(eps_values, dtype=float)[:, np.newaxis]
+    return exact_solution_rows(integral[:, np.newaxis], growth, eps, x0).reshape(-1, integral.shape[1])
+
+
+def _theta_hats(cfg: ExperimentConfig, grid: GridPath, integral, growth, eps_values) -> np.ndarray:
+    """theta_hat of every path of a block (a row of ``integral``) at every
+    eps of ``eps_values``, minimised in lockstep, as a (paths, eps) array."""
+    xs = _ou_rows(integral, growth, eps_values, cfg.x0)
+    results = minimize_l1_rows(xs, grid, cfg.x0, cfg.estimator_config())
+    return np.array([r.theta_hat for r in results]).reshape(len(integral), len(eps_values))
 
 
 def _binomial_se(hits: int, reps: int) -> float:
@@ -460,10 +470,8 @@ def run_consistency(cfg: ExperimentConfig) -> list:
     eps_sorted = sorted(cfg.eps)
 
     def block(paths):
-        _, integral, growth = _discounted_block(paths, cfg.theta0)
-        xs = _ou_rows(paths, integral, growth, eps_sorted, cfg.x0)
-        errors = iter([abs(r.theta_hat - cfg.theta0) for r in minimize_l1_rows(xs, cfg.x0, est_cfg)])
-        return [(running_max_abs(z).values[-1], [next(errors) for _ in eps_sorted]) for z in paths]
+        errors = np.abs(_theta_hats(cfg, *_discounted_block(paths, cfg.theta0), eps_sorted) - cfg.theta0)
+        return [(running_max_abs(z).values[-1], e) for z, e in zip(paths, errors)]
 
     (results,) = _map_paths(cfg, [_Sample(block, reps, minimised_rows=len(eps_sorted))])
     m_hat = float(np.mean([r[0] for r in results]))
@@ -502,7 +510,7 @@ def run_limit_dist(cfg: ExperimentConfig) -> list:
     KS comparison against an independently simulated coefficient sample.
     """
     reps = cfg.replications
-    est_cfg = cfg.estimator_config()
+    eps_sorted = sorted(cfg.eps)
 
     def zeta_rows(grid, integral, growth):
         ys = noise_response_rows(integral, growth)
@@ -511,13 +519,8 @@ def run_limit_dist(cfg: ExperimentConfig) -> list:
     def paired(paths):
         # u and zeta of replication i both come from row i of one integral block
         grid, integral, growth = _discounted_block(paths, cfg.theta0)
-        zetas = zeta_rows(grid, integral, growth)
-        xs = _ou_rows(paths, integral, growth, cfg.eps, cfg.x0)
-        estimates = iter(minimize_l1_rows(xs, cfg.x0, est_cfg))
-        return [
-            (float(zeta), {eps: (next(estimates).theta_hat - cfg.theta0) / eps for eps in cfg.eps})
-            for zeta in zetas
-        ]
+        u = (_theta_hats(cfg, grid, integral, growth, eps_sorted) - cfg.theta0) / eps_sorted
+        return list(zip(zeta_rows(grid, integral, growth).tolist(), u))
 
     def independent_zetas(paths):
         return zeta_rows(*_discounted_block(paths, cfg.theta0)).tolist()
@@ -526,11 +529,11 @@ def run_limit_dist(cfg: ExperimentConfig) -> list:
         _Sample(paired, reps, minimised_rows=len(cfg.eps)),
         _Sample(independent_zetas, cfg.ks_samples, _INDEPENDENT_STREAM_BASE),
     ])
-    zetas = np.array([r[0] for r in paired_results])
+    zetas, us = (np.array(col) for col in zip(*paired_results))  # us: replication x eps
 
     rows = []
-    for eps in sorted(cfg.eps):
-        u = np.array([r[1][eps] for r in paired_results])
+    for k, eps in enumerate(eps_sorted):
+        u = us[:, k]
         gaps = np.abs(u - zetas)
         stat, p_value = ks_two_sample(u, zeta_indep)
         rows.append(

@@ -164,6 +164,29 @@ def test_experiment_rejects_zero_start_before_sampling(kind, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        ("consistency", "[theta0 - delta, theta0 + delta] = [1.3, 2.3] must lie inside (-2.0, 2.0)"),
+        ("limit-dist", "theta0 = 3.0 must lie inside (-2.0, 2.0)"),
+    ],
+    ids=["consistency", "limit-dist"],
+)
+def test_experiment_rejects_an_estimand_outside_the_window_before_sampling(kind, message, tmp_path, capsys):
+    # outside the window every theta_hat is pinned at its edge, so the
+    # config must fail before any path is sampled
+    cfg = tmp_path / "w.cfg"
+    write_config(cfg, kind=kind, q=2, n=16, m=4, replications=4, ks_samples=4)
+    theta0 = "1.8" if kind == "consistency" else "3"
+    fail = mock.Mock(side_effect=AssertionError("fgn_autocov called"))
+    with mock.patch.object(hermite, "fgn_autocov", fail):
+        code = run_cli("experiment", "--config", str(cfg), "--set", f"theta0={theta0}",
+                       "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: invalid experiment configuration: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_experiment_rejects_grid_above_the_embedding_limit(tmp_path, capsys):
     cfg = tmp_path / "m.cfg"
     write_config(cfg, q=2, n=1 << 18, T="1,2")

@@ -182,7 +182,7 @@ def test_coarse_scan_matches_objective_bit_for_bit(n, points, window, x0, t_max,
     xs = [_noisy_skeleton(n, x0, t_max, seed + r) for r in range(paths)]
     thetas = np.linspace(*window, points)
     with mock.patch.object(estimator, "_SCAN_BLOCK", block):
-        scan = estimator._coarse_scan(xs, thetas, x0)
+        scan = estimator._coarse_scan(np.stack([x.values for x in xs]), xs[0], thetas, x0)
     assert scan.shape == (paths, points)
     for x, row in zip(xs, scan):
         assert np.array_equal(row, [l1_objective(x, theta, x0) for theta in thetas])
@@ -236,7 +236,7 @@ def test_minimize_exact_coarse_tie_goes_to_the_smaller_theta():
     thetas = np.linspace(cfg.theta_lo, cfg.theta_hi, cfg.coarse_points)
     ia, ib = 10, 30  # theta = -1 and 1: two separate local minima of S
     values, moved = _two_skeleton_tie(thetas, ia, ib)
-    coarse = estimator._coarse_scan([path_from(values.copy())], thetas, 1.0)[0]
+    coarse = estimator._coarse_scan(values[np.newaxis], path_from(values.copy()), thetas, 1.0)[0]
     assert coarse[ia] == coarse[ib] == coarse.min()
     assert np.sort(coarse)[2] - coarse[ia] > 1e-3  # every other theta is clearly worse
     res = minimize_l1(path_from(values.copy()), 1.0, cfg)
@@ -287,8 +287,9 @@ def test_minimize_coarse_choice_is_scale_invariant(n, points, x0, seed, k):
     c = 2.0**k
     scaled_x = path_from(c * x.values)
     thetas = np.linspace(cfg.theta_lo, cfg.theta_hi, points)
-    coarse = estimator._coarse_scan([x], thetas, x0)[0]
-    assert np.array_equal(estimator._coarse_scan([scaled_x], thetas, c * x0)[0], c * coarse)
+    coarse = estimator._coarse_scan(x.values[np.newaxis], x, thetas, x0)[0]
+    scaled_coarse = estimator._coarse_scan(scaled_x.values[np.newaxis], x, thetas, c * x0)[0]
+    assert np.array_equal(scaled_coarse, c * coarse)
     low, runner_up = np.partition(coarse, 1)[:2]
     assume(min(1.0, c) * (runner_up - low) > estimator._TIE_TOL)
     best = int(np.argmin(coarse))
@@ -378,18 +379,26 @@ def _row_paths(kinds, n, x0, thetas):
 def test_minimize_rows_equals_the_scalar_loop_on_every_row(kinds, n, points, x0, refine_tol):
     cfg = EstimatorConfig(-2.0, 2.0, points, refine_tol)
     xs = _row_paths(kinds, n, x0, np.linspace(cfg.theta_lo, cfg.theta_hi, points))
-    results = minimize_l1_rows(xs, x0, cfg)
+    results = minimize_l1_rows(np.stack([x.values for x in xs]), xs[0], x0, cfg)
     assert len(results) == len(xs)
     for x, res in zip(xs, results):
         assert res == _golden_section_oracle(x, x0, cfg)
         assert all(type(v) is float for v in (res.theta_hat, res.objective_value, *res.bracket))
 
 
-def test_minimize_rows_rejects_paths_on_different_grids():
-    with pytest.raises(ValueError, match="share one grid"):
-        minimize_l1_rows([path_from(np.ones(65)), path_from(np.ones(33))], 1.0, CFG)
-    with pytest.raises(ValueError, match="share one grid"):
-        minimize_l1_rows([path_from(np.ones(65)), path_from(np.ones(65), 2.0)], 1.0, CFG)
+def test_minimize_rows_rejects_rows_of_the_wrong_width_or_rank():
+    for shape in [(2, 33), (2, 66), (65,), (1, 2, 65)]:
+        with pytest.raises(ValueError, match=r"\(rows, n \+ 1 = 65\) path rows"):
+            minimize_l1_rows(np.ones(shape), path_from(np.ones(65)), 1.0, CFG)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_minimize_rows_rejects_non_finite_rows(bad):
+    # a NaN makes max |X| NaN, not large, so this is not the overflow check
+    values = np.ones((3, 65))
+    values[1, 40] = bad
+    with pytest.raises(ValueError, match="path contains non-finite values"):
+        minimize_l1_rows(values, path_from(np.ones(65)), 1.0, CFG)
 
 
 def test_minimize_rejects_overflowing_window():

@@ -1,8 +1,10 @@
+import hashlib
 import io
 import math
 import os
 import threading
 import time
+import tracemalloc
 from concurrent.futures import Future
 from unittest import mock
 
@@ -208,6 +210,19 @@ def test_config_rejects_bad_process():
         ExperimentConfig(kind="consistency", generator="fbm", q=2)
     with pytest.raises(ValueError, match="divisible by 4"):
         ExperimentConfig(kind="covariance-audit", n=30)
+
+
+def test_config_rejects_an_estimand_outside_the_window():
+    # consistency needs [theta0 - delta, theta0 + delta] inside the window for
+    # every delta; limit-dist needs theta0 inside it, or theta_hat is pinned at an edge
+    ExperimentConfig(kind="consistency", theta0=1.4, delta=(0.25, 0.5))
+    with pytest.raises(ValueError, match=r"\[theta0 - delta, theta0 \+ delta\] = \[1.1, 2.1\]"):
+        ExperimentConfig(kind="consistency", theta0=1.6, delta=(0.25, 0.5))
+    ExperimentConfig(kind="limit-dist", theta0=-1.9)
+    for theta0 in (3.0, 2.0, -2.0):
+        with pytest.raises(ValueError, match=rf"theta0 = {theta0} must lie inside \(-2.0, 2.0\)"):
+            ExperimentConfig(kind="limit-dist", theta0=theta0)
+    ExperimentConfig(kind="maximal", theta0=3.0)
 
 
 def test_config_rejects_limit_dist_stream_collision():
@@ -549,6 +564,70 @@ def test_limit_dist_pairs_u_and_zeta_of_one_stream(monkeypatch):
         assert row["med_abs_gap"] == float(np.median(gaps))
         assert row["q90_abs_gap"] == float(np.quantile(gaps, 0.9))
         assert (row["ks_stat"], row["ks_p"]) == ks_two_sample(u, indep)
+
+
+def test_ou_rows_is_one_array_of_the_one_path_solutions():
+    # row k E + e of a block's OU rows is path k at eps e, bit for bit
+    theta0, x0, eps_values = 0.8, -1.3, (0.5, 0.05, 0.2)
+    paths = [simulate_fbm(0.7, 64, 1.0, make_rng(3, i)) for i in range(5)]
+    _, integral, growth = harness._discounted_block(paths, theta0)
+    rows = harness._ou_rows(integral, growth, eps_values, x0)
+    assert rows.shape == (len(paths) * len(eps_values), 65)
+    assert rows.flags.c_contiguous
+    for k, z in enumerate(paths):
+        for e, eps in enumerate(eps_values):
+            want = exact_solution(OuSpec(theta0, eps, x0), z).values
+            assert rows[k * len(eps_values) + e].tobytes() == want.tobytes()
+
+
+def test_consistency_block_memory_is_bounded_by_its_row_array():
+    # a block of 25 paths x 4 eps holds its OU row array once: no per-row
+    # paths and no stacked copy of them beside it
+    cfg = ExperimentConfig(kind="consistency", q=1, n=512, eps=(0.5, 0.2, 0.1, 0.05), replications=25, seed=3)
+    paths = [simulate_driver(cfg.generator, 1, cfg.H, cfg.n, cfg.m, 1.0, make_rng(cfg.seed, i)) for i in range(25)]
+    samples = []
+
+    def capture(cfg, sample_list):
+        samples.extend(sample_list)
+        return [[(1.0, np.zeros(len(cfg.eps)))] * cfg.replications]
+
+    with mock.patch.object(harness, "_map_paths", capture):
+        run_consistency(cfg)
+    block = samples[0].fn
+    block(paths)  # warm: grid times and first-call allocations
+    tracemalloc.start()
+    try:
+        block(paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    row_array_bytes = len(paths) * len(cfg.eps) * (cfg.n + 1) * 8
+    assert peak <= 4.5 * row_array_bytes, peak / row_array_bytes
+
+
+# sha256 of each kind's CSV for small configs: a change that alters an output
+# byte fails here, not only in the benchmark; a deliberate draw change re-records them
+_RECORDED_BYTES = [
+    (dict(kind="consistency", q=1, n=512, eps=(0.5, 0.2, 0.1, 0.05), replications=100, seed=31),
+     "1401cc3c03c69a51d28048f58f7654e876063a537405fe19de5df9ca661faaa8"),
+    (dict(kind="consistency", q=2, n=256, m=8, eps=(0.5, 0.1), delta=(0.5, 0.25), replications=80, seed=32),
+     "cbd3e80320d3d69fde9681e577e82ec441d9d711cb3081ce1edadee5ab3f4fa7"),
+    (dict(kind="limit-dist", q=1, n=257, eps=(0.1, 0.02), replications=40, ks_samples=40,
+          coarse_points=4001, seed=33),
+     "90e7896d2fb22cec321cd6ea43c4d3668221fb7e2f84434b00fc6c0fb3981d57"),
+    (dict(kind="limit-dist", q=2, n=256, m=8, eps=(0.2, 0.05, 0.01), replications=80, ks_samples=60, seed=34),
+     "462c5b5ae2cf1384b8a19d4cd5ee981285cd42aa4a54f1fec2f60e069a891796"),
+    (dict(kind="maximal", q=2, n=64, m=8, T=(1.0, 2.0), p=(1.0, 2.0), replications=60, seed=35),
+     "9fc0e06d403bd675e4c0e161a3c452630faa53f78655e182b9329946cdf5806b"),
+    (dict(kind="covariance-audit", q=2, n=64, m=8, replications=100, seed=36),
+     "a118698ab891fc24ce9f64902afe0eb48a7c727b006ca820a6039109c0dd8330"),
+]
+
+
+def test_every_kind_keeps_its_recorded_bytes():
+    for fields, digest in _RECORDED_BYTES:
+        cfg = ExperimentConfig(**fields)
+        assert hashlib.sha256(render(run_experiment(cfg), cfg.kind).encode()).hexdigest() == digest, fields
 
 
 @pytest.mark.parametrize(
