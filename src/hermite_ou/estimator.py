@@ -7,8 +7,10 @@ array reduction over the theta grid) followed by golden-section refinement
 inside the best bracket; ties are always broken toward the smaller theta,
 which makes the selection deterministic.  The paths of a block, each at
 several noise levels, are minimized in lockstep as the rows of one array:
-the scan's skeletons are shared and each refinement step is one array pass
-over the rows, with the same result per row as minimizing it alone.
+the scan's skeletons are shared, the refinement state (bracket, interior
+points, their values, the best point and the evaluation count) is one
+array entry per row, and each refinement step is one array pass over every
+row, with the same result per row as minimizing it alone.
 
 The small-noise limit of the rescaled error is the minimizer of a weighted
 L1 fit of the noise response Y to the tangent curve t x0 e^(theta0 t);
@@ -121,9 +123,10 @@ def _coarse_scan(values: np.ndarray, grid: GridPath, thetas: np.ndarray, x0: flo
     return out
 
 
-def _objective_at(values: np.ndarray, thetas: list, grid: GridPath, x0: float) -> np.ndarray:
+def _objective_at(values: np.ndarray, thetas: np.ndarray, grid: GridPath, x0: float) -> np.ndarray:
     """l1_objective at thetas[r] of the path in row r of ``values`` (all on
-    ``grid``), for every r, bit for bit, in one array pass."""
+    ``grid``), for every r, bit for bit, in one array pass: one theta per
+    row, and ``values`` itself is read, never a copy of some of its rows."""
     skel = _skeleton_rows(thetas, grid.times, x0, np.empty(values.shape))
     return _l1_rows(values, skel, grid.dt, skel)
 
@@ -154,60 +157,21 @@ def _check_window(values: np.ndarray, grid: GridPath, x0: float, cfg: EstimatorC
         )
 
 
-class _GoldenSection:
-    """One path's refinement: the best coarse point, the golden-section
-    bracket [a, b] around it with interior points c < d, and their objective
-    values.  ``step`` shrinks the bracket and returns the one new point to
-    evaluate; ``take`` stores its value; ``result`` picks the estimate."""
-
-    __slots__ = ("best", "a", "b", "c", "d", "fc", "fd", "moved_left", "n_evals")
-
-    def __init__(self, thetas: np.ndarray, scan: np.ndarray):
-        k = int(np.flatnonzero(scan <= scan.min() + _TIE_TOL)[0])
-        self.best = (float(thetas[k]), float(scan[k]))
-        a, b = float(thetas[max(k - 1, 0)]), float(thetas[min(k + 1, thetas.size - 1)])
-        self.a, self.b = a, b
-        self.c = b - _INVPHI * (b - a)
-        self.d = a + _INVPHI * (b - a)
-        self.n_evals = thetas.size + 2  # the scan, then the two interior points
-
-    def step(self) -> float:
-        self.moved_left = self.fc <= self.fd + _TIE_TOL  # ties move left, toward smaller theta
-        if self.moved_left:
-            self.b, self.d, self.fd = self.d, self.c, self.fc
-            self.c = self.b - _INVPHI * (self.b - self.a)
-            return self.c
-        self.a, self.c, self.fc = self.c, self.d, self.fd
-        self.d = self.a + _INVPHI * (self.b - self.a)
-        return self.d
-
-    def take(self, value: float) -> None:
-        self.n_evals += 1
-        if self.moved_left:
-            self.fc = value
-        else:
-            self.fd = value
-
-    def result(self) -> EstimateResult:
-        best_theta, best_val = self.best
-        for theta, val in ((self.c, self.fc), (self.d, self.fd)):
-            if val < best_val - _TIE_TOL or (val <= best_val + _TIE_TOL and theta < best_theta):
-                best_theta, best_val = theta, val
-        return EstimateResult(best_theta, best_val, self.n_evals, (self.a, self.b))
-
-
 def minimize_l1_rows(values: np.ndarray, grid: GridPath, x0: float, cfg: EstimatorConfig) -> list:
     """minimize_l1 of the path in every row of ``values``, a (rows, n + 1)
     array on the grid of ``grid``: one EstimateResult per row, in order.
 
-    The rows are minimized in lockstep.  The coarse-scan skeletons are built
-    once for all of them, and each golden-section step evaluates the new
-    point of every row whose bracket is still wider than ``refine_tol`` in
-    one array pass.  Every bracket, comparison and tie is still decided per
-    row with the arithmetic of a one-path loop, so each result, ``n_evals``
-    included, is the one that path gets alone.  Rows of another shape than
-    (rows, n + 1), a non-finite value, or a window on which a skeleton would
-    overflow raise ValueError.
+    The rows are minimized in lockstep, with the refinement state held as
+    arrays of one entry per row.  The coarse-scan skeletons are built once
+    for all rows, and each golden-section step is one ``_objective_at`` pass
+    over every row; a row whose bracket is already narrower than
+    ``refine_tol`` keeps its state, and its value from that pass is unused.
+    Every bracket, comparison and tie is decided per row with the IEEE
+    operations of a one-path loop, so each result is the one that path gets
+    alone.  Its ``n_evals`` counts the scan, the two interior points and
+    the row's own steps, not the passes made after its bracket closed.
+    Rows of another shape than (rows, n + 1), a non-finite value, or a
+    window on which a skeleton would overflow raise ValueError.
     """
     if values.ndim != 2 or values.shape[1] != grid.n + 1:
         raise ValueError(f"values must be (rows, n + 1 = {grid.n + 1}) path rows, got shape {values.shape}")
@@ -215,21 +179,36 @@ def minimize_l1_rows(values: np.ndarray, grid: GridPath, x0: float, cfg: Estimat
     thetas = np.linspace(cfg.theta_lo, cfg.theta_hi, cfg.coarse_points)
     coarse = _coarse_scan(values, grid, thetas, x0)
 
-    rows = [_GoldenSection(thetas, scan) for scan in coarse]
-    for g, fc, fd in zip(
-        rows,
-        _objective_at(values, [g.c for g in rows], grid, x0).tolist(),
-        _objective_at(values, [g.d for g in rows], grid, x0).tolist(),
-    ):
-        g.fc, g.fd = fc, fd
+    # each row's first coarse point within the tie tolerance of its minimum,
+    # and the bracket [a, b] of its neighbours with interior points c < d
+    k = np.argmax(coarse <= coarse.min(axis=1, keepdims=True) + _TIE_TOL, axis=1)
+    best, best_val = thetas[k], coarse[np.arange(len(values)), k]
+    a, b = thetas[np.maximum(k - 1, 0)], thetas[np.minimum(k + 1, thetas.size - 1)]
+    step = _INVPHI * (b - a)
+    c, d = b - step, a + step
+    fc, fd = _objective_at(values, c, grid, x0), _objective_at(values, d, grid, x0)
+    n_evals = np.full(len(values), thetas.size + 2)  # the scan, then the two interior points
 
-    active = [r for r, g in enumerate(rows) if g.b - g.a > cfg.refine_tol]
-    while active:
-        points = [rows[r].step() for r in active]
-        for r, value in zip(active, _objective_at(values[active], points, grid, x0).tolist()):
-            rows[r].take(value)
-        active = [r for r in active if rows[r].b - rows[r].a > cfg.refine_tol]
-    return [g.result() for g in rows]
+    while (active := b - a > cfg.refine_tol).any():
+        left = active & (fc <= fd + _TIE_TOL)  # ties move left, toward smaller theta
+        right = active & ~left  # disjoint from left: each update keeps the other's entries
+        b, d, fd = np.where(left, d, b), np.where(left, c, d), np.where(left, fc, fd)
+        a, c, fc = np.where(right, c, a), np.where(right, d, c), np.where(right, fd, fc)
+        step = _INVPHI * (b - a)
+        c, d = np.where(left, b - step, c), np.where(right, a + step, d)
+        value = _objective_at(values, np.where(left, c, d), grid, x0)
+        fc, fd = np.where(left, value, fc), np.where(right, value, fd)
+        n_evals += active
+
+    for theta, val in ((c, fc), (d, fd)):
+        take = (val < best_val - _TIE_TOL) | ((val <= best_val + _TIE_TOL) & (theta < best))
+        best, best_val = np.where(take, theta, best), np.where(take, val, best_val)
+    return [
+        EstimateResult(theta, val, evals, (lo, hi))
+        for theta, val, evals, lo, hi in zip(
+            best.tolist(), best_val.tolist(), n_evals.tolist(), a.tolist(), b.tolist()
+        )
+    ]
 
 
 def minimize_l1(x: GridPath, x0: float, cfg: EstimatorConfig) -> EstimateResult:

@@ -15,8 +15,9 @@ worker threads, never on the calling thread: on the main thread glibc trims
 its heap after each large temporary is freed, so every FFT and array pass of
 the next path faults its pages in again.  The pool size is capped by the
 HERMITE_OU_THREADS environment variable (unset/1 = one worker, so one task at
-a time; 0 = auto) and by the task and CPU counts; results are aggregated by
-task index, so the degree of concurrency never changes the output either.
+a time; 0 = auto; a negative value is an error) and by the task and CPU
+counts; results are aggregated by task index, so the degree of concurrency
+never changes the output either.
 """
 
 from __future__ import annotations
@@ -182,20 +183,18 @@ class ExperimentConfig:
         return out
 
 
-def _worker_count() -> int:
+def _workers() -> int:
+    """Worker threads a pool may start: HERMITE_OU_THREADS (0 = one per CPU),
+    capped by the CPUs; a value that is not an integer >= 0 raises ValueError."""
     raw = os.environ.get("HERMITE_OU_THREADS", "1")
     try:
         workers = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"HERMITE_OU_THREADS must be an integer, got {raw!r}") from exc
-    if workers == 0:
-        return os.cpu_count() or 1
-    return max(1, workers)
-
-
-def _workers() -> int:
-    """Worker threads a pool may start: HERMITE_OU_THREADS, capped by the CPUs."""
-    return min(_worker_count(), os.cpu_count() or 1)
+    except ValueError:
+        workers = -1  # not an integer: rejected below with the negative counts
+    if workers < 0:
+        raise ValueError(f"HERMITE_OU_THREADS must be an integer >= 0, got {raw!r}")
+    cpus = os.cpu_count() or 1
+    return min(workers or cpus, cpus)
 
 
 def _map_streams(fn: Callable[[int], object], count: int) -> list:

@@ -239,6 +239,19 @@ def test_experiment_rejects_out_of_range_seed_before_sampling(flags, seed, tmp_p
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("threads", ["-1", "abc"])
+def test_experiment_rejects_a_bad_thread_count_before_sampling(threads, tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "t.cfg"
+    write_config(cfg, n=16, replications=4)
+    monkeypatch.setenv("HERMITE_OU_THREADS", threads)
+    fail = mock.Mock(side_effect=AssertionError("fgn_autocov called"))
+    with mock.patch.object(hermite, "fgn_autocov", fail):
+        code = run_cli("experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: HERMITE_OU_THREADS must be an integer >= 0, got {threads!r}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_experiment_maximal_rejects_moments_beyond_the_double_range(tmp_path, capsys):
     # sup |Z|^800 and its square overflow a double: the run must stop with an
     # error naming p instead of writing inf or nan

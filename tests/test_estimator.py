@@ -376,6 +376,10 @@ def _row_paths(kinds, n, x0, thetas):
     n=64, points=201, x0=1.0, refine_tol=1e-8,
 )
 @example(kinds=[("noisy", 5), ("repeat", 0)], n=32, points=11, x0=0.0, refine_tol=1e-8)  # all tie
+@example(  # edge rows' brackets (0.4) start below refine_tol: they never step while the rest do
+    kinds=[("skeleton", 10), ("noisy", 1), ("constant", 0), ("skeleton", 5), ("noisy", 3)],
+    n=64, points=11, x0=1.0, refine_tol=0.5,
+)
 def test_minimize_rows_equals_the_scalar_loop_on_every_row(kinds, n, points, x0, refine_tol):
     cfg = EstimatorConfig(-2.0, 2.0, points, refine_tol)
     xs = _row_paths(kinds, n, x0, np.linspace(cfg.theta_lo, cfg.theta_hi, points))
@@ -384,6 +388,26 @@ def test_minimize_rows_equals_the_scalar_loop_on_every_row(kinds, n, points, x0,
     for x, res in zip(xs, results):
         assert res == _golden_section_oracle(x, x0, cfg)
         assert all(type(v) is float for v in (res.theta_hat, res.objective_value, *res.bracket))
+
+
+def test_minimize_rows_passes_its_rows_to_every_objective_pass_uncopied():
+    # the edge row's bracket starts below refine_tol, and the interior rows'
+    # pass still reads the caller's array, not a gather of the rows stepping
+    cfg = EstimatorConfig(-2.0, 2.0, 11, 0.5)
+    xs = _row_paths([("skeleton", 10), ("noisy", 1), ("constant", 0)], 64, 1.0, np.linspace(-2.0, 2.0, 11))
+    values = np.stack([x.values for x in xs])
+    seen = []
+    objective_at = estimator._objective_at
+
+    def recording(rows, thetas, grid, x0):
+        seen.append(rows)
+        return objective_at(rows, thetas, grid, x0)
+
+    with mock.patch.object(estimator, "_objective_at", recording):
+        results = minimize_l1_rows(values, xs[0], 1.0, cfg)
+    assert len({res.n_evals for res in results}) > 1
+    assert len(seen) == max(res.n_evals for res in results) - cfg.coarse_points
+    assert all(rows is values for rows in seen)
 
 
 def test_minimize_rows_rejects_rows_of_the_wrong_width_or_rank():

@@ -602,7 +602,7 @@ def test_consistency_block_memory_is_bounded_by_its_row_array():
     finally:
         tracemalloc.stop()
     row_array_bytes = len(paths) * len(cfg.eps) * (cfg.n + 1) * 8
-    assert peak <= 4.5 * row_array_bytes, peak / row_array_bytes
+    assert peak <= 3.6 * row_array_bytes, peak / row_array_bytes
 
 
 # sha256 of each kind's CSV for small configs: a change that alters an output
@@ -742,6 +742,13 @@ def test_map_streams_caps_workers(monkeypatch, requested, count, cpus, expected)
     monkeypatch.setenv("HERMITE_OU_THREADS", requested)
     assert harness._map_streams(lambda i: i * i, count) == [i * i for i in range(count)]
     assert sizes == ([] if expected is None else [expected])
+
+
+@pytest.mark.parametrize("threads", ["-1", "-5", "abc", "1.5", ""])
+def test_workers_rejects_a_thread_count_that_is_not_an_integer_at_least_0(threads, monkeypatch):
+    monkeypatch.setenv("HERMITE_OU_THREADS", threads)
+    with pytest.raises(ValueError, match=r"^HERMITE_OU_THREADS must be an integer >= 0, got "):
+        harness._workers()
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
