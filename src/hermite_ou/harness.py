@@ -53,10 +53,10 @@ from .hermite import (
     simulate_partial_sum,
 )
 from .integrals import (  # noqa: F401
+    covariance_functional,
     discounted_integral_rows,
     noise_response,
     noise_response_rows,
-    wiener_integral,
 )
 from .ou import exact_solution, exact_solution_rows  # noqa: F401
 from .rng import RngState, make_rng
@@ -96,6 +96,11 @@ GENERATORS = ("auto", "fbm", "partial-sum")
 # stream offset separating the independent comparison sample from the
 # paired replications in the limit-distribution experiment
 _INDEPENDENT_STREAM_BASE = 10**6
+
+# the audit's noise response takes e^(-theta0 t) and e^(theta0 t), each up to
+# e^|theta0|, and its se squares products of two responses: this keeps
+# e^(4 |theta0|) within the square root of the double range
+_AUDIT_THETA_MAX = _LOG_MAX / 8
 
 
 @dataclass(frozen=True)
@@ -148,6 +153,11 @@ class ExperimentConfig:
             raise ValueError("ks_samples must be >= 1")
         if self.kind == "covariance-audit" and self.n % 4 != 0:
             raise ValueError(f"covariance audit needs n divisible by 4, got n = {self.n}")
+        if self.kind == "covariance-audit" and not abs(self.theta0) <= _AUDIT_THETA_MAX:
+            raise ValueError(
+                f"covariance audit needs |theta0| <= {_AUDIT_THETA_MAX:.4g}, got theta0 = {self.theta0}: "
+                "the noise response and its squared products would overflow"
+            )
         if self.kind == "limit-dist" and self.replications > _INDEPENDENT_STREAM_BASE:
             raise ValueError(
                 f"limit-dist needs replications <= {_INDEPENDENT_STREAM_BASE}, got "
@@ -603,52 +613,60 @@ def run_maximal(cfg: ExperimentConfig) -> list:
     return rows
 
 
-def _cov_rows(samples, h, label_pairs) -> list:
+def _cov_rows(samples, target, label_pairs) -> list:
+    """Mean product of columns i and j of ``samples`` (one row per path) for
+    every ((i, s), (j, t)) of ``label_pairs``, against target(s, t)."""
     rows = []
     for (i, s), (j, t) in label_pairs:
         prods = samples[:, i] * samples[:, j]
-        target = 0.5 * (s ** (2 * h) + t ** (2 * h) - abs(t - s) ** (2 * h))
+        exact = target(s, t)
         se = float(prods.std(ddof=1) / math.sqrt(prods.size)) if prods.size > 1 else 0.0
         est = float(prods.mean())
         rows.append(
             {
                 "s": s,
                 "t": t,
-                "target": target,
+                "target": exact,
                 "estimate": est,
                 "se": se,
-                "z_score": (est - target) / se if se > 0 else 0.0,
+                "z_score": (est - exact) / se if se > 0 else 0.0,
             }
         )
     return rows
 
 
 def run_covariance_audit(cfg: ExperimentConfig) -> list:
-    """Empirical path covariance on {0.25, 0.5, 0.75, 1}^2 and the same
-    targets reached through Wiener integrals of indicator integrands.
+    """Empirical covariances on {0.25, 0.5, 0.75, 1}^2 of the driving path Z
+    and of its noise response Y at theta0, each against its exact target.
 
-    The indicator integral of 1_[0, s) telescopes to Z_s, so the second
-    block revalidates the first through the integral code path; rows are
-    ordered path block first, each block sorted by (s, t) with s <= t.
+    The path block's target is the fBm covariance.  Y_s on the grid is the
+    left-endpoint sum of f_s(t_i) = e^(theta0 (s - t_i)) 1{t_i < s} against
+    the increments of Z, so its target is covariance_functional(f_s, f_t),
+    exact for an fBm driver.  Rows are ordered path block first, each block
+    sorted by (s, t) with s <= t.
     """
     grid_pts = (0.25, 0.5, 0.75, 1.0)
     idx = [cfg.n // 4, cfg.n // 2, 3 * cfg.n // 4, cfg.n]
 
-    def one(z):
-        t = z.times
-        integrals = [wiener_integral((t < s).astype(float), z) for s in grid_pts]
-        return z.values[idx], integrals
+    def block(paths):
+        _, integral, growth = _discounted_block(paths, cfg.theta0)
+        ys = noise_response_rows(integral, growth)
+        return [(z.values[idx], y[idx]) for z, y in zip(paths, ys)]
 
-    (results,) = _map_paths(cfg, [_Sample(lambda paths: [one(z) for z in paths], cfg.replications)])
-    path_vals = np.array([r[0] for r in results])
-    int_vals = np.array([r[1] for r in results])
+    (results,) = _map_paths(cfg, [_Sample(block, cfg.replications)])
+    path_vals, response_vals = (np.array(col) for col in zip(*results))
     pairs = [
         ((i, s), (j, t))
         for i, s in enumerate(grid_pts)
         for j, t in enumerate(grid_pts)
         if s <= t
     ]
-    return _cov_rows(path_vals, cfg.H, pairs) + _cov_rows(int_vals, cfg.H, pairs)
+    h = cfg.H
+    times = np.arange(cfg.n + 1) / cfg.n
+    f = {s: np.exp(cfg.theta0 * (s - times)) * (times < s) for s in grid_pts}
+    return _cov_rows(
+        path_vals, lambda s, t: 0.5 * (s ** (2 * h) + t ** (2 * h) - abs(t - s) ** (2 * h)), pairs
+    ) + _cov_rows(response_vals, lambda s, t: covariance_functional(f[s], f[t], h), pairs)
 
 
 _RUNNERS = {

@@ -203,8 +203,10 @@ def test_experiment_rejects_grid_above_the_embedding_limit(tmp_path, capsys):
     [
         ("consistency", ["generator=fbm", "q=2"], "the fbm generator needs order q = 1, got q=2"),
         ("covariance-audit", ["n=30"], "covariance audit needs n divisible by 4, got n = 30"),
+        ("covariance-audit", ["theta0=400"], "covariance audit needs |theta0| <= 88.72, got theta0 = 400.0: "
+         "the noise response and its squared products would overflow"),
     ],
-    ids=["fbm-q2", "audit-n30"],
+    ids=["fbm-q2", "audit-n30", "audit-theta0"],
 )
 def test_experiment_rejects_bad_generator_or_grid_before_sampling(
     kind, overrides, message, tmp_path, capsys

@@ -30,7 +30,7 @@ from hermite_ou.harness import (
 )
 from hermite_ou.estimator import minimize_l1, tangent_l1_coefficient, tangent_l1_coefficient_rows
 from hermite_ou.hermite import HermiteSpec, simulate_fbm, simulate_partial_sum
-from hermite_ou.integrals import noise_response, noise_response_rows
+from hermite_ou.integrals import covariance_functional, noise_response, noise_response_rows
 from hermite_ou.ou import OuSpec, exact_solution
 from hermite_ou.rng import _box_muller
 
@@ -210,6 +210,11 @@ def test_config_rejects_bad_process():
         ExperimentConfig(kind="consistency", generator="fbm", q=2)
     with pytest.raises(ValueError, match="divisible by 4"):
         ExperimentConfig(kind="covariance-audit", n=30)
+    # the audit's noise response depends on theta0 and overflows far out
+    ExperimentConfig(kind="covariance-audit", theta0=-88.7)
+    for theta0 in (88.8, -1e3):
+        with pytest.raises(ValueError, match=r"covariance audit needs \|theta0\| <= 88.72"):
+            ExperimentConfig(kind="covariance-audit", theta0=theta0)
 
 
 def test_config_rejects_an_estimand_outside_the_window():
@@ -388,15 +393,43 @@ def test_limit_gap_shrinks_with_eps(limit_rows):
 # ---------------------------------------------------------- covariance audit
 
 
-def test_covariance_audit_blocks_agree():
+def response_target(s, t, theta, n, h=0.7):
+    # Cov(Y_s, Y_t) of the grid sums Y_s = sum_(t_i < s) e^(theta (s - t_i)) dZ_i
+    times = np.arange(n + 1) / n
+    f = {u: np.exp(theta * (u - times)) * (times < u) for u in (s, t)}
+    return covariance_functional(f[s], f[t], h)
+
+
+@pytest.fixture(scope="module")
+def audit_rows():
     cfg = ExperimentConfig(kind="covariance-audit", q=1, n=64, replications=150, seed=8)
-    rows = run_covariance_audit(cfg)
+    return cfg, run_covariance_audit(cfg)
+
+
+def test_covariance_audit_response_block_is_the_noise_response_covariance(audit_rows):
+    cfg, rows = audit_rows
     assert len(rows) == 20
-    # indicator Wiener integrals telescope to path values, so the two blocks
-    # report identical estimates
-    for path_row, int_row in zip(rows[:10], rows[10:]):
-        assert (path_row["s"], path_row["t"]) == (int_row["s"], int_row["t"])
-        assert path_row["estimate"] == pytest.approx(int_row["estimate"], rel=1e-12)
+    idx = {s: round(s * cfg.n) for s in (0.25, 0.5, 0.75, 1.0)}
+    paths = [
+        simulate_driver(cfg.generator, cfg.q, cfg.H, cfg.n, cfg.m, 1.0, make_rng(cfg.seed, i))
+        for i in range(cfg.replications)
+    ]
+    ys = np.array([noise_response(z, cfg.theta0).values for z in paths])
+    assert [(r["s"], r["t"]) for r in rows[10:]] == [(r["s"], r["t"]) for r in rows[:10]]
+    for r in rows[10:]:
+        assert r["estimate"] == float(np.mean(ys[:, idx[r["s"]]] * ys[:, idx[r["t"]]])), (r["s"], r["t"])
+        assert r["target"] == pytest.approx(response_target(r["s"], r["t"], cfg.theta0, cfg.n), rel=1e-14)
+        assert abs(r["estimate"] - r["target"]) <= 3 * r["se"], (r["s"], r["t"])
+    assert band_summaries("covariance-audit", rows)[0][1]
+
+
+@pytest.mark.parametrize("theta", [0.5, 0.0])
+def test_covariance_audit_response_block_fails_for_a_wrong_drift(audit_rows, theta):
+    # the response rows against the target of another drift; at theta = 0
+    # it is the fBm covariance, the path block's target
+    cfg, rows = audit_rows
+    wrong = [dict(r, target=response_target(r["s"], r["t"], theta, cfg.n)) for r in rows[10:]]
+    assert band_summaries("covariance-audit", wrong)[0][1] is False
 
 
 def test_covariance_audit_needs_quarter_grid():
@@ -620,7 +653,7 @@ _RECORDED_BYTES = [
     (dict(kind="maximal", q=2, n=64, m=8, T=(1.0, 2.0), p=(1.0, 2.0), replications=60, seed=35),
      "9fc0e06d403bd675e4c0e161a3c452630faa53f78655e182b9329946cdf5806b"),
     (dict(kind="covariance-audit", q=2, n=64, m=8, replications=100, seed=36),
-     "a118698ab891fc24ce9f64902afe0eb48a7c727b006ca820a6039109c0dd8330"),
+     "00d6e1881e46725e82664412e632a7cef930b958921245bdb6d44edeeadbd629"),
 ]
 
 

@@ -10,7 +10,6 @@ from hermite_ou.integrals import (
     discounted_integral_rows,
     noise_response,
     noise_response_rows,
-    response_covariance,
     wiener_integral,
 )
 from hermite_ou.ou import OuSpec, deterministic_solution, exact_solution, exact_solution_rows
@@ -111,6 +110,12 @@ def test_covariance_matches_monte_carlo_integrals(fbm07_paths):
     assert abs(prods.mean() - target) < 3 * se
 
 
+@pytest.mark.parametrize("f", [[1.0, np.nan, 1.0], [1.0, 1.0, np.inf], [[1.0, 1.0, 1.0]]])
+def test_covariance_rejects_a_non_finite_or_2d_first_integrand(f):
+    with pytest.raises(ValueError, match="integrand"):
+        covariance_functional(f, np.ones(3), H)
+
+
 def test_covariance_rejects_bad_h():
     with pytest.raises(ValueError):
         covariance_functional(np.ones(9), np.ones(9), 0.5)
@@ -185,21 +190,7 @@ def test_block_rows_equal_the_one_path_functions_bit_for_bit(n, t_max, theta, x0
             assert np.array_equal(bits(xs[k]), bits(exact_solution(OuSpec(theta, eps, x0), z).values))
 
 
-# ------------------------------------------------------- response covariance
-
-
-def test_response_covariance_zero_drift_unit_time():
-    assert response_covariance(1.0, 1.0, 0.0, H) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_response_covariance_zero_drift_any_times():
-    for t, s in [(0.3, 0.77), (1.0, 0.25), (0.6, 0.6)]:
-        got = response_covariance(t, s, 0.0, H)
-        assert got == pytest.approx(fbm_cov(t, s), abs=1e-12)
-
-
-def test_response_covariance_degenerate_times():
-    assert response_covariance(0.0, 1.0, 1.0, H) == 0.0
+# -------------------------------------------------- noise response covariance
 
 
 def test_response_variance_matches_monte_carlo(fbm07_paths):
@@ -214,12 +205,8 @@ def test_response_variance_matches_monte_carlo(fbm07_paths):
                 for p in fbm07_paths
             ]
         )
-        target = response_covariance(t_point, t_point, theta0, H)
+        f = np.exp(theta0 * (t_point - t_grid)) * (t_grid < t_point)
+        target = covariance_functional(f, f, H)  # exact for the grid sum
         se = np.std(vals**2, ddof=1) / np.sqrt(vals.size)
         assert abs(np.mean(vals**2) - target) < 3 * se, (t_point, np.mean(vals**2), target)
 
-
-def test_response_covariance_stable_under_refinement():
-    c1 = response_covariance(1.0, 1.0, 1.0, H, n_quad=512)
-    c2 = response_covariance(1.0, 1.0, 1.0, H, n_quad=1024)
-    assert abs(c1 - c2) < 1e-4

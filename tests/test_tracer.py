@@ -5,6 +5,7 @@ under; a refactor that moves or renames one of those silently drops its
 per-layer metrics.  This test only reads bench/ and changes nothing there.
 """
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -81,3 +82,20 @@ def test_every_path_is_one_sampler_span_under_its_generator(kind, q):
     assert paths and len(samples) == len(paths)
     assert {s.parent for s in samples} == paths
     assert all(names[s.parent].startswith("hermite.simulate_") for s in samples)
+
+
+def test_the_only_unused_package_imports_of_harness_are_tracer_wrap_points():
+    # harness imports a few one-path forms only so that the tracer can wrap
+    # them there; any other import it never uses is dead code
+    import hermite_ou.harness
+
+    tree = ast.parse(Path(hermite_ou.harness.__file__).read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    wrapped = {attr for module, attr, _, _ in load_tracer().WRAPS if module == "hermite_ou.harness"}
+    assert imported - used == wrapped - used
