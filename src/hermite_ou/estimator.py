@@ -2,15 +2,17 @@
 
 The estimator minimizes S(theta) = int |X_t - x0 e^(theta t)| dt over a
 compact search interval.  S is continuous but not smooth, so the minimizer
-is located by a coarse scan (guarding against non-unimodality, one blocked
-array reduction over the theta grid) followed by golden-section refinement
-inside the best bracket; ties are always broken toward the smaller theta,
-which makes the selection deterministic.  The paths of a block, each at
-several noise levels, are minimized in lockstep as the rows of one array:
-the scan's skeletons are shared, the refinement state (bracket, interior
-points, their values, the best point and the evaluation count) is one
-array entry per row, and each refinement step is one array pass over every
-row, with the same result per row as minimizing it alone.
+is located by a coarse pick on an equally spaced theta grid (guarding
+against non-unimodality) followed by golden-section refinement inside the
+best bracket; ties are always broken toward the smaller theta, which makes
+the selection deterministic.  The coarse pick is that of the full table of
+S on the grid, but S is evaluated only where the lower bound
+|int (X_t - x0 e^(theta t)) dt| <= S(theta) leaves a point in contention.
+The paths of a block, each at several noise levels, are minimized in
+lockstep as the rows of one array: the refinement state (bracket, interior
+points and their values) is one (6, rows) array, and each refinement step
+is one array pass over every row, with the same result per row as
+minimizing it alone.
 
 The small-noise limit of the rescaled error is the minimizer of a weighted
 L1 fit of the noise response Y to the tangent curve t x0 e^(theta0 t);
@@ -42,14 +44,23 @@ __all__ = [
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _TIE_TOL = 1e-12  # objective values this close count as tied
-_SCAN_BLOCK = 1 << 16  # grid values of the coarse scan's two block buffers (512 KiB of doubles)
-_MAX_COARSE_POINTS = 1 << 20  # coarse-scan grid of at most 8 MiB of theta values
+_SCAN_BLOCK = 1 << 16  # grid values of the coarse pick's skeleton buffer (512 KiB of doubles)
+_BOUND_SLACK = 1e-9  # relative rounding allowance of the coarse pick's lower bound
+_MAX_COARSE_POINTS = 1 << 20  # coarse grid of at most 8 MiB of theta values
 _LOG_MAX = math.log(np.finfo(float).max)
+
+# a golden-section step of a row whose bracket is closed (0), moves left (1)
+# or moves right (2), on the state (a, b, c, fc, d, fd): column ``move`` of
+# _SHIFT names the entry each takes; the slot of the new point (c, fc on a
+# left step, d, fd on a right one) keeps its old entry until it is written
+_LEFT, _RIGHT = 1, 2
+_SHIFT = np.array([[0, 1, 2, 3, 4, 5], [0, 4, 2, 3, 2, 3], [2, 1, 4, 5, 4, 5]]).T
+_NEW_POINT = np.array([[[_LEFT]], [[_RIGHT]]])  # move == _NEW_POINT: which of (c, fc), (d, fd) takes it
 
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Search interval, coarse-scan resolution and refinement tolerance."""
+    """Search interval, coarse-grid resolution and refinement tolerance."""
 
     theta_lo: float
     theta_hi: float
@@ -92,35 +103,73 @@ def _skeleton_rows(thetas, times: np.ndarray, x0: float, out: np.ndarray) -> np.
     return out
 
 
+def _trapezoid_rows(a: np.ndarray) -> np.ndarray:
+    """Trapezoid sum of every row of ``a``, without the factor dt."""
+    return (a[:, 0] + a[:, -1]) / 2 + a[:, 1:-1].sum(axis=1)
+
+
 def _l1_rows(values: np.ndarray, skeletons: np.ndarray, dt: float, out: np.ndarray) -> np.ndarray:
     """Trapezoid integral of |values - skeleton| per row of ``skeletons``
     (``values`` one path or one path per row), with the operations of
     l1_objective; the deviations are built in ``out``."""
     np.subtract(values, skeletons, out=out)
     np.abs(out, out=out)
-    return ((out[:, 0] + out[:, -1]) / 2 + out[:, 1:-1].sum(axis=1)) * dt
+    return _trapezoid_rows(out) * dt
 
 
-def _coarse_scan(values: np.ndarray, grid: GridPath, thetas: np.ndarray, x0: float) -> np.ndarray:
-    """l1_objective at every theta in ``thetas`` of the path in every row of
-    ``values`` (on ``grid``), bit for bit, as a (rows, thetas.size) array.
+def _coarse_pick(values: np.ndarray, grid: GridPath, thetas: np.ndarray, x0: float) -> tuple:
+    """(k, S) per row of ``values`` (paths on ``grid``): the first index k of
+    ``thetas`` whose l1_objective is within _TIE_TOL of the row's minimum
+    over ``thetas``, and that objective, bit for bit those of the full
+    table, which is not built.
 
-    The skeletons x0 e^(theta t) of a block of theta values are built once
-    and serve every row; each row's deviations go to a second buffer of the
-    same shape.  The two take ``_SCAN_BLOCK`` grid values together (one row
-    each when a row is longer): twice that, freed at the top of a thread's
-    heap, was trimmed and faulted in again on some calls.
+    By the triangle inequality S(theta) >= |int (X - x0 e^(theta t)) dt|.
+    Its trapezoid form (|A - T(theta)| - _BOUND_SLACK (n max|X| + |T(theta)|)) dt,
+    with A and T(theta) the trapezoid sums of the row and of the skeleton,
+    is a lower bound lo that keeps about 10^4 times their rounding error in
+    hand.  S is evaluated at each row's smallest-bound theta, which gives
+    u >= the row's minimum, and then at every theta with lo <= u + _TIE_TOL:
+    no other theta can come within _TIE_TOL of the minimum.  Every S is
+    _l1_rows of the row itself (a view) against skeleton rows, as the
+    objective computes it; the skeletons and their deviations share one
+    buffer of at most _SCAN_BLOCK grid values (one row when a row is longer):
+    twice that, freed at the top of a thread's heap, was trimmed and faulted
+    in again on some calls.
     """
     times, dt = grid.times, grid.dt
-    rows = max(1, _SCAN_BLOCK // (2 * times.size))
-    skel, dev = np.empty((2, min(rows, thetas.size), times.size))
-    out = np.empty((len(values), thetas.size))
-    for start in range(0, thetas.size, rows):
-        block = thetas[start : start + rows]
-        s = _skeleton_rows(block, times, x0, skel[: block.size])
-        for r, row in enumerate(values):
-            out[r, start : start + block.size] = _l1_rows(row, s, dt, dev[: block.size])
-    return out
+    per = max(1, _SCAN_BLOCK // times.size)
+    skel = np.empty((min(per, max(thetas.size, len(values))), times.size))
+    total = np.empty(thetas.size)  # T(theta)
+    for start in range(0, thetas.size, per):
+        block = thetas[start : start + per]
+        total[start : start + block.size] = _trapezoid_rows(_skeleton_rows(block, times, x0, skel[: block.size]))
+    lo = np.subtract.outer(_trapezoid_rows(values), total)
+    np.abs(lo, out=lo)
+    np.abs(total, out=total)
+    lo -= _BOUND_SLACK * total
+    lo -= (_BOUND_SLACK * grid.n) * np.maximum(values.max(axis=1), -values.min(axis=1))[:, np.newaxis]
+    lo *= dt
+
+    rows = np.arange(len(values))
+    first = lo.argmin(axis=1)
+    u = np.empty(len(values))
+    for start in range(0, len(values), per):
+        block = first[start : start + per]
+        s = _skeleton_rows(thetas[block], times, x0, skel[: block.size])
+        u[start : start + block.size] = _l1_rows(values[start : start + block.size], s, dt, s)
+    more = lo <= (u + _TIE_TOL)[:, np.newaxis]
+    more[rows, first] = False
+    objective = lo  # the bounds are spent: S where evaluated, inf elsewhere
+    objective.fill(math.inf)
+    objective[rows, first] = u
+    for r in np.flatnonzero(more.any(axis=1)):
+        ks = np.flatnonzero(more[r])
+        for start in range(0, ks.size, per):
+            block = ks[start : start + per]
+            s = _skeleton_rows(thetas[block], times, x0, skel[: block.size])
+            objective[r, block] = _l1_rows(values[r], s, dt, s)
+    k = np.argmax(objective <= objective.min(axis=1, keepdims=True) + _TIE_TOL, axis=1)
+    return k, objective[rows, k]
 
 
 def _objective_at(values: np.ndarray, thetas: np.ndarray, grid: GridPath, x0: float) -> np.ndarray:
@@ -161,15 +210,17 @@ def minimize_l1_rows(values: np.ndarray, grid: GridPath, x0: float, cfg: Estimat
     """minimize_l1 of the path in every row of ``values``, a (rows, n + 1)
     array on the grid of ``grid``: one EstimateResult per row, in order.
 
-    The rows are minimized in lockstep, with the refinement state held as
-    arrays of one entry per row.  The coarse-scan skeletons are built once
-    for all rows, and each golden-section step is one ``_objective_at`` pass
-    over every row; a row whose bracket is already narrower than
-    ``refine_tol`` keeps its state, and its value from that pass is unused.
-    Every bracket, comparison and tie is decided per row with the IEEE
-    operations of a one-path loop, so each result is the one that path gets
-    alone.  Its ``n_evals`` counts the scan, the two interior points and
-    the row's own steps, not the passes made after its bracket closed.
+    The rows are minimized in lockstep.  The coarse pick (_coarse_pick)
+    evaluates each row's objective only where its lower bound leaves the
+    coarse point in contention.  The refinement state is one (6, rows)
+    array, shifted by one gather per golden-section step, and each step is
+    one ``_objective_at`` pass over every row; a row whose bracket is
+    already narrower than ``refine_tol`` keeps its state, and its value
+    from that pass is unused.  Every bracket, comparison and tie is decided
+    per row with the IEEE operations of a one-path loop, so each result is
+    the one that path gets alone.  Its ``n_evals`` counts the coarse points,
+    the two interior points and the row's own steps, not the passes made
+    after its bracket closed.
     Rows of another shape than (rows, n + 1), a non-finite value, or a
     window on which a skeleton would overflow raise ValueError.
     """
@@ -177,29 +228,29 @@ def minimize_l1_rows(values: np.ndarray, grid: GridPath, x0: float, cfg: Estimat
         raise ValueError(f"values must be (rows, n + 1 = {grid.n + 1}) path rows, got shape {values.shape}")
     _check_window(values, grid, x0, cfg)
     thetas = np.linspace(cfg.theta_lo, cfg.theta_hi, cfg.coarse_points)
-    coarse = _coarse_scan(values, grid, thetas, x0)
+    k, best_val = _coarse_pick(values, grid, thetas, x0)
 
-    # each row's first coarse point within the tie tolerance of its minimum,
-    # and the bracket [a, b] of its neighbours with interior points c < d
-    k = np.argmax(coarse <= coarse.min(axis=1, keepdims=True) + _TIE_TOL, axis=1)
-    best, best_val = thetas[k], coarse[np.arange(len(values)), k]
+    # the bracket [a, b] of the picked point's neighbours, with interior points c < d
+    best = thetas[k]
     a, b = thetas[np.maximum(k - 1, 0)], thetas[np.minimum(k + 1, thetas.size - 1)]
     step = _INVPHI * (b - a)
     c, d = b - step, a + step
     fc, fd = _objective_at(values, c, grid, x0), _objective_at(values, d, grid, x0)
-    n_evals = np.full(len(values), thetas.size + 2)  # the scan, then the two interior points
+    n_evals = np.full(len(values), thetas.size + 2)  # the coarse points, then the two interior points
 
-    while (active := b - a > cfg.refine_tol).any():
-        left = active & (fc <= fd + _TIE_TOL)  # ties move left, toward smaller theta
-        right = active & ~left  # disjoint from left: each update keeps the other's entries
-        b, d, fd = np.where(left, d, b), np.where(left, c, d), np.where(left, fc, fd)
-        a, c, fc = np.where(right, c, a), np.where(right, d, c), np.where(right, fd, fc)
-        step = _INVPHI * (b - a)
-        c, d = np.where(left, b - step, c), np.where(right, a + step, d)
-        value = _objective_at(values, np.where(left, c, d), grid, x0)
-        fc, fd = np.where(left, value, fc), np.where(right, value, fd)
+    rows = np.arange(len(values))
+    state = np.array([a, b, c, fc, d, fd])  # one column per row
+    while (active := state[1] - state[0] > cfg.refine_tol).any():
+        # ties move left, toward smaller theta
+        move = np.where(state[3] <= state[5] + _TIE_TOL, _LEFT, _RIGHT) * active
+        state = state[_SHIFT[:, move], rows]
+        step = _INVPHI * (state[1] - state[0])
+        theta = np.where(move == _LEFT, state[1] - step, state[0] + step)
+        value = _objective_at(values, theta, grid, x0)
+        np.copyto(state[2:].reshape(2, 2, -1), [theta, value], where=move == _NEW_POINT)
         n_evals += active
 
+    a, b, c, fc, d, fd = state
     for theta, val in ((c, fc), (d, fd)):
         take = (val < best_val - _TIE_TOL) | ((val <= best_val + _TIE_TOL) & (theta < best))
         best, best_val = np.where(take, theta, best), np.where(take, val, best_val)
@@ -214,7 +265,7 @@ def minimize_l1_rows(values: np.ndarray, grid: GridPath, x0: float, cfg: Estimat
 def minimize_l1(x: GridPath, x0: float, cfg: EstimatorConfig) -> EstimateResult:
     """Minimum L1-norm drift estimate over [theta_lo, theta_hi].
 
-    Coarse scan on ``coarse_points`` equally spaced values, then
+    Coarse pick on ``coarse_points`` equally spaced values, then
     golden-section refinement in the bracketing triple until the bracket is
     narrower than ``refine_tol``.  Under ties (within 1e-12 on S) the
     smaller theta wins.  A boundary minimizer is flagged by the returned

@@ -278,7 +278,7 @@ def _check_driver_size(generator: str, q: int, n: int, m: int, t_max: float) -> 
 
 
 # doubles that one row array of a block may hold: rows x the row width, where a
-# minimiser's row is max(n + 1, coarse_points) (its coarse-scan table and its
+# minimiser's row is max(n + 1, coarse_points) (its coarse-pick table and its
 # row of the OU row array) and a per-path row is the path, n + 1; 512 KiB
 _BLOCK_VALUES = 1 << 16
 
@@ -304,23 +304,27 @@ def _block_plan(units: list, workers: int, coarse_points: int) -> list:
     order.
 
     Minimiser units (minimised_rows > 0) come first, longest grid first:
-    each is split as evenly as possible into at least min(workers, count)
-    blocks, and into more where needed to keep minimised_rows (hi - lo)
-    rows of max(n + 1, coarse_points) doubles within _BLOCK_VALUES.  Their
-    lockstep steps have a fixed cost per block, so they are never split
-    finer.  The per-path units follow, longest grid first, in guided blocks
-    (Polychronopoulos & Kuck 1987) of half a worker's share, as in factoring
-    (Hummel, Schonberg & Flynn 1992): a block on a grid of n steps takes
-    ceil(remaining / (2 workers n)) paths, where remaining is the steps
-    times paths of every per-path block not yet planned, capped so that its
-    paths of n + 1 doubles stay within _BLOCK_VALUES.  The blocks shrink to
-    one path at the end, so the workers finish together; the half share
-    keeps a first block of long paths, which cost more per step than short
-    ones, from finishing last.  With one worker there is nothing to balance,
-    and every unit is split evenly into as few blocks as the budget allows.
-    A block of one path may exceed the budget.
+    each is split as evenly as possible into its share of the workers,
+    ceil(workers n count / the sum of n count over every unit), and into
+    more where needed to keep minimised_rows (hi - lo) rows of
+    max(n + 1, coarse_points) doubles within _BLOCK_VALUES.  Their lockstep
+    steps are array passes that do not speed up when two run at once, and
+    have a fixed cost per block, so a minimiser unit that is a small part of
+    the experiment runs as one block beside the other units' blocks, and is
+    never split finer.  The per-path units follow, longest grid first, in
+    guided blocks (Polychronopoulos & Kuck 1987) of half a worker's share,
+    as in factoring (Hummel, Schonberg & Flynn 1992): a block on a grid of n
+    steps takes ceil(remaining / (2 workers n)) paths, where remaining is
+    the steps times paths of every per-path block not yet planned, capped so
+    that its paths of n + 1 doubles stay within _BLOCK_VALUES.  The blocks
+    shrink to one path at the end, so the workers finish together; the half
+    share keeps a first block of long paths, which cost more per step than
+    short ones, from finishing last.  With one worker there is nothing to
+    balance, and every unit is split evenly into as few blocks as the budget
+    allows.  A block of one path may exceed the budget.
     """
     order = sorted(range(len(units)), key=lambda u: (units[u][2] == 0, -units[u][0]))
+    steps = sum(n * count for n, count, rows in units)
     remaining = sum(n * count for n, count, rows in units if rows == 0)
     plan = []
     for u in order:
@@ -328,7 +332,8 @@ def _block_plan(units: list, workers: int, coarse_points: int) -> list:
         width = rows * max(n + 1, coarse_points) if rows else n + 1
         per_block = max(1, _BLOCK_VALUES // width)
         if rows or workers == 1:
-            blocks = max(min(workers, count), -(-count // per_block))
+            share = -(-workers * n * count // steps) if count else 0
+            blocks = max(min(share, count), -(-count // per_block))
             plan += [(u, b * count // blocks, (b + 1) * count // blocks) for b in range(blocks)]
             continue
         lo = 0

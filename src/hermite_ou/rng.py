@@ -90,7 +90,7 @@ def _polar_pairs(gen: np.random.Generator, v: np.ndarray) -> np.ndarray:
     sin theta) from sincos, bit for bit numpy's contiguous cos and sin.
     numpy's SIMD and strided loops for these functions may differ in the
     last bit, so strided views get plain arithmetic only (products, the
-    division by sqrt 2, conjugation).
+    scaling by 1 / sqrt 2, conjugation).
     """
     k = v.size // 2
     f = v.view(float)
@@ -291,7 +291,7 @@ def sample_stationary_gaussian(acov, n: int, rng: RngState, *, reduce=np.copy):
         _polar_pairs(gen, v)
         v[half] = v.imag[0]
         v.imag[0] = 0.0
-        np.divide(v[1:half], np.sqrt(2.0), out=v[1:half])
+        np.multiply(v[1:half].view(float), 1.0 / np.sqrt(2.0), out=v[1:half].view(float))
         np.conjugate(v[1:half][::-1], out=v[half + 1 :])
         np.multiply(scale, v, out=v)
         np.fft.fft(v, out=v)

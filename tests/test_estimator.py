@@ -162,30 +162,67 @@ def _windows(draw):
     return lo, draw(st.floats(lo + 0.01, 5.0))
 
 
+def _objective_table(x, thetas, x0):
+    return np.array([l1_objective(x, theta, x0) for theta in thetas])
+
+
+def _table_pick(table):
+    """The first index within the tie tolerance of the table's minimum."""
+    return int(np.flatnonzero(table <= table.min() + estimator._TIE_TOL)[0])
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(2, 3000),
     points=st.integers(3, 700),
     window=_windows(),
-    x0=st.floats(0.05, 3.0) | st.floats(-3.0, -0.05),
+    x0=st.just(0.0) | st.floats(0.05, 3.0) | st.floats(-3.0, -0.05),
     t_max=st.floats(0.25, 1.0),
     seed=st.integers(0, 2**32 - 1),
     block=st.just(estimator._SCAN_BLOCK) | st.integers(1, 4 * 3001),
     paths=st.integers(1, 4),
 )
-@example(n=64, points=10, window=(-1.0, 2.0), x0=1.0, t_max=1.0, seed=0, block=2 * 3 * 65, paths=1)
+@example(n=64, points=10, window=(-1.0, 2.0), x0=1.0, t_max=1.0, seed=0, block=3 * 65, paths=1)
 @example(n=64, points=10, window=(-1.0, 2.0), x0=-0.7, t_max=1.0, seed=1, block=64, paths=3)
-def test_coarse_scan_matches_objective_bit_for_bit(n, points, window, x0, t_max, seed, block, paths):
-    # the two buffers share the block: block=2*3*65 is 3 rows each and leaves
-    # a partial last block; block=64 < 2 (n + 1) gives one row per block;
-    # every path of a row scan shares the skeletons and must still match on its own
-    xs = [_noisy_skeleton(n, x0, t_max, seed + r) for r in range(paths)]
+@example(n=64, points=300, window=(-2.0, 2.0), x0=0.0, t_max=1.0, seed=2, block=2 * 65, paths=3)
+def test_coarse_pick_matches_the_objective_table_bit_for_bit(n, points, window, x0, t_max, seed, block, paths):
+    # block=3*65 is 3 skeleton rows and leaves a partial last block; block=64
+    # < n + 1 gives one row per block; with x0 = 0 every skeleton is the zero
+    # curve, every coarse point ties and the pick evaluates them all
+    xs = [_noisy_skeleton(n, x0 or 1.0, t_max, seed + r) for r in range(paths)]
     thetas = np.linspace(*window, points)
     with mock.patch.object(estimator, "_SCAN_BLOCK", block):
-        scan = estimator._coarse_scan(np.stack([x.values for x in xs]), xs[0], thetas, x0)
-    assert scan.shape == (paths, points)
-    for x, row in zip(xs, scan):
-        assert np.array_equal(row, [l1_objective(x, theta, x0) for theta in thetas])
+        k, value = estimator._coarse_pick(np.stack([x.values for x in xs]), xs[0], thetas, x0)
+    assert k.shape == value.shape == (paths,)
+    for x, k_row, value_row in zip(xs, k.tolist(), value.tolist()):
+        table = _objective_table(x, thetas, x0)
+        assert (k_row, value_row) == (_table_pick(table), table[_table_pick(table)])
+
+
+def test_coarse_pick_evaluates_a_fifth_of_the_table_on_a_limit_dist_block():
+    # 10 Rosenblatt (q = 2) paths at three noise levels, as one 30-row block
+    # of the limit-dist benchmark: the lower bound leaves few coarse points
+    # to evaluate per row, so a fallback to the full table fails here
+    from hermite_ou.harness import _discounted_block, _ou_rows, simulate_driver
+
+    paths = [simulate_driver("partial-sum", 2, H, 512, 32, 1.0, make_rng(20, i)) for i in range(10)]
+    grid, integral, growth = _discounted_block(paths, 1.0)
+    values = _ou_rows(integral, growth, (0.05, 0.1, 0.2), 1.0)
+    thetas = np.linspace(CFG.theta_lo, CFG.theta_hi, CFG.coarse_points)
+    evaluated = []
+    l1_rows = estimator._l1_rows
+
+    def counted(rows, skeletons, dt, out):
+        evaluated.append(len(skeletons))
+        return l1_rows(rows, skeletons, dt, out)
+
+    with mock.patch.object(estimator, "_l1_rows", counted):
+        k, value = estimator._coarse_pick(values, grid, thetas, 1.0)
+    assert len(values) == 30
+    assert sum(evaluated) <= 0.2 * thetas.size * len(values), sum(evaluated)
+    for row, k_row, value_row in zip(values, k.tolist(), value.tolist()):
+        table = _objective_table(path_from(row), thetas, 1.0)
+        assert (k_row, value_row) == (_table_pick(table), table[_table_pick(table)])
 
 
 @settings(max_examples=40, deadline=None)
@@ -236,9 +273,12 @@ def test_minimize_exact_coarse_tie_goes_to_the_smaller_theta():
     thetas = np.linspace(cfg.theta_lo, cfg.theta_hi, cfg.coarse_points)
     ia, ib = 10, 30  # theta = -1 and 1: two separate local minima of S
     values, moved = _two_skeleton_tie(thetas, ia, ib)
-    coarse = estimator._coarse_scan(values[np.newaxis], path_from(values.copy()), thetas, 1.0)[0]
+    coarse = _objective_table(path_from(values.copy()), thetas, 1.0)
     assert coarse[ia] == coarse[ib] == coarse.min()
     assert np.sort(coarse)[2] - coarse[ia] > 1e-3  # every other theta is clearly worse
+    # the lower bound keeps both minima, and the pick is the first
+    k, value = estimator._coarse_pick(values[np.newaxis], path_from(values.copy()), thetas, 1.0)
+    assert (k.tolist(), value.tolist()) == ([ia], [coarse[ia]])
     res = minimize_l1(path_from(values.copy()), 1.0, cfg)
     assert abs(res.theta_hat - thetas[ia]) <= cfg.refine_tol
     # breaking the tie toward the larger theta moves the estimate there
@@ -287,8 +327,8 @@ def test_minimize_coarse_choice_is_scale_invariant(n, points, x0, seed, k):
     c = 2.0**k
     scaled_x = path_from(c * x.values)
     thetas = np.linspace(cfg.theta_lo, cfg.theta_hi, points)
-    coarse = estimator._coarse_scan(x.values[np.newaxis], x, thetas, x0)[0]
-    scaled_coarse = estimator._coarse_scan(scaled_x.values[np.newaxis], x, thetas, c * x0)[0]
+    coarse = _objective_table(x, thetas, x0)
+    scaled_coarse = _objective_table(scaled_x, thetas, c * x0)
     assert np.array_equal(scaled_coarse, c * coarse)
     low, runner_up = np.partition(coarse, 1)[:2]
     assume(min(1.0, c) * (runner_up - low) > estimator._TIE_TOL)

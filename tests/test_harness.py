@@ -673,9 +673,10 @@ def test_block_plan_bounds_the_memory_of_a_block(steps, count, coarse_points, wo
     # the plan alone, nothing allocated: a minimiser unit (rows_per_path rows
     # per path) and a per-path unit on each grid.  A block's rows times its
     # row width stay within the budget unless the block is one replication,
-    # and every worker of the pool gets a block of each minimiser unit
+    # and each minimiser unit gets its share of the workers by path-steps
     units = [(n, count, rows_per_path) for n in steps] + [(n, count, 0) for n in steps]
     plan = harness._block_plan(units, workers, coarse_points)
+    total = sum(n * count for n, count, _ in units)
     # minimiser units first, then the per-path ones, each longest grid first
     order = [(units[u][2] == 0, -units[u][0]) for u, _, _ in plan]
     assert order == sorted(order)
@@ -686,10 +687,32 @@ def test_block_plan_bounds_the_memory_of_a_block(steps, count, coarse_points, wo
         sizes = [hi - lo for lo, hi in bounds]
         assert min(sizes) >= 1
         if rows:
-            assert len(bounds) >= min(workers, count)
+            assert len(bounds) >= min(-(-workers * n * count // total), count)
             assert max(sizes) - min(sizes) <= 1
         width = rows * max(n + 1, coarse_points) if rows else n + 1
         assert all(size == 1 or size * width <= harness._BLOCK_VALUES for size in sizes)
+
+
+@pytest.mark.parametrize("ks_samples, minimiser_blocks", [(50, 1), (1, 2)])
+def test_limit_dist_plans_its_minimiser_by_its_share_of_the_path_steps(monkeypatch, ks_samples, minimiser_blocks):
+    # at 2 workers the 20 paired paths are 20 of 70 paths, so their lockstep
+    # minimisation runs as one block beside the KS sample's guided blocks;
+    # beside a KS sample of one path they are most of the work, and split
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("HERMITE_OU_THREADS", "2")
+    plans = []
+    block_plan = harness._block_plan
+
+    def recording(units, workers, coarse_points):
+        plans.append(block_plan(units, workers, coarse_points))
+        return plans[-1]
+
+    cfg = ExperimentConfig(kind="limit-dist", q=1, n=64, eps=(0.2, 0.1), replications=20, ks_samples=ks_samples)
+    with mock.patch.object(harness, "_block_plan", recording):
+        run_limit_dist(cfg)
+    (plan,) = plans
+    assert sum(u == 0 for u, _, _ in plan) == minimiser_blocks
+    assert sum(hi - lo for u, lo, hi in plan if u == 0) == 20
 
 
 @settings(max_examples=200, deadline=None)
@@ -707,9 +730,13 @@ def test_block_plan_is_guided_for_per_path_units(units, workers, budget, coarse_
     with mock.patch.object(harness, "_BLOCK_VALUES", budget):
         plan = harness._block_plan(units, workers, coarse_points)
 
+    total = sum(n * count for n, count, _ in units)
+
     def even_split(n, count, rows):
+        # a minimiser unit's share of the workers is its share of the path-steps
         width = rows * max(n + 1, coarse_points) if rows else n + 1
-        blocks = max(min(workers, count), -(-count // max(1, budget // width)))
+        share = -(-workers * n * count // total) if count else 0
+        blocks = max(min(share, count), -(-count // max(1, budget // width)))
         return [(b * count // blocks, (b + 1) * count // blocks) for b in range(blocks)]
 
     for u, (n, count, rows) in enumerate(units):
