@@ -36,7 +36,6 @@ __all__ = [
     "minimize_l1",
     "minimize_l1_rows",
     "skeleton_separation",
-    "weighted_median",
     "tangent_l1_coefficient",
     "tangent_l1_coefficient_rows",
     "tangent_l1_objective",
@@ -314,22 +313,12 @@ def skeleton_separation(delta: float, theta0: float, x0: float, cfg: EstimatorCo
     )
 
 
-def weighted_median(values, weights) -> float:
-    """Minimizer of sum_i w_i |v_i - u|: first sorted value whose cumulative
-    weight reaches half the total (the lower median under an even split)."""
-    v = np.asarray(values, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if v.size == 0 or v.ndim != 1 or v.shape != w.shape:
-        raise ValueError("values and weights must be nonempty and equally long")
-    if not np.all(w >= 0):
-        raise ValueError("weights must be nonnegative")
-    return float(_weighted_median_rows(v, w))
-
-
 def _weighted_median_rows(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """weighted_median along the last axis of ``values``, for every row at
-    once; ``weights`` (finite, nonnegative) has the shape of ``values`` or of
-    one row.  Each row is sorted stably and summed in sorted order as in a
+    """Minimizer of sum_i w_i |v_i - u| along the last axis of ``values``,
+    for every row at once: the first sorted value whose cumulative weight
+    reaches half the total (the lower median under an even split).
+    ``weights`` (finite, nonnegative) has the shape of ``values`` or of one
+    row.  Each row is sorted stably and summed in sorted order as in a
     one-row call, and the first index whose cumulative weight reaches half
     the total is counted rather than searched, so every row's pick is the
     one its own call makes."""

@@ -158,11 +158,13 @@ def _check_embedding(n: int, m: int = 1) -> None:
 
 
 def _unit_steps(n: int, m: int, t_max: float) -> int:
-    """Summands per unit of time, round(n m / t_max), for the partial-sum
-    normalization.
+    """Summands per unit of time, n m / t_max, for the partial-sum
+    normalization, which divides by the standard deviation of that many.
 
     Raises ValueError, before anything is allocated, when the n * m values
-    need too large an embedding or the normalization too many lags.
+    need too large an embedding, the normalization too many lags, or
+    n m / t_max is more than 1e-3 of itself from an integer: rounding it
+    would then normalize by the wrong standard deviation.
     """
     _check_embedding(n, m)
     units = n * m / t_max
@@ -172,7 +174,13 @@ def _unit_steps(n: int, m: int, t_max: float) -> int:
             f"needs {units:.6g} autocovariance lags per unit of time, above the limit "
             f"of {_EMBEDDING_MAX_POINTS}; raise t_max or lower n or m"
         )
-    return max(1, round(units))
+    if abs(round(units) - units) > 1e-3 * units:
+        raise ValueError(
+            f"t_max = {t_max:g} with n = {n} and m = {m}: the variance normalization "
+            f"needs a whole number of summands per unit of time, got n m / t_max = "
+            f"{units:.6g}; pick t_max so that n m / t_max is an integer"
+        )
+    return round(units)
 
 
 def _fgn_increments(h: float, n_incr: int, rng: RngState, reduce):
@@ -185,7 +193,7 @@ def _fgn_increments(h: float, n_incr: int, rng: RngState, reduce):
     x lives in the sampler's workspace (see sample_stationary_gaussian), so
     only what reduce returns is allocated.
     """
-    n_pad = 1 if n_incr == 1 else _embedding_lags(n_incr)
+    n_pad = _embedding_lags(n_incr)
     return sample_stationary_gaussian(fgn_autocov(h, n_pad), n_pad, rng, reduce=reduce)
 
 
@@ -251,7 +259,8 @@ def simulate_partial_sum(
     FGN correlation of Hurst H0, applies the q-th Hermite polynomial and
     accumulates; grid point i collects the first i * m summands.  The
     divisor is the exact finite-resolution standard deviation of the sum
-    over one unit of time, so Var(Z_1) = 1 whenever t = 1 is on the grid.
+    over one unit of time, n m / t_max summands, which must be a whole
+    number; so Var(Z_1) = 1 whenever t = 1 is on the grid.
 
     m is the internal refinement (summands per grid step, >= 16 recommended).
     """

@@ -26,7 +26,6 @@ from .hermite import GridPath
 __all__ = [
     "wiener_integral",
     "covariance_functional",
-    "discounted_integral",
     "discounted_integral_rows",
     "noise_response",
     "noise_response_rows",
@@ -56,11 +55,11 @@ def _psi(d: np.ndarray, h: float) -> np.ndarray:
     return np.abs(d) ** (2.0 * h) / (2.0 * h * (2.0 * h - 1.0))
 
 
-def covariance_functional(f, g, h: float, t_max: float = 1.0) -> float:
-    """H(2H-1) * int int f(u) g(v) |u-v|^(2H-2) du dv over [0, t_max]^2.
+def covariance_functional(f, g, h: float) -> float:
+    """H(2H-1) * int int f(u) g(v) |u-v|^(2H-2) du dv over [0, 1]^2.
 
     f and g are sampled at the points of a common uniform grid on
-    [0, t_max]; each is treated as piecewise constant on cells with its
+    [0, 1]; each is treated as piecewise constant on cells with its
     left-endpoint value (matching wiener_integral), and the singular kernel
     is integrated exactly over every cell pair.  On the common grid the
     cell-pair integrals depend only on the lag, so the double sum reduces
@@ -68,14 +67,12 @@ def covariance_functional(f, g, h: float, t_max: float = 1.0) -> float:
     """
     if not 0.5 < h < 1.0:
         raise ValueError(f"H must be in (1/2, 1), got {h}")
-    if t_max <= 0:
-        raise ValueError(f"t_max must be positive, got {t_max}")
     fv = _as_grid_values(f, np.size(f))
     gv = _as_grid_values(g, fv.size)
     if fv.size < 2:
         raise ValueError("integrands need at least two grid values")
     n = fv.size - 1
-    dt = t_max / n
+    dt = 1.0 / n
     lags = np.arange(-n, n + 2, dtype=float) * dt  # psi at lags -n .. n+1
     psi = _psi(lags, h)
     kappa = psi[2:] + psi[:-2] - 2.0 * psi[1:-1]  # cell-pair integral at lag d
@@ -103,11 +100,6 @@ def discounted_integral_rows(values: np.ndarray, times: np.ndarray, theta: float
     return out
 
 
-def discounted_integral(z: GridPath, theta: float) -> np.ndarray:
-    """discounted_integral_rows of the one path z."""
-    return discounted_integral_rows(z.values, z.times, theta)
-
-
 def noise_response_rows(integral: np.ndarray, growth: np.ndarray) -> np.ndarray:
     """Y_t = e^(theta t) * int_0^t e^(-theta s) dZ_s for every row of
     ``integral`` (discounted_integral_rows at theta), with
@@ -122,6 +114,6 @@ def noise_response(z: GridPath, theta: float) -> GridPath:
     eps * Y equals the exact OU solution minus its deterministic skeleton.
     This is noise_response_rows of the one path.
     """
-    y = noise_response_rows(discounted_integral(z, theta), np.exp(theta * z.times))
+    y = noise_response_rows(discounted_integral_rows(z.values, z.times, theta), np.exp(theta * z.times))
     return z.with_values(y, f"noise-response(theta={theta:g})")
 

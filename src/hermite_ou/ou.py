@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hermite import GridPath
-from .integrals import discounted_integral
+from .integrals import discounted_integral_rows
 
 __all__ = ["OuSpec", "deterministic_solution", "exact_solution", "exact_solution_rows"]
 
@@ -54,7 +54,7 @@ def exact_solution(spec: OuSpec, z: GridPath) -> GridPath:
     exact_solution_rows of the one path."""
     if z.values[0] != 0.0:
         raise ValueError("driving path must start at 0")
-    integral = discounted_integral(z, spec.theta)
+    integral = discounted_integral_rows(z.values, z.times, spec.theta)
     values = exact_solution_rows(integral, np.exp(spec.theta * z.times), spec.eps, spec.x0)
     tag = f"ou-exact(theta={spec.theta:g},eps={spec.eps:g},x0={spec.x0:g})"
     return z.with_values(values, tag)

@@ -6,7 +6,9 @@ gives the embedding eigenvalues.  If those are nonnegative the method is
 exact in distribution and costs O(n log n).  Only the per-frequency
 amplitude sqrt(lambda / m) is cached on the AutocovSequence, so a sample
 costs one Box-Muller pass, written straight into the spectrum, and one FFT
-in place.
+in place.  The sampler takes only an AutocovSequence of exactly the n >= 2
+lags it samples (fgn_autocov gives one, cached per (h, n)), so the scale it
+reads is always the one cached on that sequence.
 
 The spectrum buffer is reused across paths and threads: a call borrows a
 workspace from a module-level free list and returns it when it is done, so
@@ -108,14 +110,6 @@ def _polar_pairs(gen: np.random.Generator, v: np.ndarray) -> np.ndarray:
     np.multiply(e.real, r, out=e.real)
     np.multiply(e.imag, r, out=e.imag)
     return e
-
-
-def _box_muller(gen: np.random.Generator, size: int) -> np.ndarray:
-    """size standard normals, interleaved as r cos, r sin per uniform pair."""
-    if size <= 0:
-        return np.empty(0)
-    pairs = (size + 1) // 2
-    return _polar_pairs(gen, np.empty(2 * pairs, dtype=complex)).view(float)[:size]
 
 
 _free_workspaces: list = []  # idle complex spectrum buffers
@@ -259,27 +253,22 @@ def fgn_autocov(h: float, n: int) -> AutocovSequence:
     return AutocovSequence(gamma)
 
 
-def sample_stationary_gaussian(acov, n: int, rng: RngState, *, reduce=np.copy):
+def sample_stationary_gaussian(acov: AutocovSequence, n: int, rng: RngState, *, reduce=np.copy):
     """Exact-in-distribution stationary Gaussian sample of length n.
 
-    acov may be an AutocovSequence or a plain array of autocovariances and
-    must provide at least n lags.  Equal (seed, stream, acov, n) give equal
+    acov must be an AutocovSequence of exactly n >= 2 lags, so that its
+    embedding, and the scale cached on it, is the one sampled; any other
+    input raises ValueError.  Equal (seed, stream, acov, n) give equal
     output vectors.  Returns reduce(x) for the sample x: x is a writable,
     strided view into the borrowed workspace, which reduce may overwrite
     but must not keep, since the next path reuses the memory.  The default
     returns a fresh contiguous copy of the sample.
     """
     if not isinstance(acov, AutocovSequence):
-        acov = AutocovSequence(acov)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if len(acov) < n:
-        raise ValueError(f"need {n} autocovariance lags, got {len(acov)}")
+        raise ValueError(f"acov must be an AutocovSequence, got {type(acov).__name__}")
+    if n < 2 or len(acov) != n:
+        raise ValueError(f"need exactly n >= 2 autocovariance lags, got n = {n} and {len(acov)} lags")
     gen = rng.generator()
-    if n == 1:
-        return reduce(np.sqrt(acov.values[0]) * _box_muller(gen, 1))
-    if len(acov) > n:
-        acov = AutocovSequence(acov.values[:n])
     scale = acov.embedding_scale  # before the borrow below: its fill borrows one
     m = scale.size  # 2(n-1), even
     half = m // 2

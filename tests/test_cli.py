@@ -132,6 +132,20 @@ def test_simulate_sizes_the_embedding_before_allocating(flags, tmp_path, capsys)
     assert not (tmp_path / "z.csv").exists()
 
 
+def test_simulate_rejects_a_horizon_with_a_fractional_unit_of_summands(tmp_path, capsys):
+    # n m / t_max = 512 * 32 / 1000 = 16.384 summands per unit of time: the
+    # normalization would divide by the standard deviation of 16
+    fail = mock.Mock(side_effect=AssertionError("fgn_autocov called"))
+    with mock.patch.object(hermite, "fgn_autocov", fail):
+        code = run_cli("simulate", "--process", "hermite", "--q", "2", "--t-max", "1000",
+                       "--out", str(tmp_path / "z.csv"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --t-max: t_max = 1000 with n = 512 and m = 32")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "z.csv").exists()
+
+
 @pytest.mark.parametrize("field", ["x0=nan", "x0=-inf", "theta0=nan", "theta0=inf"])
 def test_experiment_rejects_non_finite_start_before_sampling(field, tmp_path, capsys):
     cfg = tmp_path / "l.cfg"

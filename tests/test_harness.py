@@ -32,7 +32,6 @@ from hermite_ou.estimator import minimize_l1, tangent_l1_coefficient, tangent_l1
 from hermite_ou.hermite import HermiteSpec, simulate_fbm, simulate_partial_sum
 from hermite_ou.integrals import covariance_functional, noise_response, noise_response_rows
 from hermite_ou.ou import OuSpec, exact_solution
-from hermite_ou.rng import _box_muller
 
 
 def render(rows, kind):
@@ -65,8 +64,8 @@ def test_ks_level_is_calibrated():
     trials, n = 200, 1000
     rejections = 0
     for k in range(trials):
-        a = _box_muller(make_rng(777, 2 * k).generator(), n)
-        b = _box_muller(make_rng(777, 2 * k + 1).generator(), n)
+        a = make_rng(777, 2 * k).generator().standard_normal(n)
+        b = make_rng(777, 2 * k + 1).generator().standard_normal(n)
         rejections += ks_two_sample(a, b)[1] <= 0.05
     rate = rejections / trials
     band = 3 * math.sqrt(0.05 * 0.95 / trials)
@@ -181,6 +180,16 @@ def test_config_rejects_grids_above_the_embedding_limit(fields, monkeypatch):
     monkeypatch.setattr(hermite, "fgn_autocov", sampled)
     with pytest.raises(ValueError, match="grid size n|t_max"):
         ExperimentConfig(**fields)
+
+
+def test_config_rejects_a_horizon_with_a_fractional_unit_of_summands(monkeypatch):
+    # T = 0.7 on 2 grid steps of m = 1: 2.857 summands per unit of time
+    def sampled(*args):
+        raise AssertionError("fgn_autocov called")
+
+    monkeypatch.setattr(hermite, "fgn_autocov", sampled)
+    with pytest.raises(ValueError, match=r"^t_max = 0.7 with n = 2 and m = 1"):
+        ExperimentConfig(kind="maximal", q=2, n=2, m=1, T=(0.7,))
 
 
 def test_config_accepts_grids_at_the_embedding_limit():

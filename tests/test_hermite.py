@@ -251,6 +251,27 @@ def test_partial_sum_sizes_its_normalization_before_allocating():
             simulate_partial_sum(spec, 512, 32, 512 * 32 / (1 << 24), make_rng(0, 0))
 
 
+def test_partial_sum_rejects_a_fractional_unit_of_summands():
+    # n m / t_max summands per unit of time must be whole: at t_max = 100 and
+    # 1000 the normalization rounded 2.56 to 3 and 0.256 to 1, and Var(Z_T) / T^(2H)
+    # read about 0.80 and 0.15 over 3000 paths, against 1.01 at t_max = 1
+    spec = HermiteSpec(1, 0.7)
+    for t_max in (100.0, 1000.0, 3.0):
+        with pytest.raises(ValueError, match=rf"^t_max = {t_max:g} with n = 64 and m = 4: "):
+            simulate_partial_sum(spec, 64, 4, t_max, make_rng(0, 0))
+    for t_max in (0.5, 1.0, 4.0, 256.0):
+        assert simulate_partial_sum(spec, 64, 4, t_max, make_rng(0, 0)).t_max == t_max
+
+
+def test_partial_sum_of_one_summand_has_unit_variance():
+    # one step of one summand samples a 2-lag embedding; E Z_1^2 = 1 exactly
+    for q in (1, 2):
+        spec = HermiteSpec(q, 0.7)
+        ends = np.array([simulate_partial_sum(spec, 1, 1, 1.0, make_rng(SEED + 40, s)).values[-1] for s in range(4000)])
+        se = np.std(ends**2, ddof=1) / np.sqrt(ends.size)
+        assert abs(np.mean(ends**2) - 1.0) < 3 * se, q
+
+
 def _partial_sum_std_reference(q, h0, k):
     rho = fgn_autocov(h0, k).values
     lags = np.arange(1, k, dtype=float)

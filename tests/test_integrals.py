@@ -6,7 +6,6 @@ from hermite_ou.estimator import tangent_l1_coefficient, tangent_l1_coefficient_
 from hermite_ou.hermite import GridPath, Provenance, simulate_fbm
 from hermite_ou.integrals import (
     covariance_functional,
-    discounted_integral,
     discounted_integral_rows,
     noise_response,
     noise_response_rows,
@@ -127,7 +126,7 @@ def test_covariance_rejects_bad_h():
 def test_discounted_integral_is_running_wiener_integral():
     z = simulate_fbm(H, 64, 1.0, make_rng(2, 2))
     t = z.times
-    got = discounted_integral(z, 0.8)
+    got = discounted_integral_rows(z.values, z.times, 0.8)
     assert got[0] == 0.0
     for k in (1, 17, 64):
         want = wiener_integral(np.exp(-0.8 * t) * (t < t[k]), z)
@@ -181,7 +180,7 @@ def test_block_rows_equal_the_one_path_functions_bit_for_bit(n, t_max, theta, x0
     ys = noise_response_rows(integral, growth)
     zetas = tangent_l1_coefficient_rows(ys, grid, theta, x0)
     for k, z in enumerate(paths):
-        assert np.array_equal(bits(integral[k]), bits(discounted_integral(z, theta)))
+        assert np.array_equal(bits(integral[k]), bits(discounted_integral_rows(z.values, z.times, theta)))
         assert np.array_equal(bits(ys[k]), bits(noise_response(z, theta).values))
         assert bits(zetas[k]) == bits(tangent_l1_coefficient(noise_response(z, theta), theta, x0))
     for eps in (0.5, 1e-3):
