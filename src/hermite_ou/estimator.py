@@ -128,16 +128,16 @@ def _coarse_pick(values: np.ndarray, grid: GridPath, thetas: np.ndarray, x0: flo
     is a lower bound lo that keeps about 10^4 times their rounding error in
     hand.  S is evaluated at each row's smallest-bound theta, which gives
     u >= the row's minimum, and then at every theta with lo <= u + _TIE_TOL:
-    no other theta can come within _TIE_TOL of the minimum.  Every S is
-    _l1_rows of the row itself (a view) against skeleton rows, as the
-    objective computes it; the skeletons and their deviations share one
-    buffer of at most _SCAN_BLOCK grid values (one row when a row is longer):
-    twice that, freed at the top of a thread's heap, was trimmed and faulted
-    in again on some calls.
+    no other theta can come within _TIE_TOL of the minimum.  Both are passes
+    over (row, theta) pairs, computed as the objective computes S, in chunks
+    of half a buffer of at most _SCAN_BLOCK grid values (a row a half when a
+    row is longer): the skeletons and their deviations in one half, the
+    gathered rows in the other.  Twice that buffer, freed at the top of a
+    thread's heap, was trimmed and faulted in again on some calls.
     """
     times, dt = grid.times, grid.dt
-    per = max(1, _SCAN_BLOCK // times.size)
-    skel = np.empty((min(per, max(thetas.size, len(values))), times.size))
+    per = max(1, _SCAN_BLOCK // (2 * times.size))
+    skel, gathered = np.empty((2, min(per, thetas.size * len(values)), times.size))
     total = np.empty(thetas.size)  # T(theta)
     for start in range(0, thetas.size, per):
         block = thetas[start : start + per]
@@ -149,24 +149,25 @@ def _coarse_pick(values: np.ndarray, grid: GridPath, thetas: np.ndarray, x0: flo
     lo -= (_BOUND_SLACK * grid.n) * np.maximum(values.max(axis=1), -values.min(axis=1))[:, np.newaxis]
     lo *= dt
 
+    def l1_at(r, k):  # S of row r[j] at thetas[k[j]], for every j
+        out = np.empty(r.size)
+        for start in range(0, r.size, per):
+            rb, kb = r[start : start + per], k[start : start + per]
+            s = _skeleton_rows(thetas[kb], times, x0, skel[: rb.size])
+            # mode="clip": the indices are in range, and "raise" would copy ``out`` first
+            x = np.take(values, rb, axis=0, out=gathered[: rb.size], mode="clip")
+            out[start : start + rb.size] = _l1_rows(x, s, dt, s)
+        return out
+
     rows = np.arange(len(values))
     first = lo.argmin(axis=1)
-    u = np.empty(len(values))
-    for start in range(0, len(values), per):
-        block = first[start : start + per]
-        s = _skeleton_rows(thetas[block], times, x0, skel[: block.size])
-        u[start : start + block.size] = _l1_rows(values[start : start + block.size], s, dt, s)
+    u = l1_at(rows, first)
     more = lo <= (u + _TIE_TOL)[:, np.newaxis]
     more[rows, first] = False
     objective = lo  # the bounds are spent: S where evaluated, inf elsewhere
     objective.fill(math.inf)
     objective[rows, first] = u
-    for r in np.flatnonzero(more.any(axis=1)):
-        ks = np.flatnonzero(more[r])
-        for start in range(0, ks.size, per):
-            block = ks[start : start + per]
-            s = _skeleton_rows(thetas[block], times, x0, skel[: block.size])
-            objective[r, block] = _l1_rows(values[r], s, dt, s)
+    objective[more] = l1_at(*np.nonzero(more))  # a mask assigns in the order nonzero lists
     k = np.argmax(objective <= objective.min(axis=1, keepdims=True) + _TIE_TOL, axis=1)
     return k, objective[rows, k]
 
@@ -337,6 +338,8 @@ def _tangent_weights(grid: GridPath, theta0: float, x0: float) -> np.ndarray:
 
     The t = 0 term carries zero weight, so it is dropped.
     """
+    if not (math.isfinite(x0) and math.isfinite(theta0)):
+        raise ValueError(f"x0 and theta0 must be finite, got x0 = {x0}, theta0 = {theta0}")
     if x0 == 0.0:
         raise ValueError("x0 = 0 leaves the fit coefficient unidentified")
     t = grid.times[:-1]
@@ -347,10 +350,14 @@ def tangent_l1_coefficient_rows(
     ys: np.ndarray, grid: GridPath, theta0: float, x0: float
 ) -> np.ndarray:
     """tangent_l1_coefficient of every row of ``ys``, each a noise response
-    on ``grid``: the weights are built once, and the ratios and weighted
-    medians are row passes with every row's result bit for bit its own."""
+    on ``grid``, as row passes with every row's result bit for bit its own;
+    a ratio that is not finite (a subnormal x0 overflows) raises ValueError."""
     w = _tangent_weights(grid, theta0, x0)
-    return _weighted_median_rows(ys[..., 1 : grid.n] / w, grid.dt * np.abs(w))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratios = ys[..., 1 : grid.n] / w
+    if not np.isfinite(ratios).all():
+        raise ValueError(f"x0 = {x0}: a tangent-fit ratio Y_i / (t_i x0 e^(theta0 t_i)) is not finite")
+    return _weighted_median_rows(ratios, grid.dt * np.abs(w))
 
 
 def tangent_l1_coefficient(y: GridPath, theta0: float, x0: float) -> float:

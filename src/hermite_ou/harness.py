@@ -6,9 +6,9 @@ RNG stream: replication i < R on grid g of ``ExperimentConfig.grids()`` (one
 per horizon T for the maximal kind, one otherwise) draws its path from stream
 (seed, g R + i); the limit-dist KS sample continues from stream 10^6.  So a
 configuration, seed included, determines every output byte.  A task is a
-block of contiguous replications on one grid (``_block_plan``): its paths are
-sampled one by one, its OU solutions at every eps form one row array that
-minimize_l1_rows takes whole, and every row pass gives each row bit for bit
+block of replications on one grid, cut by memory and work (``_block_plan``):
+its paths are sampled one by one, its OU rows at every eps are one array that
+minimize_l1_rows takes whole, and each row pass gives every row bit for bit
 its one-path result, so the split into blocks never changes an output.
 All the tasks of an experiment, of every sample and grid, run on one pool of
 worker threads, never on the calling thread: on the main thread glibc trims
@@ -304,14 +304,11 @@ def _block_plan(units: list, workers: int, coarse_points: int) -> list:
     order.
 
     Minimiser units (minimised_rows > 0) come first, longest grid first:
-    each is split as evenly as possible into its share of the workers,
-    ceil(workers n count / the sum of n count over every unit), and into
-    more where needed to keep minimised_rows (hi - lo) rows of
-    max(n + 1, coarse_points) doubles within _BLOCK_VALUES.  Their lockstep
-    steps are array passes that do not speed up when two run at once, and
-    have a fixed cost per block, so a minimiser unit that is a small part of
-    the experiment runs as one block beside the other units' blocks, and is
-    never split finer.  The per-path units follow, longest grid first, in
+    each is split evenly into as few blocks as keep minimised_rows (hi - lo)
+    rows of max(n + 1, coarse_points) doubles within _BLOCK_VALUES.  Their
+    lockstep steps are array passes with a fixed cost per block, which run
+    no faster two at a time, so a minimiser unit is never split finer than
+    its memory needs.  The per-path units follow, longest grid first, in
     guided blocks (Polychronopoulos & Kuck 1987) of half a worker's share,
     as in factoring (Hummel, Schonberg & Flynn 1992): a block on a grid of n
     steps takes ceil(remaining / (2 workers n)) paths, where remaining is
@@ -319,21 +316,17 @@ def _block_plan(units: list, workers: int, coarse_points: int) -> list:
     that its paths of n + 1 doubles stay within _BLOCK_VALUES.  The blocks
     shrink to one path at the end, so the workers finish together; the half
     share keeps a first block of long paths, which cost more per step than
-    short ones, from finishing last.  With one worker there is nothing to
-    balance, and every unit is split evenly into as few blocks as the budget
-    allows.  A block of one path may exceed the budget.
+    short ones, from finishing last.  One path may exceed the budget.
     """
     order = sorted(range(len(units)), key=lambda u: (units[u][2] == 0, -units[u][0]))
-    steps = sum(n * count for n, count, rows in units)
     remaining = sum(n * count for n, count, rows in units if rows == 0)
     plan = []
     for u in order:
         n, count, rows = units[u]
         width = rows * max(n + 1, coarse_points) if rows else n + 1
         per_block = max(1, _BLOCK_VALUES // width)
-        if rows or workers == 1:
-            share = -(-workers * n * count // steps) if count else 0
-            blocks = max(min(share, count), -(-count // per_block))
+        if rows:
+            blocks = -(-count // per_block)
             plan += [(u, b * count // blocks, (b + 1) * count // blocks) for b in range(blocks)]
             continue
         lo = 0

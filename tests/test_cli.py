@@ -178,6 +178,19 @@ def test_experiment_rejects_zero_start_before_sampling(kind, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_experiment_rejects_a_subnormal_start_that_overflows_the_tangent_fit(tmp_path, capsys):
+    # x0 = 1e-320 is finite and nonzero, but Y_i / (t_i x0 e^(theta0 t_i))
+    # overflows: an inf gap and a nan quantile must not reach the CSV
+    cfg = tmp_path / "s.cfg"
+    write_config(cfg, kind="limit-dist", n=64, replications=4, ks_samples=4)
+    code = run_cli("experiment", "--config", str(cfg), "--set", "x0=1e-320",
+                   "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: x0 = 1e-320: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "kind, message",
     [

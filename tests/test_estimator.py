@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -14,6 +15,7 @@ from hermite_ou.estimator import (
     minimize_l1_rows,
     skeleton_separation,
     tangent_l1_coefficient,
+    tangent_l1_coefficient_rows,
     tangent_l1_objective,
 )
 from hermite_ou.hermite import GridPath, Provenance, simulate_fbm
@@ -198,16 +200,19 @@ def test_coarse_pick_matches_the_objective_table_bit_for_bit(n, points, window, 
         assert (k_row, value_row) == (_table_pick(table), table[_table_pick(table)])
 
 
-def test_coarse_pick_evaluates_a_fifth_of_the_table_on_a_limit_dist_block():
-    # 10 Rosenblatt (q = 2) paths at three noise levels, as one 30-row block
-    # of the limit-dist benchmark: the lower bound leaves few coarse points
-    # to evaluate per row, so a fallback to the full table fails here
+def _limit_dist_block():
+    """10 Rosenblatt (q = 2) paths at three noise levels, as one 30-row block
+    of the limit-dist benchmark: its OU rows, grid and coarse thetas."""
     from hermite_ou.harness import _discounted_block, _ou_rows, simulate_driver
 
     paths = [simulate_driver("partial-sum", 2, H, 512, 32, 1.0, make_rng(20, i)) for i in range(10)]
     grid, integral, growth = _discounted_block(paths, 1.0)
     values = _ou_rows(integral, growth, (0.05, 0.1, 0.2), 1.0)
-    thetas = np.linspace(CFG.theta_lo, CFG.theta_hi, CFG.coarse_points)
+    return values, grid, np.linspace(CFG.theta_lo, CFG.theta_hi, CFG.coarse_points)
+
+
+def _counted_coarse_pick(values, grid, thetas):
+    """_coarse_pick with the skeleton rows of each _l1_rows call recorded."""
     evaluated = []
     l1_rows = estimator._l1_rows
 
@@ -217,11 +222,30 @@ def test_coarse_pick_evaluates_a_fifth_of_the_table_on_a_limit_dist_block():
 
     with mock.patch.object(estimator, "_l1_rows", counted):
         k, value = estimator._coarse_pick(values, grid, thetas, 1.0)
+    return k, value, evaluated
+
+
+def test_coarse_pick_evaluates_a_fifth_of_the_table_on_a_limit_dist_block():
+    # the lower bound leaves few coarse points to evaluate per row, so a
+    # fallback to the full table fails here
+    values, grid, thetas = _limit_dist_block()
+    k, value, evaluated = _counted_coarse_pick(values, grid, thetas)
     assert len(values) == 30
     assert sum(evaluated) <= 0.2 * thetas.size * len(values), sum(evaluated)
     for row, k_row, value_row in zip(values, k.tolist(), value.tolist()):
         table = _objective_table(path_from(row), thetas, 1.0)
         assert (k_row, value_row) == (_table_pick(table), table[_table_pick(table)])
+
+
+def test_coarse_pick_evaluates_gathered_pairs_in_passes_of_half_its_buffer():
+    # the first picks of every row, then every contested (row, theta) pair,
+    # each in passes of half the buffer: not one pass per contested row
+    values, grid, thetas = _limit_dist_block()
+    _, _, evaluated = _counted_coarse_pick(values, grid, thetas)
+    half = max(1, estimator._SCAN_BLOCK // (2 * (grid.n + 1)))
+    contested = sum(evaluated) - len(values)
+    assert contested > 0
+    assert len(evaluated) <= -(-len(values) // half) + -(-contested // half), evaluated
 
 
 @settings(max_examples=40, deadline=None)
@@ -605,6 +629,27 @@ def test_tangent_fit_zero_response():
 def test_tangent_fit_requires_nonzero_x0():
     with pytest.raises(ValueError):
         tangent_l1_coefficient(zero_path(64), 1.0, 0.0)
+
+
+@pytest.mark.parametrize("theta0, x0", [(1.0, math.nan), (1.0, math.inf), (math.nan, 1.0), (-math.inf, 1.0)])
+def test_tangent_fit_rejects_a_non_finite_start_or_estimand(theta0, x0):
+    y = noise_response(simulate_fbm(H, 64, 1.0, make_rng(36, 0)), 1.0)
+    with pytest.raises(ValueError, match="must be finite"):
+        tangent_l1_coefficient(y, theta0, x0)
+    with pytest.raises(ValueError, match="must be finite"):
+        tangent_l1_objective(y, 0.0, theta0, x0)
+
+
+def test_tangent_fit_rejects_ratios_that_overflow():
+    # a subnormal x0 makes the weights so small that Y_i / w_i is inf; the
+    # rejection names x0 and raises no RuntimeWarning on the way
+    y = noise_response(simulate_fbm(H, 64, 1.0, make_rng(36, 1)), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="x0 = 1e-320"):
+            tangent_l1_coefficient(y, 1.0, 1e-320)
+        with pytest.raises(ValueError, match="x0 = 1e-320"):
+            tangent_l1_coefficient_rows(np.stack([y.values, y.values]), y, 1.0, 1e-320)
 
 
 def test_tangent_objective_minimal_at_solution():

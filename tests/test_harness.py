@@ -1,11 +1,14 @@
 import hashlib
+import importlib.util
 import io
 import math
 import os
+import sys
 import threading
 import time
 import tracemalloc
 from concurrent.futures import Future
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -14,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import kolmogorov
 
-from hermite_ou import harness, hermite, make_rng
+from hermite_ou import cli, harness, hermite, make_rng
 from hermite_ou.harness import (
     SCHEMAS,
     ExperimentConfig,
@@ -682,10 +685,10 @@ def test_block_plan_bounds_the_memory_of_a_block(steps, count, coarse_points, wo
     # the plan alone, nothing allocated: a minimiser unit (rows_per_path rows
     # per path) and a per-path unit on each grid.  A block's rows times its
     # row width stay within the budget unless the block is one replication,
-    # and each minimiser unit gets its share of the workers by path-steps
+    # and a minimiser unit is split evenly into as few blocks as the budget
+    # allows, whatever the worker count
     units = [(n, count, rows_per_path) for n in steps] + [(n, count, 0) for n in steps]
     plan = harness._block_plan(units, workers, coarse_points)
-    total = sum(n * count for n, count, _ in units)
     # minimiser units first, then the per-path ones, each longest grid first
     order = [(units[u][2] == 0, -units[u][0]) for u, _, _ in plan]
     assert order == sorted(order)
@@ -695,33 +698,84 @@ def test_block_plan_bounds_the_memory_of_a_block(steps, count, coarse_points, wo
         assert bounds[-1][1] == count
         sizes = [hi - lo for lo, hi in bounds]
         assert min(sizes) >= 1
-        if rows:
-            assert len(bounds) >= min(-(-workers * n * count // total), count)
-            assert max(sizes) - min(sizes) <= 1
         width = rows * max(n + 1, coarse_points) if rows else n + 1
+        if rows:
+            assert len(bounds) == -(-count // max(1, harness._BLOCK_VALUES // width))
+            assert max(sizes) - min(sizes) <= 1
         assert all(size == 1 or size * width <= harness._BLOCK_VALUES for size in sizes)
 
 
-@pytest.mark.parametrize("ks_samples, minimiser_blocks", [(50, 1), (1, 2)])
-def test_limit_dist_plans_its_minimiser_by_its_share_of_the_path_steps(monkeypatch, ks_samples, minimiser_blocks):
-    # at 2 workers the 20 paired paths are 20 of 70 paths, so their lockstep
-    # minimisation runs as one block beside the KS sample's guided blocks;
-    # beside a KS sample of one path they are most of the work, and split
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
-    monkeypatch.setenv("HERMITE_OU_THREADS", "2")
-    plans = []
+class _Planned(Exception):
+    """Carries the block plan of an experiment out before any path is sampled."""
+
+
+def _plan_of(cfg, workers):
+    """The _block_plan that run_experiment(cfg) makes at ``workers`` workers
+    on as many CPUs; no path is sampled."""
     block_plan = harness._block_plan
 
-    def recording(units, workers, coarse_points):
-        plans.append(block_plan(units, workers, coarse_points))
-        return plans[-1]
+    def planned(*args):
+        raise _Planned(block_plan(*args))
 
+    with (
+        mock.patch.object(harness, "_block_plan", planned),
+        mock.patch.object(harness.os, "cpu_count", lambda: workers),
+        mock.patch.dict(os.environ, {"HERMITE_OU_THREADS": str(workers)}),
+        pytest.raises(_Planned) as caught,
+    ):
+        run_experiment(cfg)
+    return caught.value.args[0]
+
+
+@pytest.mark.parametrize("ks_samples, budget, minimiser_blocks", [(50, None, 1), (1, None, 1), (1, 20 * 201, 2)])
+def test_limit_dist_plans_its_minimiser_by_its_memory_alone(monkeypatch, ks_samples, budget, minimiser_blocks):
+    # at 2 workers the 20 paired paths x 2 eps fit the budget, so their
+    # lockstep minimisation is one block beside a KS sample of any size;
+    # only a budget of 10 paths' rows splits them
+    if budget is not None:
+        monkeypatch.setattr(harness, "_BLOCK_VALUES", budget)
     cfg = ExperimentConfig(kind="limit-dist", q=1, n=64, eps=(0.2, 0.1), replications=20, ks_samples=ks_samples)
-    with mock.patch.object(harness, "_block_plan", recording):
-        run_limit_dist(cfg)
-    (plan,) = plans
+    plan = _plan_of(cfg, 2)
     assert sum(u == 0 for u, _, _ in plan) == minimiser_blocks
     assert sum(hi - lo for u, lo, hi in plan if u == 0) == 20
+
+
+def test_consistency_of_25_paths_is_one_block_at_2_workers():
+    # 25 paths x 4 eps of 513 doubles fit the budget; two blocks of them
+    # would run their short row passes at once, slower than one block
+    cfg = ExperimentConfig(kind="consistency", q=1, n=512, eps=(0.5, 0.2, 0.1, 0.05), replications=25)
+    assert _plan_of(cfg, 2) == [(0, 0, 25)]
+
+
+def load_bench_workloads():
+    """bench/workloads.py as a module, read only."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(sys.modules, {spec.name: module}):  # dataclasses look their module up
+        spec.loader.exec_module(module)
+    return module
+
+
+def test_the_benchmarked_workloads_keep_their_2_worker_plans():
+    # the plans the gated workloads run at HERMITE_OU_THREADS=2; a plan
+    # change there moves the benchmark's wall_2t_s, so it must be deliberate
+    workloads = load_bench_workloads().WORKLOADS
+    recorded = {
+        "limit-rosenblatt": [
+            (0, 0, 20), (1, 0, 13), (1, 13, 23), (1, 23, 30), (1, 30, 35), (1, 35, 39), (1, 39, 42),
+            (1, 42, 44), (1, 44, 46), (1, 46, 47), (1, 47, 48), (1, 48, 49), (1, 49, 50),
+        ],
+        "maximal-rosenblatt": [
+            (2, 0, 9), (2, 9, 16), (2, 16, 20), (1, 0, 8), (1, 8, 14), (1, 14, 18), (1, 18, 20),
+            (0, 0, 5), (0, 5, 9), (0, 9, 12), (0, 12, 14), (0, 14, 16), (0, 16, 17), (0, 17, 18),
+            (0, 18, 19), (0, 19, 20),
+        ],
+    }
+    for name, plan in recorded.items():
+        w = workloads[name]
+        fields = cli._coerce_config({key: str(value) for key, value in w.config.items()})
+        assert _plan_of(ExperimentConfig(kind=w.kind, **fields), 2) == plan, name
 
 
 @settings(max_examples=200, deadline=None)
@@ -739,13 +793,9 @@ def test_block_plan_is_guided_for_per_path_units(units, workers, budget, coarse_
     with mock.patch.object(harness, "_BLOCK_VALUES", budget):
         plan = harness._block_plan(units, workers, coarse_points)
 
-    total = sum(n * count for n, count, _ in units)
-
-    def even_split(n, count, rows):
-        # a minimiser unit's share of the workers is its share of the path-steps
-        width = rows * max(n + 1, coarse_points) if rows else n + 1
-        share = -(-workers * n * count // total) if count else 0
-        blocks = max(min(share, count), -(-count // max(1, budget // width)))
+    def even_split(count, width):
+        # as few blocks as the budget allows, whatever the worker count
+        blocks = -(-count // max(1, budget // width))
         return [(b * count // blocks, (b + 1) * count // blocks) for b in range(blocks)]
 
     for u, (n, count, rows) in enumerate(units):
@@ -755,15 +805,14 @@ def test_block_plan_is_guided_for_per_path_units(units, workers, budget, coarse_
         assert all(hi > lo for lo, hi in bounds)
         width = rows * max(n + 1, coarse_points) if rows else n + 1
         assert all(hi - lo == 1 or (hi - lo) * width <= budget for lo, hi in bounds)
-        if rows or workers == 1:
-            assert bounds == even_split(n, count, rows)
+        if rows:
+            assert bounds == even_split(count, width)
     # minimiser units are queued before every per-path unit
     kinds = [units[u][2] == 0 for u, _, _ in plan]
     assert kinds == sorted(kinds)
-    if workers == 1:
-        return
-    # a guided block takes at most half a worker's share of the per-path
-    # work left, counted in steps times paths and rounded up to whole paths
+    # at every worker count, one included, a guided block takes at most half
+    # a worker's share of the per-path work left, counted in steps times
+    # paths and rounded up to whole paths
     guided = [(units[u][0], hi - lo) for u, lo, hi in plan if units[u][2] == 0]
     remaining = sum(n * size for n, size in guided)
     for n, size in guided:
