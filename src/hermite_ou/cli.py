@@ -14,6 +14,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from .estimator import EstimatorConfig, minimize_l1
 from .harness import (
     GENERATORS,
@@ -26,7 +28,8 @@ from .harness import (
     write_rows_csv,
 )
 from .hermite import read_path_csv, write_path_csv
-from .ou import OuSpec, exact_solution
+from .integrals import discounted_integral_rows
+from .ou import exact_solution
 from .rng import make_rng
 
 __all__ = ["main"]
@@ -148,7 +151,9 @@ def cmd_simulate(args) -> int:
         flag = next((f for key, f in _DRIVER_FLAGS if key in str(exc)), "--H")
         raise CliError(f"{flag}: {exc}") from exc
     if args.process == "ou":
-        path = exact_solution(OuSpec(args.theta, args.eps, args.x0), z)
+        integral = discounted_integral_rows(z.values, z.times, args.theta)
+        values = exact_solution(integral, np.exp(args.theta * z.times), args.eps, args.x0)
+        path = z.with_values(values, f"ou-exact(theta={args.theta:g},eps={args.eps:g},x0={args.x0:g})")
     else:
         path = z
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

@@ -37,7 +37,6 @@ __all__ = [
     "minimize_l1_rows",
     "skeleton_separation",
     "tangent_l1_coefficient",
-    "tangent_l1_coefficient_rows",
     "tangent_l1_objective",
 ]
 
@@ -346,29 +345,23 @@ def _tangent_weights(grid: GridPath, theta0: float, x0: float) -> np.ndarray:
     return (t * x0 * np.exp(theta0 * t))[1:]
 
 
-def tangent_l1_coefficient_rows(
-    ys: np.ndarray, grid: GridPath, theta0: float, x0: float
-) -> np.ndarray:
-    """tangent_l1_coefficient of every row of ``ys``, each a noise response
-    on ``grid``, as row passes with every row's result bit for bit its own;
-    a ratio that is not finite (a subnormal x0 overflows) raises ValueError."""
+def tangent_l1_coefficient(ys: np.ndarray, grid: GridPath, theta0: float, x0: float) -> np.ndarray:
+    """Exact minimizer of the discretized weighted L1 tangent fit, for every
+    row of ``ys``, each a noise response on ``grid`` (one 1-D row gives a
+    0-d array).
+
+    With w_i = t_i x0 e^(theta0 t_i) the objective sum_i dt |Y_i - u w_i|
+    equals sum_i (dt |w_i|) |Y_i / w_i - u|, whose minimizer is the weighted
+    median of the ratios.  The rows are solved as row passes with every
+    row's result bit for bit its own; a ratio that is not finite (a
+    subnormal x0 overflows) raises ValueError.
+    """
     w = _tangent_weights(grid, theta0, x0)
     with np.errstate(over="ignore", invalid="ignore"):
         ratios = ys[..., 1 : grid.n] / w
     if not np.isfinite(ratios).all():
         raise ValueError(f"x0 = {x0}: a tangent-fit ratio Y_i / (t_i x0 e^(theta0 t_i)) is not finite")
     return _weighted_median_rows(ratios, grid.dt * np.abs(w))
-
-
-def tangent_l1_coefficient(y: GridPath, theta0: float, x0: float) -> float:
-    """Exact minimizer of the discretized weighted L1 tangent fit.
-
-    With w_i = t_i x0 e^(theta0 t_i) the objective sum_i dt |Y_i - u w_i|
-    equals sum_i (dt |w_i|) |Y_i / w_i - u|, whose minimizer is the weighted
-    median of the ratios.  This is tangent_l1_coefficient_rows of the one
-    path.
-    """
-    return float(tangent_l1_coefficient_rows(y.values, y, theta0, x0))
 
 
 def tangent_l1_objective(y: GridPath, u: float, theta0: float, x0: float) -> float:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import threading
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -31,9 +32,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-# minimize_l1, tangent_l1_coefficient, noise_response and exact_solution are
-# the one-path forms of the row functions called here: bench/tracer.py wraps
-# them under these names
+# minimize_l1, the one-path form of minimize_l1_rows, is imported only for
+# bench/tracer.py, which wraps it under this name
 from .estimator import (  # noqa: F401
     _LOG_MAX,
     EstimatorConfig,
@@ -41,7 +41,6 @@ from .estimator import (  # noqa: F401
     minimize_l1_rows,
     skeleton_separation,
     tangent_l1_coefficient,
-    tangent_l1_coefficient_rows,
 )
 from .hermite import (
     GridPath,
@@ -52,13 +51,8 @@ from .hermite import (
     simulate_fbm,
     simulate_partial_sum,
 )
-from .integrals import (  # noqa: F401
-    covariance_functional,
-    discounted_integral_rows,
-    noise_response,
-    noise_response_rows,
-)
-from .ou import exact_solution, exact_solution_rows  # noqa: F401
+from .integrals import covariance_functional, discounted_integral_rows, noise_response
+from .ou import exact_solution
 from .rng import RngState, make_rng
 
 __all__ = [
@@ -138,8 +132,8 @@ class ExperimentConfig:
         for name in ("theta0", "x0"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.x0 == 0:
-            raise ValueError("x0 must be nonzero: every skeleton x0 e^(theta t) is then the same curve")
+        if abs(self.x0) < sys.float_info.min:  # zero or subnormal: theta is not identified
+            raise ValueError(f"x0 must be nonzero and normal, got {self.x0}: every skeleton is then (nearly) 0")
         for name in ("eps", "delta", "T", "p"):
             sweep = tuple(float(v) for v in getattr(self, name))
             if len(sweep) == 0:
@@ -384,9 +378,9 @@ def _discounted_block(paths: list, theta: float) -> tuple:
 def _ou_rows(integral: np.ndarray, growth: np.ndarray, eps_values, x0: float) -> np.ndarray:
     """The OU paths of a block as one C-contiguous (paths E, n + 1) array:
     row k E + e is the path of integral row k at eps_values[e], bit for bit
-    its one-path solution, as exact_solution_rows broadcasts over eps."""
+    its one-path solution, as exact_solution broadcasts over eps."""
     eps = np.array(eps_values, dtype=float)[:, np.newaxis]
-    return exact_solution_rows(integral[:, np.newaxis], growth, eps, x0).reshape(-1, integral.shape[1])
+    return exact_solution(integral[:, np.newaxis], growth, eps, x0).reshape(-1, integral.shape[1])
 
 
 def _theta_hats(cfg: ExperimentConfig, grid: GridPath, integral, growth, eps_values) -> np.ndarray:
@@ -520,8 +514,8 @@ def run_limit_dist(cfg: ExperimentConfig) -> list:
     eps_sorted = sorted(cfg.eps)
 
     def zeta_rows(grid, integral, growth):
-        ys = noise_response_rows(integral, growth)
-        return tangent_l1_coefficient_rows(ys, grid, cfg.theta0, cfg.x0)
+        ys = noise_response(integral, growth)
+        return tangent_l1_coefficient(ys, grid, cfg.theta0, cfg.x0)
 
     def paired(paths):
         # u and zeta of replication i both come from row i of one integral block
@@ -648,7 +642,7 @@ def run_covariance_audit(cfg: ExperimentConfig) -> list:
 
     def block(paths):
         _, integral, growth = _discounted_block(paths, cfg.theta0)
-        ys = noise_response_rows(integral, growth)
+        ys = noise_response(integral, growth)
         return [(z.values[idx], y[idx]) for z, y in zip(paths, ys)]
 
     (results,) = _map_paths(cfg, [_Sample(block, cfg.replications)])
@@ -700,7 +694,8 @@ def band_summaries(kind: str, rows: list, wide_audit: bool = False) -> list:
     """(band name, passed, detail) per acceptance band of the experiment kind.
 
     A band that compares rows across a sweep is not checked when the sweep
-    has one value: its ``passed`` is None and ``detail`` says why.
+    has one value, nor the consistency bound when no row passed its
+    threshold check: its ``passed`` is None and ``detail`` says why.
     ``wide_audit`` adds the 0.02 absolute bias allowance that the covariance
     audit grants non-Gaussian (q >= 2) partial-sum drivers.
     """
@@ -730,9 +725,8 @@ def band_summaries(kind: str, rows: list, wide_audit: bool = False) -> list:
                     checked += 1
                     bound = 2 * r["eps"] * math.exp(abs(r["theta0"])) * r["m_hat"] / r["g_delta"]
                     bound_ok &= r["p_hat"] <= min(1.0, bound + 3 * r["se"])
-            out.append(
-                (f"p-below-bound(delta={delta:g})", bound_ok, f"{checked} rows passed the threshold check")
-            )
+            detail = f"{checked} rows passed the threshold check"
+            out.append((f"p-below-bound(delta={delta:g})", bound_ok if checked else None, detail))
     elif kind == "limit-dist":
         sub = sorted(rows, key=lambda r: r["eps"])
         if len(sub) < 2:

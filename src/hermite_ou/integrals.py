@@ -28,7 +28,6 @@ __all__ = [
     "covariance_functional",
     "discounted_integral_rows",
     "noise_response",
-    "noise_response_rows",
 ]
 
 
@@ -90,8 +89,7 @@ def discounted_integral_rows(values: np.ndarray, times: np.ndarray, theta: float
     e^(-theta t_i) computed once for all rows.  Each row of a C-contiguous
     block is bit for bit the integral of that path alone, since the
     differences, products and running sums are the same operations in the
-    same order.  noise_response_rows and ou.exact_solution_rows are built on
-    it.
+    same order.  noise_response and ou.exact_solution are built on it.
     """
     out = np.empty(values.shape)
     out[..., 0] = 0.0
@@ -100,20 +98,13 @@ def discounted_integral_rows(values: np.ndarray, times: np.ndarray, theta: float
     return out
 
 
-def noise_response_rows(integral: np.ndarray, growth: np.ndarray) -> np.ndarray:
-    """Y_t = e^(theta t) * int_0^t e^(-theta s) dZ_s for every row of
-    ``integral`` (discounted_integral_rows at theta), with
-    ``growth`` = e^(theta t) on the same grid, computed once per block."""
-    return growth * integral
-
-
-def noise_response(z: GridPath, theta: float) -> GridPath:
-    """Y_t = e^(theta t) * int_0^t e^(-theta s) dZ_s, the drift response to z.
+def noise_response(integral: np.ndarray, growth: np.ndarray) -> np.ndarray:
+    """Y_t = e^(theta t) * int_0^t e^(-theta s) dZ_s, the drift response to
+    the driving path, for every row of ``integral``
+    (discounted_integral_rows at theta; one 1-D row is one path), with
+    ``growth`` = e^(theta t) on the same grid, computed once per block.
 
     Discretized with the left-endpoint Wiener integral; Y_0 = 0 and
     eps * Y equals the exact OU solution minus its deterministic skeleton.
-    This is noise_response_rows of the one path.
     """
-    y = noise_response_rows(discounted_integral_rows(z.values, z.times, theta), np.exp(theta * z.times))
-    return z.with_values(y, f"noise-response(theta={theta:g})")
-
+    return growth * integral

@@ -15,8 +15,8 @@ from hermite_ou.cli import main as cli_main
 from hermite_ou.estimator import EstimatorConfig, minimize_l1, tangent_l1_coefficient
 from hermite_ou.harness import ExperimentConfig, run_consistency, run_limit_dist, run_maximal
 from hermite_ou.hermite import GridPath, Provenance, simulate_fbm
-from hermite_ou.integrals import covariance_functional, noise_response
-from hermite_ou.ou import OuSpec, deterministic_solution, exact_solution
+from hermite_ou.integrals import covariance_functional, discounted_integral_rows, noise_response
+from hermite_ou.ou import deterministic_solution, exact_solution
 
 SEED = 20250810  # matches the shared fixtures in conftest.py
 GRID_PTS = (0.25, 0.5, 0.75, 1.0)
@@ -95,13 +95,13 @@ def test_criterion_4_gronwall_bound(fbm07_paths):
     eps, violations = 0.1, 0
     worst = 0.0
     for theta0 in (-1.0, 1.0):
-        spec = OuSpec(theta0, eps, 1.0)
         cap = 1.01 * eps * math.exp(abs(theta0))
         for s in range(1000):
             z = GridPath(1.0, 512, fbm07_paths[s], Provenance(SEED + 1, s, "fbm(H=0.7)"))
-            x = exact_solution(spec, z)
+            integral = discounted_integral_rows(z.values, z.times, theta0)
+            x = exact_solution(integral, np.exp(theta0 * z.times), eps, 1.0)
             skel = deterministic_solution(theta0, 1.0, z)
-            lhs = np.max(np.abs(x.values - skel.values))
+            lhs = np.max(np.abs(x - skel.values))
             rhs = cap * np.max(np.abs(z.values))
             worst = max(worst, lhs / rhs)
             violations += lhs > rhs
@@ -193,10 +193,10 @@ def test_criterion_9_oracle_equivalences():
     zeta_ok, zeta_worst = True, 0.0
     for s in range(100):
         z = simulate_fbm(0.7, 128, 1.0, make_rng(SEED + 7, s))
-        y = noise_response(z, theta0)
-        t = y.times[1 : y.n]
+        y = noise_response(discounted_integral_rows(z.values, z.times, theta0), np.exp(theta0 * z.times))
+        t = z.times[1 : z.n]
         w = t * x0 * np.exp(theta0 * t)
-        yv = y.values[1 : y.n]
+        yv = y[1 : z.n]
         ratios = yv / w
         grid = np.linspace(ratios.min(), ratios.max(), 10**5)
         step = grid[1] - grid[0]
@@ -206,7 +206,7 @@ def test_criterion_9_oracle_equivalences():
             obj[lo : lo + chunk.size] = np.abs(
                 yv[None, :] - chunk[:, None] * w[None, :]
             ).sum(axis=1)
-        gap = abs(tangent_l1_coefficient(y, theta0, x0) - grid[int(np.argmin(obj))])
+        gap = abs(tangent_l1_coefficient(y, z, theta0, x0) - grid[int(np.argmin(obj))])
         zeta_ok &= gap <= step + 1e-12
         zeta_worst = max(zeta_worst, gap / step if step else 0.0)
 
@@ -217,7 +217,8 @@ def test_criterion_9_oracle_equivalences():
     min_ok, min_worst = True, 0.0
     for s in range(20):
         z = simulate_fbm(0.7, 256, 1.0, make_rng(SEED + 8, s))
-        x = exact_solution(OuSpec(theta0, 0.05, x0), z)
+        integral = discounted_integral_rows(z.values, z.times, theta0)
+        x = z.with_values(exact_solution(integral, np.exp(theta0 * z.times), 0.05, x0), "ou")
         res = minimize_l1(x, x0, cfg)
         tgrid = x.times
         weights = np.full(tgrid.size, x.dt)

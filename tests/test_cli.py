@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -50,6 +51,27 @@ def test_simulate_ou_starts_at_x0(tmp_path):
     assert code == 0
     data = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
     assert data[1].split(",")[1] == "1.5"
+
+
+# sha256 of the whole CSV simulate writes, comment lines included
+SIMULATE_BYTES = {
+    "ou-seed-1": (["--process", "ou", "--q", "2", "--n", "64", "--m", "8", "--stream", "3",
+                   "--theta", "-0.7", "--eps", "0.3", "--x0", "2", "--seed", "1"],
+                  "517c771b3edab29c4f296bdf9e75aa67679c041030d2c15db06693b2ce15c847"),
+    "ou-seed-7": (["--process", "ou", "--q", "2", "--n", "64", "--m", "8", "--stream", "3",
+                   "--theta", "-0.7", "--eps", "0.3", "--x0", "2", "--seed", "7"],
+                  "c4b529a1cca2f3ead009b124087c351e0341d219e97af3bfe536e1cde36d2faa"),
+    "hermite-seed-1": (["--process", "hermite", "--q", "2", "--n", "64", "--m", "8", "--stream", "3",
+                        "--seed", "1"],
+                       "88f03171ed88729b534c89de1ab1ec810cdef760a58811c739ea3058886c0bfc"),
+}
+
+
+@pytest.mark.parametrize("flags, digest", SIMULATE_BYTES.values(), ids=SIMULATE_BYTES.keys())
+def test_simulate_keeps_its_recorded_bytes(flags, digest, tmp_path):
+    out = tmp_path / "p.csv"
+    assert run_cli("simulate", *flags, "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_simulate_identical_flags_identical_bytes(tmp_path):
@@ -179,16 +201,22 @@ def test_experiment_rejects_zero_start_before_sampling(kind, tmp_path, capsys):
 
 
 def test_experiment_rejects_a_subnormal_start_that_overflows_the_tangent_fit(tmp_path, capsys):
-    # x0 = 1e-320 is finite and nonzero, but Y_i / (t_i x0 e^(theta0 t_i))
-    # overflows: an inf gap and a nan quantile must not reach the CSV
-    cfg = tmp_path / "s.cfg"
-    write_config(cfg, kind="limit-dist", n=64, replications=4, ks_samples=4)
-    code = run_cli("experiment", "--config", str(cfg), "--set", "x0=1e-320",
-                   "--out-dir", str(tmp_path / "out"))
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: x0 = 1e-320: ") and err.count("\n") == 1, err
-    assert not (tmp_path / "out").exists()
+    # x0 = 1e-320 is finite and nonzero, but every skeleton is then nearly 0:
+    # consistency cannot identify theta (it printed p_hat = 1 and a PASS),
+    # and Y_i / (t_i x0 e^(theta0 t_i)) overflows in the limit-dist tangent fit.
+    # Both kinds reject it before sampling
+    for kind in ("consistency", "limit-dist"):
+        cfg = tmp_path / f"{kind}.cfg"
+        write_config(cfg, kind=kind, n=64, replications=4, ks_samples=4)
+        fail = mock.Mock(side_effect=AssertionError("fgn_autocov called"))
+        with mock.patch.object(hermite, "fgn_autocov", fail):
+            code = run_cli("experiment", "--config", str(cfg), "--set", "x0=1e-320",
+                           "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid experiment configuration: x0 must be nonzero and normal, got 1e-320")
+        assert err.count("\n") == 1, err
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

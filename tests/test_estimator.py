@@ -15,12 +15,11 @@ from hermite_ou.estimator import (
     minimize_l1_rows,
     skeleton_separation,
     tangent_l1_coefficient,
-    tangent_l1_coefficient_rows,
     tangent_l1_objective,
 )
 from hermite_ou.hermite import GridPath, Provenance, simulate_fbm
-from hermite_ou.integrals import noise_response
-from hermite_ou.ou import OuSpec, deterministic_solution, exact_solution
+from hermite_ou.integrals import discounted_integral_rows, noise_response
+from hermite_ou.ou import deterministic_solution, exact_solution
 
 H = 0.7
 CFG = EstimatorConfig(theta_lo=-2.0, theta_hi=2.0)
@@ -51,7 +50,8 @@ def test_objective_closed_form_constant_path():
 def test_objective_homogeneous_in_scale():
     rng = make_rng(1, 0)
     z = simulate_fbm(H, 64, 1.0, rng)
-    x = exact_solution(OuSpec(0.5, 0.2, 1.0), z)
+    integral = discounted_integral_rows(z.values, z.times, 0.5)
+    x = path_from(exact_solution(integral, np.exp(0.5 * z.times), 0.2, 1.0))
     doubled = path_from(2 * x.values)
     assert l1_objective(doubled, 0.5, 2.0) == pytest.approx(
         2 * l1_objective(x, 0.5, 1.0), rel=1e-12
@@ -60,7 +60,8 @@ def test_objective_homogeneous_in_scale():
 
 def test_objective_is_continuous_in_theta():
     z = simulate_fbm(H, 512, 1.0, make_rng(1, 1))
-    x = exact_solution(OuSpec(1.0, 0.1, 1.0), z)
+    integral = discounted_integral_rows(z.values, z.times, 1.0)
+    x = path_from(exact_solution(integral, np.exp(1.0 * z.times), 0.1, 1.0))
     for theta in np.linspace(-2, 2, 41):
         assert abs(l1_objective(x, theta + 1e-6, 1.0) - l1_objective(x, theta, 1.0)) < 1e-4
 
@@ -90,7 +91,8 @@ def test_minimize_consistency_small_noise():
     theta0, hits = 1.0, 0
     for s in range(200):
         z = simulate_fbm(H, 256, 1.0, make_rng(31, s))
-        x = exact_solution(OuSpec(theta0, 0.05, 1.0), z)
+        integral = discounted_integral_rows(z.values, z.times, theta0)
+        x = path_from(exact_solution(integral, np.exp(theta0 * z.times), 0.05, 1.0))
         res = minimize_l1(x, 1.0, CFG)
         hits += abs(res.theta_hat - theta0) < 0.5
     assert hits >= 190
@@ -101,7 +103,8 @@ def test_minimize_matches_dense_grid_oracle():
     spacing = grid[1] - grid[0]
     for s in range(20):
         z = simulate_fbm(H, 256, 1.0, make_rng(32, s))
-        x = exact_solution(OuSpec(1.0, 0.05, 1.0), z)
+        integral = discounted_integral_rows(z.values, z.times, 1.0)
+        x = path_from(exact_solution(integral, np.exp(1.0 * z.times), 0.05, 1.0))
         res = minimize_l1(x, 1.0, CFG)
         vals = _objective_on_grid(x, grid, 1.0)
         oracle = grid[int(np.argmin(vals))]
@@ -122,7 +125,8 @@ def _objective_on_grid(x, thetas, x0, block=2048):
 
 def test_minimize_unchanged_when_window_widens():
     z = simulate_fbm(H, 256, 1.0, make_rng(33, 7))
-    x = exact_solution(OuSpec(1.0, 0.1, 1.0), z)
+    integral = discounted_integral_rows(z.values, z.times, 1.0)
+    x = path_from(exact_solution(integral, np.exp(1.0 * z.times), 0.1, 1.0))
     res = minimize_l1(x, 1.0, CFG)
     assert CFG.theta_lo < res.bracket[0] and res.bracket[1] < CFG.theta_hi
     wide = EstimatorConfig(theta_lo=-3.0, theta_hi=3.0)
@@ -134,7 +138,8 @@ def test_minimize_counts_scan_and_refinement_evaluations():
     # the coarse scan counts one evaluation per grid point without calling
     # _objective_at; every refinement evaluation is one point passed to it
     z = simulate_fbm(H, 512, 1.0, make_rng(34, 0))
-    x = exact_solution(OuSpec(1.0, 0.1, 1.0), z)
+    integral = discounted_integral_rows(z.values, z.times, 1.0)
+    x = path_from(exact_solution(integral, np.exp(1.0 * z.times), 0.1, 1.0))
     calls = []
     objective_at = estimator._objective_at
 
@@ -619,23 +624,27 @@ def test_tangent_fit_exact_on_tangent_curve():
     theta0, x0, c = 0.8, 1.5, -2.3
     t = np.linspace(0, 1, 129)
     y = path_from(c * t * x0 * np.exp(theta0 * t))
-    assert tangent_l1_coefficient(y, theta0, x0) == pytest.approx(c, rel=1e-12)
+    assert tangent_l1_coefficient(y.values, y, theta0, x0) == pytest.approx(c, rel=1e-12)
 
 
 def test_tangent_fit_zero_response():
-    assert tangent_l1_coefficient(zero_path(64), 1.0, 1.0) == 0.0
+    z = zero_path(64)
+    assert tangent_l1_coefficient(z.values, z, 1.0, 1.0) == 0.0
 
 
 def test_tangent_fit_requires_nonzero_x0():
+    z = zero_path(64)
     with pytest.raises(ValueError):
-        tangent_l1_coefficient(zero_path(64), 1.0, 0.0)
+        tangent_l1_coefficient(z.values, z, 1.0, 0.0)
 
 
 @pytest.mark.parametrize("theta0, x0", [(1.0, math.nan), (1.0, math.inf), (math.nan, 1.0), (-math.inf, 1.0)])
 def test_tangent_fit_rejects_a_non_finite_start_or_estimand(theta0, x0):
-    y = noise_response(simulate_fbm(H, 64, 1.0, make_rng(36, 0)), 1.0)
+    z = simulate_fbm(H, 64, 1.0, make_rng(36, 0))
+    integral = discounted_integral_rows(z.values, z.times, 1.0)
+    y = path_from(noise_response(integral, np.exp(1.0 * z.times)))
     with pytest.raises(ValueError, match="must be finite"):
-        tangent_l1_coefficient(y, theta0, x0)
+        tangent_l1_coefficient(y.values, y, theta0, x0)
     with pytest.raises(ValueError, match="must be finite"):
         tangent_l1_objective(y, 0.0, theta0, x0)
 
@@ -643,19 +652,22 @@ def test_tangent_fit_rejects_a_non_finite_start_or_estimand(theta0, x0):
 def test_tangent_fit_rejects_ratios_that_overflow():
     # a subnormal x0 makes the weights so small that Y_i / w_i is inf; the
     # rejection names x0 and raises no RuntimeWarning on the way
-    y = noise_response(simulate_fbm(H, 64, 1.0, make_rng(36, 1)), 1.0)
+    z = simulate_fbm(H, 64, 1.0, make_rng(36, 1))
+    integral = discounted_integral_rows(z.values, z.times, 1.0)
+    y = path_from(noise_response(integral, np.exp(1.0 * z.times)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="x0 = 1e-320"):
-            tangent_l1_coefficient(y, 1.0, 1e-320)
+            tangent_l1_coefficient(y.values, y, 1.0, 1e-320)
         with pytest.raises(ValueError, match="x0 = 1e-320"):
-            tangent_l1_coefficient_rows(np.stack([y.values, y.values]), y, 1.0, 1e-320)
+            tangent_l1_coefficient(np.stack([y.values, y.values]), y, 1.0, 1e-320)
 
 
 def test_tangent_objective_minimal_at_solution():
     z = simulate_fbm(H, 256, 1.0, make_rng(34, 0))
-    y = noise_response(z, 1.0)
-    zeta = tangent_l1_coefficient(y, 1.0, 1.0)
+    integral = discounted_integral_rows(z.values, z.times, 1.0)
+    y = path_from(noise_response(integral, np.exp(1.0 * z.times)))
+    zeta = tangent_l1_coefficient(y.values, y, 1.0, 1.0)
     j = lambda u: tangent_l1_objective(y, u, 1.0, 1.0)
     assert j(zeta) <= j(zeta + 0.1)
     assert j(zeta) <= j(zeta - 0.1)
@@ -667,8 +679,9 @@ def test_tangent_objective_zero_response_at_zero():
 
 def test_tangent_objective_subgradient_signs():
     z = simulate_fbm(H, 256, 1.0, make_rng(34, 1))
-    y = noise_response(z, 1.0)
-    zeta = tangent_l1_coefficient(y, 1.0, 1.0)
+    integral = discounted_integral_rows(z.values, z.times, 1.0)
+    y = path_from(noise_response(integral, np.exp(1.0 * z.times)))
+    zeta = tangent_l1_coefficient(y.values, y, 1.0, 1.0)
     h = 1e-6
     j = lambda u: tangent_l1_objective(y, u, 1.0, 1.0)
     assert (j(zeta + h) - j(zeta)) / h >= -1e-9
@@ -680,7 +693,8 @@ def test_tangent_fit_matches_grid_oracle():
     theta0, x0 = 1.0, 1.0
     for s in range(100):
         z = simulate_fbm(H, 128, 1.0, make_rng(35, s))
-        y = noise_response(z, theta0)
+        integral = discounted_integral_rows(z.values, z.times, theta0)
+        y = path_from(noise_response(integral, np.exp(theta0 * z.times)))
         yv = y.values[1 : y.n]
         w = y.times[1 : y.n] * x0 * np.exp(theta0 * y.times[1 : y.n])
         ratios = yv / w
@@ -688,7 +702,7 @@ def test_tangent_fit_matches_grid_oracle():
         step = grid[1] - grid[0]
         obj = _tangent_objective_on_grid(y, grid, theta0, x0)
         oracle = grid[int(np.argmin(obj))]
-        zeta = tangent_l1_coefficient(y, theta0, x0)
+        zeta = tangent_l1_coefficient(y.values, y, theta0, x0)
         assert abs(zeta - oracle) <= step + 1e-12, s
 
 
@@ -708,7 +722,8 @@ def test_linearized_objective_converges_first_order():
     # the tangent objective at rate O(eps)
     theta0, x0, u = 1.0, 1.0, 1.7
     z = simulate_fbm(H, 256, 1.0, make_rng(36, 0))
-    y = noise_response(z, theta0)
+    integral = discounted_integral_rows(z.values, z.times, theta0)
+    y = path_from(noise_response(integral, np.exp(theta0 * z.times)))
 
     def j_eps(eps):
         t = y.times[:-1]

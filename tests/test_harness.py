@@ -31,10 +31,10 @@ from hermite_ou.harness import (
     simulate_driver,
     write_rows_csv,
 )
-from hermite_ou.estimator import minimize_l1, tangent_l1_coefficient, tangent_l1_coefficient_rows
+from hermite_ou.estimator import minimize_l1, tangent_l1_coefficient
 from hermite_ou.hermite import HermiteSpec, simulate_fbm, simulate_partial_sum
-from hermite_ou.integrals import covariance_functional, noise_response, noise_response_rows
-from hermite_ou.ou import OuSpec, exact_solution
+from hermite_ou.integrals import covariance_functional, discounted_integral_rows, noise_response
+from hermite_ou.ou import exact_solution
 
 
 def render(rows, kind):
@@ -152,8 +152,9 @@ def test_config_rejects_bad_eps():
             ExperimentConfig(kind="consistency", **{name: sweep})
 
 
-@pytest.mark.parametrize("x0", [0.0, -0.0])
+@pytest.mark.parametrize("x0", [0.0, -0.0, 1e-320, -sys.float_info.min / 2])
 def test_config_rejects_zero_start(x0):
+    # a subnormal x0 leaves every skeleton x0 e^(theta t) nearly 0 as well
     with pytest.raises(ValueError, match="x0 must be nonzero"):
         ExperimentConfig(kind="consistency", x0=x0)
 
@@ -426,7 +427,10 @@ def test_covariance_audit_response_block_is_the_noise_response_covariance(audit_
         simulate_driver(cfg.generator, cfg.q, cfg.H, cfg.n, cfg.m, 1.0, make_rng(cfg.seed, i))
         for i in range(cfg.replications)
     ]
-    ys = np.array([noise_response(z, cfg.theta0).values for z in paths])
+    ys = np.array([
+        noise_response(discounted_integral_rows(z.values, z.times, cfg.theta0), np.exp(cfg.theta0 * z.times))
+        for z in paths
+    ])
     assert [(r["s"], r["t"]) for r in rows[10:]] == [(r["s"], r["t"]) for r in rows[:10]]
     for r in rows[10:]:
         assert r["estimate"] == float(np.mean(ys[:, idx[r["s"]]] * ys[:, idx[r["t"]]])), (r["s"], r["t"])
@@ -551,7 +555,7 @@ def test_map_paths_gives_each_path_its_own_result_under_any_block_plan(
     def fn(paths):
         sizes.append((paths[0].n, len(paths)))
         grid, integral, growth = harness._discounted_block(paths, 0.8)
-        zetas = tangent_l1_coefficient_rows(noise_response_rows(integral, growth), grid, 0.8, 1.0)
+        zetas = tangent_l1_coefficient(noise_response(integral, growth), grid, 0.8, 1.0)
         return [(z.provenance.stream, z.n, zeta.hex()) for z, zeta in zip(paths, zetas.tolist())]
 
     budget = per_block * (cfg.n * 2 + 1)  # per_block paths of the widest grid
@@ -567,7 +571,8 @@ def test_map_paths_gives_each_path_its_own_result_under_any_block_plan(
         for i in range(reps):
             stream = first_stream + g * reps + i
             z = simulate_driver(cfg.generator, cfg.q, cfg.H, n, cfg.m, t_max, make_rng(cfg.seed, stream))
-            want.append((stream, n, tangent_l1_coefficient(noise_response(z, 0.8), 0.8, 1.0).hex()))
+            y = noise_response(discounted_integral_rows(z.values, z.times, 0.8), np.exp(0.8 * z.times))
+            want.append((stream, n, float(tangent_l1_coefficient(y, z, 0.8, 1.0)).hex()))
     assert got == want
     steps = [n for n, _ in cfg.grids()]
     assert sorted(sizes) == sorted((steps[u], hi - lo) for u, lo, hi in plan)
@@ -590,16 +595,18 @@ def test_limit_dist_pairs_u_and_zeta_of_one_stream(monkeypatch):
         return simulate_driver(cfg.generator, cfg.q, cfg.H, cfg.n, cfg.m, 1.0, make_rng(cfg.seed, stream))
 
     def zeta(z):
-        return tangent_l1_coefficient(noise_response(z, cfg.theta0), cfg.theta0, cfg.x0)
+        y = noise_response(discounted_integral_rows(z.values, z.times, cfg.theta0), np.exp(cfg.theta0 * z.times))
+        return float(tangent_l1_coefficient(y, z, cfg.theta0, cfg.x0))
 
     est_cfg = cfg.estimator_config()
     zetas, us = [], []
     for i in range(cfg.replications):
         z = driver(i)
         zetas.append(zeta(z))
+        integral, growth = discounted_integral_rows(z.values, z.times, cfg.theta0), np.exp(cfg.theta0 * z.times)
         us.append([
-            (minimize_l1(exact_solution(OuSpec(cfg.theta0, eps, cfg.x0), z), cfg.x0, est_cfg).theta_hat
-             - cfg.theta0) / eps
+            (minimize_l1(z.with_values(exact_solution(integral, growth, eps, cfg.x0), "ou"), cfg.x0, est_cfg)
+             .theta_hat - cfg.theta0) / eps
             for eps in sorted(cfg.eps)
         ])
     indep = [zeta(driver(10**6 + i)) for i in range(cfg.ks_samples)]
@@ -620,8 +627,9 @@ def test_ou_rows_is_one_array_of_the_one_path_solutions():
     assert rows.shape == (len(paths) * len(eps_values), 65)
     assert rows.flags.c_contiguous
     for k, z in enumerate(paths):
+        integral = discounted_integral_rows(z.values, z.times, theta0)
         for e, eps in enumerate(eps_values):
-            want = exact_solution(OuSpec(theta0, eps, x0), z).values
+            want = exact_solution(integral, np.exp(theta0 * z.times), eps, x0)
             assert rows[k * len(eps_values) + e].tobytes() == want.tobytes()
 
 
@@ -949,3 +957,13 @@ def test_band_is_checked_only_over_a_sweep_of_two_or_more_values(fields, skipped
             assert detail == f"one {'T' if cfg.kind == 'maximal' else 'eps'} value, nothing to compare"
         else:
             assert isinstance(passed, (bool, np.bool_)), name
+
+
+def test_bound_band_is_skipped_when_no_row_passed_the_threshold_check():
+    # at eps = 5 and 2 no row meets the threshold condition, so the bound
+    # band checks nothing: SKIP, not PASS
+    cfg = ExperimentConfig(kind="consistency", eps=(5.0, 2.0), n=64, replications=20)
+    rows = run_experiment(cfg)
+    assert not any(r["threshold_ok"] for r in rows)
+    bands = band_summaries(cfg.kind, rows)
+    assert ("p-below-bound(delta=0.5)", None, "0 rows passed the threshold check") in bands

@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 
 from hermite_ou import make_rng
-from hermite_ou.estimator import tangent_l1_coefficient, tangent_l1_coefficient_rows
+from hermite_ou.estimator import tangent_l1_coefficient
 from hermite_ou.hermite import GridPath, Provenance, simulate_fbm
 from hermite_ou.integrals import (
     covariance_functional,
     discounted_integral_rows,
     noise_response,
-    noise_response_rows,
     wiener_integral,
 )
-from hermite_ou.ou import OuSpec, deterministic_solution, exact_solution, exact_solution_rows
+from hermite_ou.ou import deterministic_solution, exact_solution
 
 H = 0.7
 
@@ -135,28 +134,31 @@ def test_discounted_integral_is_running_wiener_integral():
 
 def test_noise_response_zero_drift_is_identity():
     z = simulate_fbm(H, 64, 1.0, make_rng(2, 0))
-    np.testing.assert_allclose(noise_response(z, 0.0).values, z.values, atol=1e-15)
+    y = noise_response(discounted_integral_rows(z.values, z.times, 0.0), np.exp(0.0 * z.times))
+    np.testing.assert_allclose(y, z.values, atol=1e-15)
 
 
 def test_noise_response_of_zero_path():
-    np.testing.assert_array_equal(noise_response(zero_path(), 1.3).values, np.zeros(65))
+    z = zero_path()
+    y = noise_response(discounted_integral_rows(z.values, z.times, 1.3), np.exp(1.3 * z.times))
+    np.testing.assert_array_equal(y, np.zeros(65))
 
 
 def test_noise_response_matches_exact_solution_gap():
     z = simulate_fbm(H, 256, 1.0, make_rng(2, 1))
     for theta in (-1.0, 0.4, 1.0):
-        spec = OuSpec(theta=theta, eps=0.05, x0=1.2)
-        x = exact_solution(spec, z)
-        skeleton = deterministic_solution(theta, spec.x0, z)
-        y = noise_response(z, theta)
-        np.testing.assert_allclose(
-            x.values - skeleton.values, spec.eps * y.values, atol=1e-12, rtol=1e-10
-        )
+        integral, growth = discounted_integral_rows(z.values, z.times, theta), np.exp(theta * z.times)
+        x = exact_solution(integral, growth, 0.05, 1.2)
+        skeleton = deterministic_solution(theta, 1.2, z)
+        y = noise_response(integral, growth)
+        np.testing.assert_allclose(x - skeleton.values, 0.05 * y, atol=1e-12, rtol=1e-10)
 
 
 def test_noise_response_keeps_rng_provenance():
+    # the response is one value per grid point of its driving path, so it
+    # goes back on that path's grid with the path's seed and stream
     z = simulate_fbm(H, 32, 1.0, make_rng(11, 5))
-    y = noise_response(z, 1.0)
+    y = z.with_values(noise_response(discounted_integral_rows(z.values, z.times, 1.0), np.exp(z.times)), "y")
     assert (y.provenance.seed, y.provenance.stream) == (11, 5)
 
 
@@ -177,16 +179,20 @@ def test_block_rows_equal_the_one_path_functions_bit_for_bit(n, t_max, theta, x0
     grid = paths[0]
     integral = discounted_integral_rows(np.stack([z.values for z in paths]), grid.times, theta)
     growth = np.exp(theta * grid.times)
-    ys = noise_response_rows(integral, growth)
-    zetas = tangent_l1_coefficient_rows(ys, grid, theta, x0)
+    ys = noise_response(integral, growth)
+    zetas = tangent_l1_coefficient(ys, grid, theta, x0)
     for k, z in enumerate(paths):
-        assert np.array_equal(bits(integral[k]), bits(discounted_integral_rows(z.values, z.times, theta)))
-        assert np.array_equal(bits(ys[k]), bits(noise_response(z, theta).values))
-        assert bits(zetas[k]) == bits(tangent_l1_coefficient(noise_response(z, theta), theta, x0))
+        # each function on the path's own 1-D row, e^(theta t) from its grid
+        one = discounted_integral_rows(z.values, z.times, theta)
+        y = noise_response(one, np.exp(theta * z.times))
+        assert np.array_equal(bits(integral[k]), bits(one))
+        assert np.array_equal(bits(ys[k]), bits(y))
+        assert bits(zetas[k]) == bits(tangent_l1_coefficient(y, z, theta, x0))
     for eps in (0.5, 1e-3):
-        xs = exact_solution_rows(integral, growth, eps, x0)
+        xs = exact_solution(integral, growth, eps, x0)
         for k, z in enumerate(paths):
-            assert np.array_equal(bits(xs[k]), bits(exact_solution(OuSpec(theta, eps, x0), z).values))
+            one = discounted_integral_rows(z.values, z.times, theta)
+            assert np.array_equal(bits(xs[k]), bits(exact_solution(one, np.exp(theta * z.times), eps, x0)))
 
 
 # -------------------------------------------------- noise response covariance

@@ -51,8 +51,8 @@ def test_runtime_dependencies_match_the_package_imports():
 def referenced_names(tree: ast.Module) -> set:
     """Names the module's code reads, as names, attributes or imports; a
     top-level definition's references to its own name are left out.  An
-    import counts: harness imports the one-path forms that bench/tracer.py
-    wraps under those names."""
+    import counts: harness imports minimize_l1, the one-path form that
+    bench/tracer.py wraps under that name."""
     names = set()
     for stmt in tree.body:
         found = set()

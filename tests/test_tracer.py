@@ -84,9 +84,46 @@ def test_every_path_is_one_sampler_span_under_its_generator(kind, q):
     assert all(names[s.parent].startswith("hermite.simulate_") for s in samples)
 
 
+@pytest.mark.parametrize("kind", ["limit-dist", "covariance-audit"])
+def test_every_block_solve_is_one_span_in_its_task(kind, monkeypatch):
+    # the block-wide OU solve, noise response and tangent fit run under the
+    # names the tracer wraps: one span of each per task that computes it.  A
+    # limit-dist task of the paired sample solves the OU rows, and each of
+    # its tasks takes the noise response and the tangent fit; an audit task
+    # takes only the noise response
+    from hermite_ou import harness
+
+    cfg = harness.ExperimentConfig(
+        kind=kind, q=2, eps=(0.5, 0.1), n=16, m=4, replications=6, ks_samples=5, seed=3,
+    )
+    monkeypatch.setattr(harness, "_BLOCK_VALUES", 2 * len(cfg.eps) * cfg.coarse_points)  # 2 paired paths a block
+    tracer = load_tracer().Tracer()
+    with tracer.installed():
+        harness.run_experiment(cfg)
+    solves = ("ou.exact_solution", "integrals.noise_response", "estimator.tangent_l1_coefficient")
+    tasks = {s.id: [] for s in tracer.spans if s.name == "harness.task"}
+    for s in tracer.spans:
+        if s.name in solves or s.name.startswith("hermite.simulate_"):
+            tasks[s.parent].append(s.name)
+    paths = {True: 0, False: 0}  # by whether the task solved OU rows
+    for children in tasks.values():
+        count = {name: children.count(name) for name in solves}
+        size = len(children) - sum(count.values())
+        assert size >= 1
+        paths[count["ou.exact_solution"] == 1] += size
+        if kind == "limit-dist":
+            assert count["integrals.noise_response"] == count["estimator.tangent_l1_coefficient"] == 1
+            assert count["ou.exact_solution"] in (0, 1)
+        else:
+            assert count == dict(zip(solves, (0, 1, 0)))
+    assert paths == ({True: cfg.replications, False: cfg.ks_samples} if kind == "limit-dist"
+                     else {True: 0, False: cfg.replications})
+    assert len(tasks) < sum(paths.values())  # some block holds more than one path
+
+
 def test_the_only_unused_package_imports_of_harness_are_tracer_wrap_points():
-    # harness imports a few one-path forms only so that the tracer can wrap
-    # them there; any other import it never uses is dead code
+    # harness imports minimize_l1 only so that the tracer can wrap it there;
+    # any other import it never uses is dead code
     import hermite_ou.harness
 
     tree = ast.parse(Path(hermite_ou.harness.__file__).read_text())
@@ -98,4 +135,4 @@ def test_the_only_unused_package_imports_of_harness_are_tracer_wrap_points():
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     wrapped = {attr for module, attr, _, _ in load_tracer().WRAPS if module == "hermite_ou.harness"}
-    assert imported - used == wrapped - used
+    assert imported - used == wrapped - used == {"minimize_l1"}
