@@ -179,29 +179,35 @@ def _objective_at(values: np.ndarray, thetas: np.ndarray, grid: GridPath, x0: fl
     return _l1_rows(values, skel, grid.dt, skel)
 
 
-def _check_window(values: np.ndarray, grid: GridPath, x0: float, cfg: EstimatorConfig) -> None:
-    """Raise ValueError where a row of ``values`` (paths on ``grid``) holds a
-    non-finite value, or where e^(theta t), x0 e^(theta t) or the row sum of
-    the L1 objective would overflow a double for some theta in the window."""
-    if not math.isfinite(x0):
-        raise ValueError(f"x0 must be finite, got {x0}")
-    top = max(float(values.max()), -float(values.min()))  # max |X|, NaN if any X is NaN
+def _check_rows(values: np.ndarray) -> float:
+    """max |X| over ``values``; ValueError where a row holds a non-finite value."""
+    top = max(float(values.max()), -float(values.min()))  # NaN if any X is NaN
     if not math.isfinite(top):
         raise ValueError("path contains non-finite values")
-    lo, hi = cfg.theta_lo * grid.t_max, cfg.theta_hi * grid.t_max
+    return top
+
+
+def _check_skeleton(n: int, t_max: float, x0: float, top: float, cfg: EstimatorConfig) -> None:
+    """Raise ValueError where e^(theta t), x0 e^(theta t) or the row sum of
+    the L1 objective of paths with max |X| = ``top`` on n steps over
+    [0, t_max] would overflow a double for some theta in the window.  At
+    top = 0 it fails only for windows on which every path fails."""
+    if not math.isfinite(x0):
+        raise ValueError(f"x0 must be finite, got {x0}")
+    lo, hi = cfg.theta_lo * t_max, cfg.theta_hi * t_max
     # the row sum has n + 1 terms, each at most 2 max(|x0|, max|X|) e^(max(theta t, 0));
     # max(., 1) also keeps e^(theta t) itself finite
     size = max(abs(x0), top, 1.0)
-    headroom = _LOG_MAX - math.log(2 * (grid.n + 1) * size)
+    headroom = _LOG_MAX - math.log(2 * (n + 1) * size)
     if headroom < 0:
         raise ValueError(
-            f"path values overflow: the L1 objective of {grid.n + 1} grid points with "
+            f"path values overflow: the L1 objective of {n + 1} grid points with "
             f"max(|x0|, max|X|) = {size:.6g} is not a finite double"
         )
     if not (math.isfinite(lo) and max(hi, 0.0) <= headroom):
         raise ValueError(
             f"window [{cfg.theta_lo}, {cfg.theta_hi}] overflows: x0 e^(theta t) with "
-            f"x0 = {x0} is not a finite double on t in [0, {grid.t_max}]"
+            f"x0 = {x0} is not a finite double on t in [0, {t_max}]"
         )
 
 
@@ -225,7 +231,7 @@ def minimize_l1_rows(values: np.ndarray, grid: GridPath, x0: float, cfg: Estimat
     """
     if values.ndim != 2 or values.shape[1] != grid.n + 1:
         raise ValueError(f"values must be (rows, n + 1 = {grid.n + 1}) path rows, got shape {values.shape}")
-    _check_window(values, grid, x0, cfg)
+    _check_skeleton(grid.n, grid.t_max, x0, _check_rows(values), cfg)
     thetas = np.linspace(cfg.theta_lo, cfg.theta_hi, cfg.coarse_points)
     k, best_val = _coarse_pick(values, grid, thetas, x0)
 

@@ -37,6 +37,7 @@ import numpy as np
 from .estimator import (  # noqa: F401
     _LOG_MAX,
     EstimatorConfig,
+    _check_skeleton,
     minimize_l1,
     minimize_l1_rows,
     skeleton_separation,
@@ -161,6 +162,8 @@ class ExperimentConfig:
         for steps, t_max in self.grids():  # generator checked and sized before any run allocates
             _check_driver_size(self.generator, self.q, steps, self.m, t_max)
         est_cfg = self.estimator_config()  # validates the window
+        if self.kind in ("consistency", "limit-dist"):  # a window that overflows on every path
+            _check_skeleton(self.n, 1.0, self.x0, 0.0, est_cfg)
         # an estimand outside the window pins every theta_hat at its edge
         if self.kind == "consistency":  # the widest delta is the one that can leave it
             skeleton_separation(max(self.delta), self.theta0, self.x0, est_cfg)

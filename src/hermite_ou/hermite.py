@@ -16,6 +16,12 @@ Var(Z_1) = 1 holds exactly at any resolution.
 
 ``simulate_fbm`` gives exact fractional Brownian motion (the q = 1 case)
 from cumulative fractional Gaussian noise.
+
+Both draw each path as one circulant-embedding sample of fractional
+Gaussian noise (rng.sample_stationary_gaussian), reduced to its grid inside
+the sampler's workspace.  What stays resident per size is the embedding
+scale, cached per (h, n) in rng, and the partial-sum normalization, cached
+here per (q, H0, summands per unit of time); no autocovariance is kept.
 """
 
 from __future__ import annotations
@@ -128,10 +134,10 @@ class GridPath:
 
 # largest circulant embedding the FFT samplers may build: 2^24 points.  That
 # is one 256 MiB complex workspace per worker, in which every path is drawn
-# and reduced to its grid, plus, once per process, the cached 128 MiB scale,
-# the 64 MiB autocovariance of 2^23 + 1 lags and, for partial sums, the
-# normalization's of up to 2^24 lags (the benchmark workloads use at most
-# 2^17 points)
+# and reduced to its grid, plus, once per process, the cached 128 MiB scale
+# and, while they are filled, the 64 MiB autocovariance of 2^23 + 1 lags and,
+# for partial sums, the normalization's of up to 2^24 lags (the benchmark
+# workloads use at most 2^17 points)
 _EMBEDDING_MAX_POINTS = 1 << 24
 
 
@@ -194,7 +200,7 @@ def _fgn_increments(h: float, n_incr: int, rng: RngState, reduce):
     only what reduce returns is allocated.
     """
     n_pad = _embedding_lags(n_incr)
-    return sample_stationary_gaussian(fgn_autocov(h, n_pad), n_pad, rng, reduce=reduce)
+    return sample_stationary_gaussian(h, n_pad, rng, reduce=reduce)
 
 
 def simulate_fbm(h: float, n: int, t_max: float, rng: RngState) -> GridPath:
@@ -225,7 +231,7 @@ def _partial_sum_std(q: int, h0: float, k: int) -> float:
     pairs, so the variance is q! * sum_{j,l<=k} rho(|j-l|)^q.  Filled once
     per process, as its k-lag temporaries are as long as the autocovariance.
     """
-    rho = fgn_autocov(h0, k).values
+    rho = fgn_autocov(h0, k)
     lags = np.arange(1, k, dtype=float)
     terms = rho[1:] ** q
     np.multiply(np.subtract(k, lags, out=lags), terms, out=terms)  # (k - lags) rho^q

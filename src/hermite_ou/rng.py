@@ -1,14 +1,12 @@
-"""Seeded random streams and exact sampling of stationary Gaussian sequences.
+"""Seeded random streams and exact sampling of fractional Gaussian noise.
 
-Sampling uses circulant embedding (Davies-Harte): the target autocovariance
+Sampling uses circulant embedding (Davies-Harte): the FGN autocovariance
 gamma(0..n-1) is extended evenly to a circulant of length 2(n-1) whose FFT
 gives the embedding eigenvalues.  If those are nonnegative the method is
 exact in distribution and costs O(n log n).  Only the per-frequency
-amplitude sqrt(lambda / m) is cached on the AutocovSequence, so a sample
-costs one Box-Muller pass, written straight into the spectrum, and one FFT
-in place.  The sampler takes only an AutocovSequence of exactly the n >= 2
-lags it samples (fgn_autocov gives one, cached per (h, n)), so the scale it
-reads is always the one cached on that sequence.
+amplitude sqrt(lambda / m) is cached, once per (h, n), so a sample costs
+one Box-Muller pass, written straight into the spectrum, and one FFT in
+place.
 
 The spectrum buffer is reused across paths and threads: a call borrows a
 workspace from a module-level free list and returns it when it is done, so
@@ -34,7 +32,6 @@ import numpy as np
 __all__ = [
     "RngState",
     "make_rng",
-    "AutocovSequence",
     "fgn_autocov",
     "sample_stationary_gaussian",
     "NegativeEigenvalueError",
@@ -114,7 +111,6 @@ def _polar_pairs(gen: np.random.Generator, v: np.ndarray) -> np.ndarray:
 
 _free_workspaces: list = []  # idle complex spectrum buffers
 _free_lock = threading.Lock()
-_scale_lock = threading.Lock()  # held while an embedding scale is filled
 
 
 @contextmanager
@@ -143,76 +139,6 @@ def _workspace(m: int):
             _free_workspaces.append(ws)
 
 
-@dataclass(frozen=True)
-class AutocovSequence:
-    """Autocovariances gamma(0), gamma(1), ..., gamma(n-1) of a stationary sequence."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("autocovariance must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("autocovariance contains non-finite values")
-        if v[0] <= 0:
-            raise ValueError(f"gamma(0) must be positive, got {v[0]}")
-        if np.any(np.abs(v) > v[0] * (1 + 1e-12)):
-            raise ValueError("|gamma(k)| must not exceed gamma(0)")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-    @property
-    def embedding_eigenvalues(self) -> np.ndarray:
-        """FFT eigenvalues of the even circulant extension of length 2(n-1).
-
-        Raises NegativeEigenvalueError if any eigenvalue is below
-        -EIG_TOL * max(eigenvalues); mildly negative values are clipped to 0.
-        The extension is written into a borrowed workspace and transformed
-        there, so only the returned array is allocated; it is fresh on each
-        call and not cached.
-        """
-        gamma = self.values
-        tail = gamma[-2:0:-1]
-        with _workspace(gamma.size + tail.size) as buf:
-            buf.real[: gamma.size] = gamma
-            buf.real[gamma.size :] = tail
-            buf.imag = 0.0
-            np.fft.fft(buf, out=buf)
-            lam = buf.real
-            lam_max, lam_min = lam.max(), lam.min()
-            if lam_max <= 0:
-                raise NegativeEigenvalueError("embedding has no positive eigenvalue")
-            if lam_min < -EIG_TOL * lam_max:
-                raise NegativeEigenvalueError(
-                    f"circulant embedding has negative eigenvalue {lam_min:.6g} "
-                    f"(max {lam_max:.6g}); the autocovariance is invalid for this method"
-                )
-            return np.clip(lam, 0.0, None)
-
-    @property
-    def embedding_scale(self) -> np.ndarray:
-        """Per-frequency amplitude sqrt(lambda / m) of the embedding of length m.
-
-        Read-only and filled once per sequence, under a lock, so repeated
-        and concurrent sampling pay the eigenvalues and the square root once.
-        """
-        scale = self.__dict__.get("_scale")
-        if scale is None:
-            with _scale_lock:
-                scale = self.__dict__.get("_scale")
-                if scale is None:
-                    scale = self.embedding_eigenvalues
-                    np.divide(scale, scale.size, out=scale)
-                    np.sqrt(scale, out=scale)
-                    scale.setflags(write=False)
-                    object.__setattr__(self, "_scale", scale)
-        return scale
-
-
 def _filled_once(cached):
     """The lru_cache function cached behind a lock of its own, so that
     callers racing on a cold key fill its entry once; cache_info and
@@ -229,16 +155,15 @@ def _filled_once(cached):
     return locked
 
 
-@_filled_once
-@lru_cache(maxsize=64)
-def fgn_autocov(h: float, n: int) -> AutocovSequence:
-    """Autocovariance of unit-variance fractional Gaussian noise with Hurst h.
+def fgn_autocov(h: float, n: int) -> np.ndarray:
+    """Autocovariance gamma(0..n-1) of unit-variance fractional Gaussian
+    noise with Hurst h.
 
     gamma(k) = 0.5 * (|k+1|^(2h) - 2|k|^(2h) + |k-1|^(2h)); gamma(0) = 1.
     The powers p(j) = j^(2h), j = 0..n, are taken once and shared by the
-    three terms, combined in that order.  Results are cached, each filled
-    once per process (the returned array is read-only), and with them their
-    embedding scale.
+    three terms, combined in that order.  Not cached: its package callers,
+    the fills of the embedding scale and of the partial-sum normalization,
+    are.
     """
     if not 0.0 < h < 1.0:
         raise ValueError(f"h must be in (0, 1), got {h}")
@@ -250,26 +175,64 @@ def fgn_autocov(h: float, n: int) -> AutocovSequence:
     np.add(gamma[1:], p[: n - 1], out=gamma[1:])  # |k-1|^(2h) for k >= 1
     np.multiply(0.5, gamma, out=gamma)
     gamma[0] = 1.0
-    return AutocovSequence(gamma)
+    return gamma
 
 
-def sample_stationary_gaussian(acov: AutocovSequence, n: int, rng: RngState, *, reduce=np.copy):
-    """Exact-in-distribution stationary Gaussian sample of length n.
+def _embedding_eigenvalues(gamma: np.ndarray) -> np.ndarray:
+    """FFT eigenvalues of the even circulant extension of length 2(n-1) of
+    the autocovariance gamma(0..n-1).
 
-    acov must be an AutocovSequence of exactly n >= 2 lags, so that its
-    embedding, and the scale cached on it, is the one sampled; any other
-    input raises ValueError.  Equal (seed, stream, acov, n) give equal
-    output vectors.  Returns reduce(x) for the sample x: x is a writable,
-    strided view into the borrowed workspace, which reduce may overwrite
-    but must not keep, since the next path reuses the memory.  The default
-    returns a fresh contiguous copy of the sample.
+    Raises NegativeEigenvalueError if any eigenvalue is below
+    -EIG_TOL * max(eigenvalues); mildly negative values are clipped to 0.
+    The extension is written into a borrowed workspace and transformed
+    there, so only the returned array is allocated.
     """
-    if not isinstance(acov, AutocovSequence):
-        raise ValueError(f"acov must be an AutocovSequence, got {type(acov).__name__}")
-    if n < 2 or len(acov) != n:
-        raise ValueError(f"need exactly n >= 2 autocovariance lags, got n = {n} and {len(acov)} lags")
+    tail = gamma[-2:0:-1]
+    with _workspace(gamma.size + tail.size) as buf:
+        buf.real[: gamma.size] = gamma
+        buf.real[gamma.size :] = tail
+        buf.imag = 0.0
+        np.fft.fft(buf, out=buf)
+        lam = buf.real
+        lam_max, lam_min = lam.max(), lam.min()
+        if lam_max <= 0:
+            raise NegativeEigenvalueError("embedding has no positive eigenvalue")
+        if lam_min < -EIG_TOL * lam_max:
+            raise NegativeEigenvalueError(
+                f"circulant embedding has negative eigenvalue {lam_min:.6g} "
+                f"(max {lam_max:.6g}); the autocovariance is invalid for this method"
+            )
+        return np.clip(lam, 0.0, None)
+
+
+@_filled_once
+@lru_cache(maxsize=64)
+def _embedding_scale(h: float, n: int) -> np.ndarray:
+    """Per-frequency amplitude sqrt(lambda / m) of the embedding of length
+    m = 2(n-1) of n lags of FGN(h); read-only, and filled once per process,
+    so repeated and concurrent sampling pay the eigenvalues and the square
+    root once."""
+    scale = _embedding_eigenvalues(fgn_autocov(h, n))
+    np.divide(scale, scale.size, out=scale)
+    np.sqrt(scale, out=scale)
+    scale.setflags(write=False)
+    return scale
+
+
+def sample_stationary_gaussian(h: float, n: int, rng: RngState, *, reduce=np.copy):
+    """Exact-in-distribution sample of n >= 2 consecutive values of
+    unit-variance fractional Gaussian noise with Hurst h in (0, 1).
+
+    Equal (seed, stream, h, n) give equal output vectors.  Returns reduce(x)
+    for the sample x: x is a writable, strided view into the borrowed
+    workspace, which reduce may overwrite but must not keep, since the next
+    path reuses the memory.  The default returns a fresh contiguous copy of
+    the sample.
+    """
+    if n < 2:
+        raise ValueError(f"need n >= 2 values, got n = {n}")
     gen = rng.generator()
-    scale = acov.embedding_scale  # before the borrow below: its fill borrows one
+    scale = _embedding_scale(h, n)  # before the borrow below: its fill borrows one
     m = scale.size  # 2(n-1), even
     half = m // 2
     with _workspace(m) as v:

@@ -11,6 +11,7 @@ import pytest
 from hermite_ou import hermite
 from hermite_ou.cli import main
 from hermite_ou.estimator import EstimatorConfig, minimize_l1
+from hermite_ou.harness import ExperimentConfig
 from hermite_ou.hermite import GridPath, Provenance, read_path_csv, write_path_csv
 
 
@@ -144,8 +145,8 @@ def test_simulate_has_no_kernel_generator(flags, message, tmp_path, capsys):
     ],
 )
 def test_simulate_sizes_the_embedding_before_allocating(flags, tmp_path, capsys):
-    fail = mock.Mock(side_effect=AssertionError("fgn_autocov called"))
-    with mock.patch.object(hermite, "fgn_autocov", fail):
+    fail = mock.Mock(side_effect=AssertionError("sample_stationary_gaussian called"))
+    with mock.patch.object(hermite, "sample_stationary_gaussian", fail):
         code = run_cli("simulate", "--process", "hermite", *flags, "--out", str(tmp_path / "z.csv"))
     assert code == 2
     err = capsys.readouterr().err
@@ -157,8 +158,8 @@ def test_simulate_sizes_the_embedding_before_allocating(flags, tmp_path, capsys)
 def test_simulate_rejects_a_horizon_with_a_fractional_unit_of_summands(tmp_path, capsys):
     # n m / t_max = 512 * 32 / 1000 = 16.384 summands per unit of time: the
     # normalization would divide by the standard deviation of 16
-    fail = mock.Mock(side_effect=AssertionError("fgn_autocov called"))
-    with mock.patch.object(hermite, "fgn_autocov", fail):
+    fail = mock.Mock(side_effect=AssertionError("sample_stationary_gaussian called"))
+    with mock.patch.object(hermite, "sample_stationary_gaussian", fail):
         code = run_cli("simulate", "--process", "hermite", "--q", "2", "--t-max", "1000",
                        "--out", str(tmp_path / "z.csv"))
     assert code == 2
@@ -172,8 +173,8 @@ def test_simulate_rejects_a_horizon_with_a_fractional_unit_of_summands(tmp_path,
 def test_experiment_rejects_non_finite_start_before_sampling(field, tmp_path, capsys):
     cfg = tmp_path / "l.cfg"
     write_config(cfg, kind="limit-dist", q=2, n=16, m=4, replications=4, ks_samples=4)
-    fail = mock.Mock(side_effect=AssertionError("fgn_autocov called"))
-    with mock.patch.object(hermite, "fgn_autocov", fail):
+    fail = mock.Mock(side_effect=AssertionError("sample_stationary_gaussian called"))
+    with mock.patch.object(hermite, "sample_stationary_gaussian", fail):
         code = run_cli("experiment", "--config", str(cfg), "--set", field,
                        "--out-dir", str(tmp_path / "out"))
     assert code == 2
@@ -189,8 +190,8 @@ def test_experiment_rejects_zero_start_before_sampling(kind, tmp_path, capsys):
     # separation of 0 with both bands passing, limit-dist has no fit coefficient
     cfg = tmp_path / "z.cfg"
     write_config(cfg, kind=kind, q=2, n=16, m=4, replications=4, ks_samples=4)
-    fail = mock.Mock(side_effect=AssertionError("fgn_autocov called"))
-    with mock.patch.object(hermite, "fgn_autocov", fail):
+    fail = mock.Mock(side_effect=AssertionError("sample_stationary_gaussian called"))
+    with mock.patch.object(hermite, "sample_stationary_gaussian", fail):
         code = run_cli("experiment", "--config", str(cfg), "--set", "x0=0",
                        "--out-dir", str(tmp_path / "out"))
     assert code == 2
@@ -208,8 +209,8 @@ def test_experiment_rejects_a_subnormal_start_that_overflows_the_tangent_fit(tmp
     for kind in ("consistency", "limit-dist"):
         cfg = tmp_path / f"{kind}.cfg"
         write_config(cfg, kind=kind, n=64, replications=4, ks_samples=4)
-        fail = mock.Mock(side_effect=AssertionError("fgn_autocov called"))
-        with mock.patch.object(hermite, "fgn_autocov", fail):
+        fail = mock.Mock(side_effect=AssertionError("sample_stationary_gaussian called"))
+        with mock.patch.object(hermite, "sample_stationary_gaussian", fail):
             code = run_cli("experiment", "--config", str(cfg), "--set", "x0=1e-320",
                            "--out-dir", str(tmp_path / "out"))
         assert code == 2
@@ -233,8 +234,8 @@ def test_experiment_rejects_an_estimand_outside_the_window_before_sampling(kind,
     cfg = tmp_path / "w.cfg"
     write_config(cfg, kind=kind, q=2, n=16, m=4, replications=4, ks_samples=4)
     theta0 = "1.8" if kind == "consistency" else "3"
-    fail = mock.Mock(side_effect=AssertionError("fgn_autocov called"))
-    with mock.patch.object(hermite, "fgn_autocov", fail):
+    fail = mock.Mock(side_effect=AssertionError("sample_stationary_gaussian called"))
+    with mock.patch.object(hermite, "sample_stationary_gaussian", fail):
         code = run_cli("experiment", "--config", str(cfg), "--set", f"theta0={theta0}",
                        "--out-dir", str(tmp_path / "out"))
     assert code == 2
@@ -242,11 +243,31 @@ def test_experiment_rejects_an_estimand_outside_the_window_before_sampling(kind,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kind", ["consistency", "limit-dist"])
+def test_experiment_rejects_an_overflowing_window_before_sampling(kind, tmp_path, capsys):
+    # e^(800 t) overflows a double on [0, 1] for every path, so the config
+    # must fail before the first block is sampled, not in the estimator
+    with pytest.raises(ValueError, match=r"^window \[-2.0, 800.0\] overflows"):
+        ExperimentConfig(kind=kind, theta_hi=800.0, n=64, replications=4)
+    cfg = tmp_path / "w.cfg"
+    write_config(cfg, kind=kind, q=2, n=16, m=4, replications=4, ks_samples=4)
+    fail = mock.Mock(side_effect=AssertionError("sample_stationary_gaussian called"))
+    with mock.patch.object(hermite, "sample_stationary_gaussian", fail):
+        code = run_cli("experiment", "--config", str(cfg), "--set", "theta_hi=800",
+                       "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "window [-2.0, 800.0] overflows" in err
+    assert not (tmp_path / "out").exists()
+    assert fail.call_count == 0
+
+
 def test_experiment_rejects_grid_above_the_embedding_limit(tmp_path, capsys):
     cfg = tmp_path / "m.cfg"
     write_config(cfg, q=2, n=1 << 18, T="1,2")
-    fail = mock.Mock(side_effect=AssertionError("fgn_autocov called"))
-    with mock.patch.object(hermite, "fgn_autocov", fail):
+    fail = mock.Mock(side_effect=AssertionError("sample_stationary_gaussian called"))
+    with mock.patch.object(hermite, "sample_stationary_gaussian", fail):
         code = run_cli("experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
     assert code == 2
     assert "grid size n = 524288 with m = 32" in capsys.readouterr().err
@@ -269,8 +290,8 @@ def test_experiment_rejects_bad_generator_or_grid_before_sampling(
     cfg = tmp_path / "b.cfg"
     write_config(cfg, kind=kind, n=16, m=4, replications=4)
     flags = [arg for item in overrides for arg in ("--set", item)]
-    fail = mock.Mock(side_effect=AssertionError("fgn_autocov called"))
-    with mock.patch.object(hermite, "fgn_autocov", fail):
+    fail = mock.Mock(side_effect=AssertionError("sample_stationary_gaussian called"))
+    with mock.patch.object(hermite, "sample_stationary_gaussian", fail):
         code = run_cli("experiment", "--config", str(cfg), *flags,
                        "--out-dir", str(tmp_path / "out"))
     assert code == 2
@@ -286,8 +307,8 @@ def test_experiment_rejects_bad_generator_or_grid_before_sampling(
 def test_experiment_rejects_out_of_range_seed_before_sampling(flags, seed, tmp_path, capsys):
     cfg = tmp_path / "s.cfg"
     write_config(cfg, n=16, replications=4)
-    fail = mock.Mock(side_effect=AssertionError("fgn_autocov called"))
-    with mock.patch.object(hermite, "fgn_autocov", fail):
+    fail = mock.Mock(side_effect=AssertionError("sample_stationary_gaussian called"))
+    with mock.patch.object(hermite, "sample_stationary_gaussian", fail):
         code = run_cli("experiment", "--config", str(cfg), *flags, "--out-dir", str(tmp_path / "out"))
     assert code == 2
     assert capsys.readouterr().err == (
@@ -301,8 +322,8 @@ def test_experiment_rejects_a_bad_thread_count_before_sampling(threads, tmp_path
     cfg = tmp_path / "t.cfg"
     write_config(cfg, n=16, replications=4)
     monkeypatch.setenv("HERMITE_OU_THREADS", threads)
-    fail = mock.Mock(side_effect=AssertionError("fgn_autocov called"))
-    with mock.patch.object(hermite, "fgn_autocov", fail):
+    fail = mock.Mock(side_effect=AssertionError("sample_stationary_gaussian called"))
+    with mock.patch.object(hermite, "sample_stationary_gaussian", fail):
         code = run_cli("experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
     assert code == 2
     assert capsys.readouterr().err == f"error: HERMITE_OU_THREADS must be an integer >= 0, got {threads!r}\n"

@@ -178,20 +178,20 @@ def test_config_grids():
     ],
 )
 def test_config_rejects_grids_above_the_embedding_limit(fields, monkeypatch):
-    def sampled(*args):
-        raise AssertionError("fgn_autocov called")
+    def sampled(*args, **kwargs):
+        raise AssertionError("sample_stationary_gaussian called")
 
-    monkeypatch.setattr(hermite, "fgn_autocov", sampled)
+    monkeypatch.setattr(hermite, "sample_stationary_gaussian", sampled)
     with pytest.raises(ValueError, match="grid size n|t_max"):
         ExperimentConfig(**fields)
 
 
 def test_config_rejects_a_horizon_with_a_fractional_unit_of_summands(monkeypatch):
     # T = 0.7 on 2 grid steps of m = 1: 2.857 summands per unit of time
-    def sampled(*args):
-        raise AssertionError("fgn_autocov called")
+    def sampled(*args, **kwargs):
+        raise AssertionError("sample_stationary_gaussian called")
 
-    monkeypatch.setattr(hermite, "fgn_autocov", sampled)
+    monkeypatch.setattr(hermite, "sample_stationary_gaussian", sampled)
     with pytest.raises(ValueError, match=r"^t_max = 0.7 with n = 2 and m = 1"):
         ExperimentConfig(kind="maximal", q=2, n=2, m=1, T=(0.7,))
 

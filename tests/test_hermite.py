@@ -201,7 +201,7 @@ def test_partial_sum_q2_endpoint_matches_its_exact_law():
     # the same covariance is rejected by this comparison.
     spec, n, m = HermiteSpec(2, 0.7), 64, 8
     big_n = n * m
-    lam = eigvalsh(toeplitz(fgn_autocov(spec.H0, big_n).values))
+    lam = eigvalsh(toeplitz(fgn_autocov(spec.H0, big_n)))
     lam /= hermite._partial_sum_std(2, spec.H0, big_n)
     assert 2 * np.sum(lam**2) == pytest.approx(1.0, rel=1e-12)
     gen = np.random.default_rng(SEED + 30)
@@ -213,7 +213,8 @@ def test_partial_sum_q2_endpoint_matches_its_exact_law():
 
 
 class _Sampled(Exception):
-    """Raised by a stand-in for fgn_autocov: the size check let the grid through."""
+    """Raised by a stand-in for the sampler or fgn_autocov: the size check
+    let the grid through."""
 
 
 @pytest.mark.parametrize(
@@ -230,7 +231,7 @@ class _Sampled(Exception):
 )
 def test_samplers_size_the_embedding_before_allocating(simulate, largest):
     sampled = mock.Mock(side_effect=_Sampled)
-    with mock.patch.object(hermite, "fgn_autocov", sampled):
+    with mock.patch.object(hermite, "sample_stationary_gaussian", sampled):
         with pytest.raises(_Sampled):
             simulate(largest, 1.0)
         assert sampled.call_count == 1
@@ -273,7 +274,7 @@ def test_partial_sum_of_one_summand_has_unit_variance():
 
 
 def _partial_sum_std_reference(q, h0, k):
-    rho = fgn_autocov(h0, k).values
+    rho = fgn_autocov(h0, k)
     lags = np.arange(1, k, dtype=float)
     var = math.factorial(q) * (k + 2.0 * np.sum((k - lags) * rho[1:] ** q))
     return math.sqrt(var)

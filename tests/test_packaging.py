@@ -1,7 +1,8 @@
 """The runtime dependencies declared in pyproject.toml are exactly the
 third-party packages that the modules of hermite_ou import, at module level
-or inside functions; and every public name is used by the package itself
-or is the oracle of a named test."""
+or inside functions; every public name is used by the package itself or is
+the oracle of a named test; every cache is filled once, a warm run fills
+none, and frozen value types stay frozen after construction."""
 
 import ast
 import re
@@ -81,3 +82,50 @@ def test_every_public_name_is_used_by_the_package_or_is_a_listed_oracle():
         assert name in hermite_ou.__all__ and name not in used, name
         assert function in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}, test
         assert name in referenced_names(tree), test
+
+
+def decorator_names(node: ast.FunctionDef) -> list:
+    """Names of the function's decorators, outermost first; a call such as
+    lru_cache(maxsize=64) counts as the name it calls."""
+    names = []
+    for dec in node.decorator_list:
+        dec = dec.func if isinstance(dec, ast.Call) else dec
+        names.append(dec.attr if isinstance(dec, ast.Attribute) else getattr(dec, "id", None))
+    return names
+
+
+def setattr_calls(node: ast.AST, function: str = ""):
+    """(line, innermost enclosing function) of every object.__setattr__ call."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
+            owner = child.func.value
+            if child.func.attr == "__setattr__" and isinstance(owner, ast.Name) and owner.id == "object":
+                yield child.lineno, function
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+        yield from setattr_calls(child, inner)
+
+
+def test_every_cache_is_filled_once_and_frozen_types_are_set_only_in_post_init():
+    caches, stray = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and "lru_cache" in decorator_names(node):
+                names = decorator_names(node)
+                caches.append(node.name)
+                # _filled_once must wrap the cache, so it sits above lru_cache
+                assert "_filled_once" in names[: names.index("lru_cache")], f"{path.name}:{node.lineno}"
+        stray += [f"{path.name}:{line}" for line, fn in setattr_calls(tree) if fn != "__post_init__"]
+    assert caches
+    assert stray == []
+
+
+def test_a_warm_run_fills_no_cache():
+    from hermite_ou import harness, hermite, rng
+
+    cfg = harness.ExperimentConfig(kind="maximal", q=2, n=16, m=4, T=(1.0, 2.0), replications=4)
+    harness.run_experiment(cfg)
+    caches = (rng._embedding_scale, hermite._partial_sum_std)
+    misses = [c.cache_info().misses for c in caches]
+    harness.run_experiment(cfg)
+    assert [c.cache_info().misses for c in caches] == misses

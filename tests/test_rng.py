@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 import sys
 import threading
@@ -13,14 +12,13 @@ from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from hermite_ou import (
-    AutocovSequence,
     NegativeEigenvalueError,
     fgn_autocov,
     make_rng,
     sample_stationary_gaussian,
 )
 from hermite_ou import rng as rng_module
-from hermite_ou.rng import _polar_pairs
+from hermite_ou.rng import _embedding_eigenvalues, _embedding_scale, _polar_pairs
 
 
 def test_same_seed_stream_is_bit_identical():
@@ -50,18 +48,18 @@ def test_rng_state_validates_range():
 
 
 def test_fgn_autocov_white_noise_lag1_is_zero():
-    gamma = fgn_autocov(0.5, 4).values
+    gamma = fgn_autocov(0.5, 4)
     assert gamma[1] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_fgn_autocov_unit_variance():
     for h in (0.1, 0.5, 0.7, 0.95):
-        assert fgn_autocov(h, 8).values[0] == 1.0
+        assert fgn_autocov(h, 8)[0] == 1.0
 
 
 def test_fgn_autocov_lag1_h07():
     # 0.5 * (2^1.4 - 2), evaluated directly
-    assert fgn_autocov(0.7, 4).values[1] == pytest.approx(0.31951, abs=1e-5)
+    assert fgn_autocov(0.7, 4)[1] == pytest.approx(0.31951, abs=1e-5)
 
 
 def test_fgn_autocov_rejects_bad_h():
@@ -70,29 +68,21 @@ def test_fgn_autocov_rejects_bad_h():
             fgn_autocov(h, 8)
 
 
-def test_autocov_sequence_invariants():
-    with pytest.raises(ValueError):
-        AutocovSequence(np.array([-1.0, 0.5]))
-    with pytest.raises(ValueError):
-        AutocovSequence(np.array([1.0, 1.5]))
-
-
 def test_sampler_reproducible():
-    acov = fgn_autocov(0.7, 256)
-    a = sample_stationary_gaussian(acov, 256, make_rng(7, 3))
-    b = sample_stationary_gaussian(acov, 256, make_rng(7, 3))
+    a = sample_stationary_gaussian(0.7, 256, make_rng(7, 3))
+    b = sample_stationary_gaussian(0.7, 256, make_rng(7, 3))
     np.testing.assert_array_equal(a, b)
 
 
 def test_sampler_white_noise_lag1_correlation():
     n = 10**5
-    x = sample_stationary_gaussian(fgn_autocov(0.5, n), n, make_rng(42, 0))
+    x = sample_stationary_gaussian(0.5, n, make_rng(42, 0))
     r1 = np.mean(x[:-1] * x[1:]) / np.mean(x * x)
     assert abs(r1) < 4 / np.sqrt(n)
 
 
 def test_sampler_white_noise_is_standard_normal_ks():
-    x = sample_stationary_gaussian(fgn_autocov(0.5, 10**4), 10**4, make_rng(11, 0))
+    x = sample_stationary_gaussian(0.5, 10**4, make_rng(11, 0))
     assert kstest(x, "norm").pvalue > 0.01
 
 
@@ -101,21 +91,20 @@ def test_sampler_matches_target_autocovariance():
     n, reps = 512, 4000
     acov = fgn_autocov(0.7, n)
     paths = np.array(
-        [sample_stationary_gaussian(acov, n, make_rng(123, s)) for s in range(reps)]
+        [sample_stationary_gaussian(0.7, n, make_rng(123, s)) for s in range(reps)]
     )
     for lag in range(9):
         per_rep = np.mean(paths[:, : n - lag] * paths[:, lag:] if lag else paths * paths, axis=1)
         est = per_rep.mean()
         se = per_rep.std(ddof=1) / np.sqrt(reps)
-        assert abs(est - acov.values[lag]) < 3 * se, f"lag {lag}: {est} vs {acov.values[lag]}"
+        assert abs(est - acov[lag]) < 3 * se, f"lag {lag}: {est} vs {acov[lag]}"
 
 
 def test_sampler_lag1_value_h07():
     reps = 4000
-    acov = fgn_autocov(0.7, 512)
     per_rep = []
     for s in range(reps):
-        x = sample_stationary_gaussian(acov, 512, make_rng(5, s))
+        x = sample_stationary_gaussian(0.7, 512, make_rng(5, s))
         per_rep.append(np.mean(x[:-1] * x[1:]))
     per_rep = np.asarray(per_rep)
     se = per_rep.std(ddof=1) / np.sqrt(reps)
@@ -123,41 +112,30 @@ def test_sampler_lag1_value_h07():
 
 
 @pytest.mark.parametrize(
-    "acov, n",
+    "h, n",
     [
-        (AutocovSequence(np.array([4.0])), 1),  # n < 2
-        (AutocovSequence(np.array([1.0, 0.3, 0.1])), 1),
-        (fgn_autocov(0.7, 9).values, 9),  # a plain array
-        (list(fgn_autocov(0.7, 9).values), 9),
-        (fgn_autocov(0.7, 17), 9),  # a sequence of another length
+        (0.7, 1),  # n < 2
+        (0.3, 1),
+        (1.5, 9),  # h outside (0, 1)
     ],
-    ids=["n1", "n1-of-3-lags", "array", "list", "17-lags-for-n9"],
+    ids=["n1", "n1-of-3-lags", "h1.5"],
 )
-def test_sampler_takes_only_a_sequence_of_exactly_n_lags(acov, n):
+def test_sampler_takes_only_a_sequence_of_exactly_n_lags(h, n):
     with pytest.raises(ValueError):
-        sample_stationary_gaussian(acov, n, make_rng(3, 0))
+        sample_stationary_gaussian(h, n, make_rng(3, 0))
 
 
 def test_sampler_rejects_invalid_embedding():
-    bad = AutocovSequence(np.array([1.0, 0.8, -0.8]))
     with pytest.raises(NegativeEigenvalueError):
-        sample_stationary_gaussian(bad, 3, make_rng(0, 0))
-
-
-def test_sampler_needs_enough_lags():
-    with pytest.raises(ValueError):
-        sample_stationary_gaussian(fgn_autocov(0.7, 8), 16, make_rng(0, 0))
+        _embedding_eigenvalues(np.array([1.0, 0.8, -0.8]))
 
 
 def test_embedding_scale_is_cached_and_read_only():
-    acov = fgn_autocov(0.7, 33)
-    scale = acov.embedding_scale
-    assert scale is acov.embedding_scale
-    np.testing.assert_array_equal(scale, np.sqrt(acov.embedding_eigenvalues / 64))
+    scale = _embedding_scale(0.7, 33)
+    assert scale is _embedding_scale(0.7, 33)
+    np.testing.assert_array_equal(scale, np.sqrt(_embedding_eigenvalues(fgn_autocov(0.7, 33)) / 64))
     with pytest.raises(ValueError):
         scale[0] = 1.0
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        acov.embedding_scale = scale
 
 
 # ------------------------------------------------- reused sampler workspaces
@@ -171,14 +149,13 @@ def fresh_workspaces(monkeypatch):
 
 @pytest.mark.usefixtures("fresh_workspaces")
 def test_sample_owns_its_memory_across_later_calls():
-    small, large = fgn_autocov(0.7, 257), fgn_autocov(0.7, 4097)
-    a = sample_stationary_gaussian(small, 257, make_rng(4, 0))
+    a = sample_stationary_gaussian(0.7, 257, make_rng(4, 0))
     kept = a.copy()
-    b = sample_stationary_gaussian(small, 257, make_rng(4, 1))  # same embedding size
+    b = sample_stationary_gaussian(0.7, 257, make_rng(4, 1))  # same embedding size
     assert np.array_equal(bits(a), bits(kept))
     assert not np.shares_memory(a, b)
     kept_b = b.copy()
-    c = sample_stationary_gaussian(large, 4097, make_rng(4, 2))  # grows the workspace
+    c = sample_stationary_gaussian(0.7, 4097, make_rng(4, 2))  # grows the workspace
     assert np.array_equal(bits(a), bits(kept))
     assert np.array_equal(bits(b), bits(kept_b))
     assert not np.shares_memory(b, c)
@@ -191,7 +168,7 @@ def test_threaded_samples_of_mixed_sizes_match_sequential(monkeypatch):
 
     def draw(job):
         n, stream = job
-        return sample_stationary_gaussian(fgn_autocov(0.7, n), n, make_rng(99, stream))
+        return sample_stationary_gaussian(0.7, n, make_rng(99, stream))
 
     monkeypatch.setattr(rng_module, "_free_workspaces", [])
     sequential = [draw(job) for job in jobs]
@@ -213,7 +190,7 @@ def test_threaded_samples_of_mixed_sizes_match_sequential(monkeypatch):
 @pytest.mark.parametrize("sizes", [[513], [4097, 257], [257, 4097, 1025]])
 def test_workspace_is_one_spectrum_buffer_of_the_embedding(sizes):
     for n in sizes:
-        sample_stationary_gaussian(fgn_autocov(0.7, n), n, make_rng(5, n))
+        sample_stationary_gaussian(0.7, n, make_rng(5, n))
     m = 2 * (max(sizes) - 1)  # one workspace, grown to the largest embedding
     assert len(rng_module._free_workspaces) == 1
     for ws in rng_module._free_workspaces:
@@ -237,11 +214,10 @@ def test_complex_exp_gives_cos_and_sin_bit_for_bit():
 @pytest.mark.usefixtures("fresh_workspaces")
 def test_warm_sample_allocates_only_its_result():
     n = 65537  # embedding of m = 131072 points
-    acov = fgn_autocov(0.85, n)
-    sample_stationary_gaussian(acov, n, make_rng(1, 0))
+    sample_stationary_gaussian(0.85, n, make_rng(1, 0))
     tracemalloc.start()
     try:
-        x = sample_stationary_gaussian(acov, n, make_rng(1, 1))
+        x = sample_stationary_gaussian(0.85, n, make_rng(1, 1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -281,9 +257,9 @@ def _eigenvalues_reference(gamma):
     return np.clip(lam, 0.0, None)
 
 
-def _sample_reference(acov, n, rng):
+def _sample_reference(gamma, n, rng):
     gen = rng.generator()
-    lam = _eigenvalues_reference(acov.values)
+    lam = _eigenvalues_reference(gamma)
     m = lam.size
     half = m // 2
     e = _box_muller_reference(gen, m)
@@ -314,9 +290,8 @@ STREAMS = st.integers(0, 2**32)
 @example(n=3, h=0.7, seed=0, stream=0)
 @example(n=65537, h=0.85, seed=20250810, stream=3)  # m = 131072
 def test_sampler_matches_reference_bit_for_bit(n, h, seed, stream):
-    acov = fgn_autocov(h, n)
-    got = sample_stationary_gaussian(acov, n, make_rng(seed, stream))
-    want = _sample_reference(acov, n, make_rng(seed, stream))
+    got = sample_stationary_gaussian(h, n, make_rng(seed, stream))
+    want = _sample_reference(fgn_autocov(h, n), n, make_rng(seed, stream))
     assert got.shape == (n,)
     assert np.array_equal(bits(got), bits(want))
 
@@ -332,8 +307,8 @@ def test_sampler_matches_reference_bit_for_bit(n, h, seed, stream):
 @example(n=65537, h=0.85)  # m = 131072
 @example(n=3, h=0.25)  # 2h = 0.5
 def test_embedding_eigenvalues_match_reference_bit_for_bit(n, h):
-    values = fgn_autocov(h, n).values
-    got = AutocovSequence(values).embedding_eigenvalues
+    values = fgn_autocov(h, n)
+    got = _embedding_eigenvalues(values)
     want = _eigenvalues_reference(values)
     assert got.shape == want.shape == (2 * (n - 1),)
     assert np.array_equal(bits(got), bits(want))
@@ -346,28 +321,38 @@ def test_invalid_embedding_raises_the_reference_error(values):
     with pytest.raises(NegativeEigenvalueError) as want:
         _eigenvalues_reference(np.array(values))
     with pytest.raises(NegativeEigenvalueError) as got:
-        AutocovSequence(np.array(values)).embedding_eigenvalues
+        _embedding_eigenvalues(np.array(values))
     assert str(got.value) == str(want.value)
 
 
+@pytest.mark.usefixtures("fresh_workspaces")
 def test_only_the_scale_is_cached():
-    acov = AutocovSequence(fgn_autocov(0.7, 1025).values)
-    scale = acov.embedding_scale
-    lam = acov.embedding_eigenvalues
-    arrays = [v for v in vars(acov).values() if isinstance(v, np.ndarray)]
-    assert not any(a.shape == lam.shape and np.array_equal(a, lam) for a in arrays)
-    assert sum(a.nbytes for a in arrays) == acov.values.nbytes + scale.nbytes
+    # a cold fill keeps the scale and nothing else: not the autocovariance,
+    # not the eigenvalues
+    n = 1025
+    sample_stationary_gaussian(0.7, n, make_rng(0, 0))  # warm workspace
+    key = (0.7071067812, n)  # a key no other test uses
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        scale = _embedding_scale(*key)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert scale.nbytes <= kept <= scale.nbytes + 4 * 1024, (kept, scale.nbytes)
+    assert not hasattr(fgn_autocov, "cache_info")
 
 
 @pytest.mark.usefixtures("fresh_workspaces")
-def test_scale_of_a_new_embedding_size_allocates_only_itself():
+def test_scale_of_a_new_embedding_size_allocates_only_itself(monkeypatch):
     n = 65537  # embedding of m = 131072 points
     m = 2 * (n - 1)
-    sample_stationary_gaussian(fgn_autocov(0.85, n), n, make_rng(1, 0))  # warm workspace
-    acov = AutocovSequence(fgn_autocov(0.85, n).values)  # a new sequence: no scale yet
+    sample_stationary_gaussian(0.85, n, make_rng(1, 0))  # warm workspace
+    gamma = fgn_autocov(0.85, n)
+    monkeypatch.setattr(rng_module, "fgn_autocov", lambda h, k: gamma)
     tracemalloc.start()
     try:
-        scale = acov.embedding_scale
+        scale = inspect.unwrap(_embedding_scale)(0.85, n)  # the uncached fill
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -376,37 +361,27 @@ def test_scale_of_a_new_embedding_size_allocates_only_itself():
 
 
 def test_racing_workers_fill_each_cache_entry_once(monkeypatch):
-    # stand-ins slow enough that both workers are inside a cold fill at once
-    class SlowSequence(AutocovSequence):
-        def __post_init__(self):
-            time.sleep(0.05)
-            super().__post_init__()
-
-    eigenvalues = AutocovSequence.__dict__["embedding_eigenvalues"]
+    # a slowed eigenvalue pass keeps both workers inside the cold fill at once
     fills = []
 
-    def slow_eigenvalues(self):
-        fills.append(self)
+    def slow_eigenvalues(gamma):
+        fills.append(gamma.size)
         time.sleep(0.05)
-        return eigenvalues.__get__(self, type(self))
+        return _embedding_eigenvalues(gamma)
 
-    monkeypatch.setattr(rng_module, "AutocovSequence", SlowSequence)
-    monkeypatch.setattr(AutocovSequence, "embedding_eigenvalues", property(slow_eigenvalues))
+    monkeypatch.setattr(rng_module, "_embedding_eigenvalues", slow_eigenvalues)
     key = (0.6180339887, 129)  # a key no other test uses
-    misses = fgn_autocov.cache_info().misses
+    misses = _embedding_scale.cache_info().misses
     barrier = threading.Barrier(2, timeout=30)
 
     def fill(_):
         barrier.wait()
-        acov = fgn_autocov(*key)
-        barrier.wait()
-        return acov, acov.embedding_scale
+        return _embedding_scale(*key)
 
     with ThreadPoolExecutor(max_workers=2) as pool:
-        (a, scale_a), (b, scale_b) = pool.map(fill, range(2), timeout=60)
-    assert fgn_autocov.cache_info().misses - misses == 1
-    assert a is b and type(a) is SlowSequence
-    assert scale_a is scale_b and len(fills) == 1
+        a, b = pool.map(fill, range(2), timeout=60)
+    assert _embedding_scale.cache_info().misses - misses == 1
+    assert a is b and fills == [129]
 
 
 # ------------------------------------------- frozen autocovariance formulas
@@ -428,5 +403,5 @@ def _fgn_autocov_reference(h, n):
 @example(h=0.25, n=17)  # 2h = 0.5
 @example(h=0.5, n=3)  # 2h = 1
 def test_fgn_autocov_matches_reference_bit_for_bit(h, n):
-    got = inspect.unwrap(fgn_autocov)(h, n).values  # the uncached function
+    got = fgn_autocov(h, n)
     assert np.array_equal(bits(got), bits(_fgn_autocov_reference(h, n)))
