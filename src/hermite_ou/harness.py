@@ -7,9 +7,10 @@ per horizon T for the maximal kind, one otherwise) draws its path from stream
 (seed, g R + i); the limit-dist KS sample continues from stream 10^6.  So a
 configuration, seed included, determines every output byte.  A task is a
 block of replications on one grid, cut by memory and work (``_block_plan``):
-its paths are sampled one by one, its OU rows at every eps are one array that
-minimize_l1_rows takes whole, and each row pass gives every row bit for bit
-its one-path result, so the split into blocks never changes an output.
+its paths are sampled one by one into the rows of one (rows, n + 1) array,
+and each row pass over it (its OU rows at every eps are one array) gives
+every row bit for bit its one-path result, so the split into blocks never
+changes an output.
 All the tasks of an experiment, of every sample and grid, run on one pool of
 worker threads, never on the calling thread: on the main thread glibc trims
 its heap after each large temporary is freed, so every FFT and array pass of
@@ -167,8 +168,17 @@ class ExperimentConfig:
         # an estimand outside the window pins every theta_hat at its edge
         if self.kind == "consistency":  # the widest delta is the one that can leave it
             skeleton_separation(max(self.delta), self.theta0, self.x0, est_cfg)
-        elif self.kind == "limit-dist" and not self.theta_lo < self.theta0 < self.theta_hi:
-            raise ValueError(f"theta0 = {self.theta0} must lie inside ({self.theta_lo}, {self.theta_hi})")
+        elif self.kind == "limit-dist":
+            if not self.theta_lo < self.theta0 < self.theta_hi:
+                raise ValueError(f"theta0 = {self.theta0} must lie inside ({self.theta_lo}, {self.theta_hi})")
+            # the tangent fit divides by t x0 e^(theta0 t) at t = i / n, i = 1 .. n - 1,
+            # which is smallest at one end: below the normal doubles a ratio overflows
+            weight = min(abs(t * self.x0) * math.exp(self.theta0 * t) for t in (1 / self.n, 1 - 1 / self.n))
+            if weight < sys.float_info.min:
+                raise ValueError(
+                    f"x0 = {self.x0} is too small: the tangent-fit weight t x0 e^(theta0 t) "
+                    f"falls to {weight:.3g} on the grid, below the normal doubles"
+                )
 
     def estimator_config(self) -> EstimatorConfig:
         return EstimatorConfig(self.theta_lo, self.theta_hi, self.coarse_points, self.refine_tol)
@@ -282,10 +292,12 @@ _BLOCK_VALUES = 1 << 16
 
 class _Sample(NamedTuple):
     """An independent sample of ``count`` driving paths on each grid of
-    cfg.grids(), mapped block by block by fn (one result per path).
+    cfg.grids(), mapped block by block by fn(grid, drivers): one result row
+    per row of the block's drivers, a (rows, n + 1) array of paths on the
+    grid of the GridPath ``grid``.
 
     ``minimised_rows`` is the number of rows per path that fn minimises in
-    lockstep with minimize_l1_rows, or 0 if fn works path by path.
+    lockstep with minimize_l1_rows, or 0 if fn runs no minimiser.
     """
 
     fn: Callable
@@ -336,14 +348,14 @@ def _block_plan(units: list, workers: int, coarse_points: int) -> list:
 
 
 def _map_paths(cfg: ExperimentConfig, samples: list) -> list:
-    """The results of every _Sample of an experiment, one list per sample,
+    """The results of every _Sample of an experiment, one array per sample,
     from one _map_streams call with one task per block of _block_plan.
 
     Replication i on grid g of a sample draws its path from stream
-    first_stream + g count + i; each path of a block is sampled alone, in
-    replication order.  fn returns one result per path of its block, and a
-    sample's results come back in replication order, grid by grid, so they
-    do not depend on how the replications were split into blocks.
+    first_stream + g count + i; the paths of a block are sampled one by
+    one, in replication order, into the rows of one array.  A sample's array
+    holds their result rows in replication order, grid by grid, so it does
+    not depend on how the replications were split into blocks.
     """
     grids = cfg.grids()
     units = [(s, g) for s in range(len(samples)) for g in range(len(grids))]
@@ -357,25 +369,24 @@ def _map_paths(cfg: ExperimentConfig, samples: list) -> list:
         u, lo, hi = plan[k]
         s, g = units[u]
         sample, (n, t_max) = samples[s], grids[g]
-        rngs = [make_rng(cfg.seed, sample.first_stream + g * sample.count + i) for i in range(lo, hi)]
-        return sample.fn(
-            [simulate_driver(cfg.generator, cfg.q, cfg.H, n, cfg.m, t_max, rng) for rng in rngs]
-        )
+        first = sample.first_stream + g * sample.count + lo
+        drivers = np.empty((hi - lo, n + 1))
+        for r in range(hi - lo):
+            path = simulate_driver(cfg.generator, cfg.q, cfg.H, n, cfg.m, t_max, make_rng(cfg.seed, first + r))
+            drivers[r] = path.values
+        return sample.fn(path, drivers)
 
-    results = [[None] * (len(grids) * sample.count) for sample in samples]
-    for (u, lo, hi), block in zip(plan, _map_streams(task, len(plan))):
-        s, g = units[u]
-        first = g * samples[s].count
-        results[s][first + lo : first + hi] = block
-    return results
+    blocks = _map_streams(task, len(plan))
+    results = [[] for _ in samples]
+    for k in sorted(range(len(plan)), key=plan.__getitem__):  # units are sample-major, then grid
+        results[units[plan[k][0]][0]].append(blocks[k])
+    return [np.concatenate(r) for r in results]
 
 
-def _discounted_block(paths: list, theta: float) -> tuple:
-    """A block's grid, the discounted integrals of its driving paths at theta
-    (one row per path) and e^(theta t) on the grid."""
-    grid = paths[0]
-    integral = discounted_integral_rows(np.stack([z.values for z in paths]), grid.times, theta)
-    return grid, integral, np.exp(theta * grid.times)
+def _discounted_block(grid: GridPath, drivers: np.ndarray, theta: float) -> tuple:
+    """The discounted integrals at theta of a block's drivers (one row per
+    path) and e^(theta t) on their grid."""
+    return discounted_integral_rows(drivers, grid.times, theta), np.exp(theta * grid.times)
 
 
 def _ou_rows(integral: np.ndarray, growth: np.ndarray, eps_values, x0: float) -> np.ndarray:
@@ -473,13 +484,14 @@ def run_consistency(cfg: ExperimentConfig) -> list:
     est_cfg = cfg.estimator_config()
     eps_sorted = sorted(cfg.eps)
 
-    def block(paths):
-        errors = np.abs(_theta_hats(cfg, *_discounted_block(paths, cfg.theta0), eps_sorted) - cfg.theta0)
-        return [(running_max_abs(z).values[-1], e) for z, e in zip(paths, errors)]
+    def block(grid, drivers):
+        integral, growth = _discounted_block(grid, drivers, cfg.theta0)
+        errors = np.abs(_theta_hats(cfg, grid, integral, growth, eps_sorted) - cfg.theta0)
+        return np.column_stack((running_max_abs(drivers)[:, -1], errors))
 
     (results,) = _map_paths(cfg, [_Sample(block, reps, minimised_rows=len(eps_sorted))])
-    m_hat = float(np.mean([r[0] for r in results]))
-    abs_errors = np.array([r[1] for r in results])  # replication x eps
+    m_hat = float(np.mean(results[:, 0]))
+    abs_errors = results[:, 1:]  # replication x eps
     rows = []
     for k, eps in enumerate(eps_sorted):
         for delta in sorted(cfg.delta):
@@ -520,20 +532,20 @@ def run_limit_dist(cfg: ExperimentConfig) -> list:
         ys = noise_response(integral, growth)
         return tangent_l1_coefficient(ys, grid, cfg.theta0, cfg.x0)
 
-    def paired(paths):
+    def paired(grid, drivers):
         # u and zeta of replication i both come from row i of one integral block
-        grid, integral, growth = _discounted_block(paths, cfg.theta0)
+        integral, growth = _discounted_block(grid, drivers, cfg.theta0)
         u = (_theta_hats(cfg, grid, integral, growth, eps_sorted) - cfg.theta0) / eps_sorted
-        return list(zip(zeta_rows(grid, integral, growth).tolist(), u))
+        return np.column_stack((zeta_rows(grid, integral, growth), u))
 
-    def independent_zetas(paths):
-        return zeta_rows(*_discounted_block(paths, cfg.theta0)).tolist()
+    def independent_zetas(grid, drivers):
+        return zeta_rows(grid, *_discounted_block(grid, drivers, cfg.theta0))
 
     paired_results, zeta_indep = _map_paths(cfg, [
         _Sample(paired, reps, minimised_rows=len(cfg.eps)),
         _Sample(independent_zetas, cfg.ks_samples, _INDEPENDENT_STREAM_BASE),
     ])
-    zetas, us = (np.array(col) for col in zip(*paired_results))  # us: replication x eps
+    zetas, us = paired_results[:, 0], paired_results[:, 1:]  # us: replication x eps
 
     rows = []
     for k, eps in enumerate(eps_sorted):
@@ -548,13 +560,38 @@ def run_limit_dist(cfg: ExperimentConfig) -> list:
                 "H": cfg.H,
                 "n": cfg.n,
                 "reps": reps,
-                "med_abs_gap": float(np.median(gaps)),
-                "q90_abs_gap": float(np.quantile(gaps, 0.9)),
+                "med_abs_gap": _median(gaps),
+                "q90_abs_gap": _quantile(gaps, 0.9),
                 "ks_stat": stat,
                 "ks_p": p_value,
             }
         )
     return rows
+
+
+# np.median's NaN check and np.quantile's np.unique import numpy.ma, which no
+# command needs otherwise: these two are their sorted-array forms, bit for bit
+# on nonempty arrays of finite values with no -0.0, as the limit-dist gaps are
+
+
+def _median(values: np.ndarray) -> float:
+    """np.median: the middle sorted value, or the mean of the two."""
+    s = np.sort(values)
+    k = s.size // 2
+    return float(s[k] if s.size % 2 else (s[k - 1] + s[k]) / 2)
+
+
+def _quantile(values: np.ndarray, q: float) -> float:
+    """np.quantile's default (linear) method at q in [0, 1]: between the
+    sorted values k = floor(v) and k + 1, v = (size - 1) q, with its
+    interpolation from the nearer end."""
+    s = np.sort(values)
+    v = (s.size - 1) * q
+    k = math.floor(v)
+    if k >= s.size - 1:
+        return float(s[-1])
+    a, b, t = float(s[k]), float(s[k + 1]), v - k
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
 def _check_moment_range(sups: np.ndarray, p: float, t_max: float, h: float) -> None:
@@ -580,7 +617,7 @@ def run_maximal(cfg: ExperimentConfig) -> list:
     E[(sup |Z|)^p] / T^(pH), which self-similarity makes T-free.
     """
     (all_sups,) = _map_paths(
-        cfg, [_Sample(lambda paths: [running_max_abs(z).values[-1] for z in paths], cfg.replications)]
+        cfg, [_Sample(lambda grid, drivers: running_max_abs(drivers)[:, -1], cfg.replications)]
     )
     rows = []
     for (n_t, t_max), sups in zip(cfg.grids(), np.reshape(all_sups, (-1, cfg.replications))):
@@ -643,13 +680,12 @@ def run_covariance_audit(cfg: ExperimentConfig) -> list:
     grid_pts = (0.25, 0.5, 0.75, 1.0)
     idx = [cfg.n // 4, cfg.n // 2, 3 * cfg.n // 4, cfg.n]
 
-    def block(paths):
-        _, integral, growth = _discounted_block(paths, cfg.theta0)
-        ys = noise_response(integral, growth)
-        return [(z.values[idx], y[idx]) for z, y in zip(paths, ys)]
+    def block(grid, drivers):
+        ys = noise_response(*_discounted_block(grid, drivers, cfg.theta0))
+        return np.column_stack((drivers[:, idx], ys[:, idx]))
 
     (results,) = _map_paths(cfg, [_Sample(block, cfg.replications)])
-    path_vals, response_vals = (np.array(col) for col in zip(*results))
+    path_vals, response_vals = results[:, : len(idx)], results[:, len(idx) :]
     pairs = [
         ((i, s), (j, t))
         for i, s in enumerate(grid_pts)

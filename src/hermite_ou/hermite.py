@@ -143,7 +143,10 @@ _EMBEDDING_MAX_POINTS = 1 << 24
 
 def _embedding_lags(n_incr: int) -> int:
     """Length n_pad of the stationary stretch sampled for n_incr FGN values:
-    the next power of two at or above n_incr - 1, plus one."""
+    the next power of two at or above n_incr - 1, plus one.  The longer
+    stretch, which the grid reduction truncates, keeps the FFT of
+    2 (n_pad - 1) points fast and leaves the law of the first n_incr values
+    unchanged."""
     return (1 << max(0, (n_incr - 1).bit_length())) + 1
 
 
@@ -189,20 +192,6 @@ def _unit_steps(n: int, m: int, t_max: float) -> int:
     return round(units)
 
 
-def _fgn_increments(h: float, n_incr: int, rng: RngState, reduce):
-    """reduce(x) for x of at least n_incr unit-variance FGN(h) values, via a
-    power-of-two embedding; reduce reads x[:n_incr] and may overwrite x.
-
-    The embedding length is padded to the next power of two (by sampling a
-    slightly longer stationary stretch, which reduce truncates), which keeps
-    the FFT fast; the marginal law of the first n_incr values is unchanged.
-    x lives in the sampler's workspace (see sample_stationary_gaussian), so
-    only what reduce returns is allocated.
-    """
-    n_pad = _embedding_lags(n_incr)
-    return sample_stationary_gaussian(h, n_pad, rng, reduce=reduce)
-
-
 def simulate_fbm(h: float, n: int, t_max: float, rng: RngState) -> GridPath:
     """Exact fractional Brownian motion on the grid (accepts any h in (0,1)).
 
@@ -218,7 +207,7 @@ def simulate_fbm(h: float, n: int, t_max: float, rng: RngState) -> GridPath:
         incr = np.multiply(x[:n], (t_max / n) ** h, out=x[:n])
         return np.concatenate([[0.0], np.cumsum(incr, out=incr)])
 
-    values = _fgn_increments(h, n, rng, grid)
+    values = sample_stationary_gaussian(h, _embedding_lags(n), rng, reduce=grid)
     return GridPath(t_max, n, values, Provenance(rng.seed, rng.stream, f"fbm(H={h:g})"))
 
 
@@ -281,14 +270,16 @@ def simulate_partial_sum(
             spec.q, spec.H0, k_unit
         )
 
-    values = _fgn_increments(spec.H0, n * m, rng, grid)
+    values = sample_stationary_gaussian(spec.H0, _embedding_lags(n * m), rng, reduce=grid)
     tag = f"partial-sum(q={spec.q},H={spec.H:g},m={m})"
     return GridPath(t_max, n, values, Provenance(rng.seed, rng.stream, tag))
 
 
-def running_max_abs(path: GridPath) -> GridPath:
-    """Running maximum of |values|: out[i] = max_{j<=i} |in[j]| (nondecreasing)."""
-    return path.with_values(np.maximum.accumulate(np.abs(path.values)), "running-max-abs")
+def running_max_abs(values: np.ndarray) -> np.ndarray:
+    """Running maximum of |values| along the last axis, one row per path:
+    out[..., i] = max_{j<=i} |values[..., j]| (nondecreasing)."""
+    out = np.abs(values)
+    return np.maximum.accumulate(out, axis=-1, out=out)
 
 
 def _fmt(x: float) -> str:

@@ -211,7 +211,8 @@ def _limit_dist_block():
     from hermite_ou.harness import _discounted_block, _ou_rows, simulate_driver
 
     paths = [simulate_driver("partial-sum", 2, H, 512, 32, 1.0, make_rng(20, i)) for i in range(10)]
-    grid, integral, growth = _discounted_block(paths, 1.0)
+    grid = paths[0]
+    integral, growth = _discounted_block(grid, np.stack([z.values for z in paths]), 1.0)
     values = _ou_rows(integral, growth, (0.05, 0.1, 0.2), 1.0)
     return values, grid, np.linspace(CFG.theta_lo, CFG.theta_hi, CFG.coarse_points)
 

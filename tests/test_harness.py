@@ -159,6 +159,15 @@ def test_config_rejects_zero_start(x0):
         ExperimentConfig(kind="consistency", x0=x0)
 
 
+def test_config_rejects_a_start_whose_tangent_weights_are_subnormal():
+    # x0 = 2.3e-308 is normal, but at n = 64 the tangent-fit weight
+    # t x0 e^(theta0 t) at t = 1/64 is 3.65e-310: a ratio would overflow,
+    # after every path was sampled
+    with pytest.raises(ValueError, match=r"x0 = 2\.3e-308 is too small"):
+        ExperimentConfig(kind="limit-dist", x0=2.3e-308, n=64, replications=4, ks_samples=4)
+    ExperimentConfig(kind="limit-dist", x0=1e-300, n=64, replications=4, ks_samples=4)
+
+
 def test_config_grids():
     assert ExperimentConfig(kind="consistency", T=(4.0,)).grids() == [(512, 1.0)]
     cfg = ExperimentConfig(kind="maximal", n=100, T=(2.0, 0.001, 0.5))
@@ -552,11 +561,11 @@ def test_map_paths_gives_each_path_its_own_result_under_any_block_plan(
     cfg = ExperimentConfig(kind=kind, q=2, n=16, m=4, T=(1.0, 2.0), replications=reps, seed=21)
     sizes = []
 
-    def fn(paths):
-        sizes.append((paths[0].n, len(paths)))
-        grid, integral, growth = harness._discounted_block(paths, 0.8)
-        zetas = tangent_l1_coefficient(noise_response(integral, growth), grid, 0.8, 1.0)
-        return [(z.provenance.stream, z.n, zeta.hex()) for z, zeta in zip(paths, zetas.tolist())]
+    def fn(grid, drivers):
+        sizes.append((grid.n, len(drivers)))
+        ys = noise_response(*harness._discounted_block(grid, drivers, 0.8))
+        zetas = tangent_l1_coefficient(ys, grid, 0.8, 1.0)
+        return np.column_stack((np.full(len(drivers), grid.n), drivers[:, -1], zetas))
 
     budget = per_block * (cfg.n * 2 + 1)  # per_block paths of the widest grid
     with (
@@ -572,8 +581,8 @@ def test_map_paths_gives_each_path_its_own_result_under_any_block_plan(
             stream = first_stream + g * reps + i
             z = simulate_driver(cfg.generator, cfg.q, cfg.H, n, cfg.m, t_max, make_rng(cfg.seed, stream))
             y = noise_response(discounted_integral_rows(z.values, z.times, 0.8), np.exp(0.8 * z.times))
-            want.append((stream, n, float(tangent_l1_coefficient(y, z, 0.8, 1.0)).hex()))
-    assert got == want
+            want.append((n, z.values[-1], float(tangent_l1_coefficient(y, z, 0.8, 1.0))))
+    assert got.tobytes() == np.array(want).tobytes()
     steps = [n for n, _ in cfg.grids()]
     assert sorted(sizes) == sorted((steps[u], hi - lo) for u, lo, hi in plan)
     assert all(size <= max(1, budget // (n + 1)) for n, size in sizes)
@@ -622,7 +631,7 @@ def test_ou_rows_is_one_array_of_the_one_path_solutions():
     # row k E + e of a block's OU rows is path k at eps e, bit for bit
     theta0, x0, eps_values = 0.8, -1.3, (0.5, 0.05, 0.2)
     paths = [simulate_fbm(0.7, 64, 1.0, make_rng(3, i)) for i in range(5)]
-    _, integral, growth = harness._discounted_block(paths, theta0)
+    integral, growth = harness._discounted_block(paths[0], np.stack([z.values for z in paths]), theta0)
     rows = harness._ou_rows(integral, growth, eps_values, x0)
     assert rows.shape == (len(paths) * len(eps_values), 65)
     assert rows.flags.c_contiguous
@@ -638,19 +647,20 @@ def test_consistency_block_memory_is_bounded_by_its_row_array():
     # paths and no stacked copy of them beside it
     cfg = ExperimentConfig(kind="consistency", q=1, n=512, eps=(0.5, 0.2, 0.1, 0.05), replications=25, seed=3)
     paths = [simulate_driver(cfg.generator, 1, cfg.H, cfg.n, cfg.m, 1.0, make_rng(cfg.seed, i)) for i in range(25)]
+    drivers = np.stack([z.values for z in paths])
     samples = []
 
     def capture(cfg, sample_list):
         samples.extend(sample_list)
-        return [[(1.0, np.zeros(len(cfg.eps)))] * cfg.replications]
+        return [np.ones((cfg.replications, 1 + len(cfg.eps)))]
 
     with mock.patch.object(harness, "_map_paths", capture):
         run_consistency(cfg)
     block = samples[0].fn
-    block(paths)  # warm: grid times and first-call allocations
+    block(paths[0], drivers)  # warm: grid times and first-call allocations
     tracemalloc.start()
     try:
-        block(paths)
+        block(paths[0], drivers)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -350,20 +350,20 @@ def test_fbm_path_is_reduced_inside_the_workspace(warm_path_memory):
 
 
 def test_running_max_monotone_input():
-    p = GridPath(1.0, 3, np.array([0.0, 1.0, 2.0, 3.0]), Provenance(0, 0, "x"))
-    np.testing.assert_array_equal(running_max_abs(p).values, [0, 1, 2, 3])
+    np.testing.assert_array_equal(running_max_abs(np.array([0.0, 1.0, 2.0, 3.0])), [0, 1, 2, 3])
 
 
 def test_running_max_handles_signs():
-    p = GridPath(1.0, 2, np.array([0.0, -2.0, 1.0]), Provenance(0, 0, "x"))
-    np.testing.assert_array_equal(running_max_abs(p).values, [0, 2, 2])
+    # one row per path: each row is its own running maximum
+    values = np.array([[0.0, -2.0, 1.0], [0.0, 0.5, -3.0]])
+    np.testing.assert_array_equal(running_max_abs(values), [[0, 2, 2], [0, 0.5, 3]])
 
 
 def test_running_max_dominates_endpoint():
     z = simulate_fbm(0.7, 64, 1.0, make_rng(9, 9))
-    out = running_max_abs(z)
-    assert out.values[-1] >= abs(z.values[-1])
-    assert np.all(np.diff(out.values) >= 0)
+    out = running_max_abs(z.values)
+    assert out[-1] >= abs(z.values[-1])
+    assert np.all(np.diff(out) >= 0)
 
 
 # ----------------------------------------------------------- law invariants
