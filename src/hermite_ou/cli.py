@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .estimator import EstimatorConfig, minimize_l1
+from .estimator import EstimatorConfig, _check_normal_start, minimize_l1
 from .harness import (
     GENERATORS,
     KINDS,
@@ -140,10 +140,12 @@ def cmd_simulate(args) -> int:
         raise CliError(f"--n must be >= 2, got {args.n}")
     if args.m < 1:
         raise CliError(f"--m must be >= 1, got {args.m}")
-    if not 0 < args.t_max < math.inf:
-        raise CliError(f"--t-max must be positive and finite, got {args.t_max}")
-    if args.process == "ou" and args.eps <= 0:
-        raise CliError(f"--eps must be positive, got {args.eps}")
+    if args.process == "ou":
+        if not 0 < args.eps < math.inf:
+            raise CliError(f"--eps must be positive and finite, got {args.eps}")
+        for flag, value in (("--theta", args.theta), ("--x0", args.x0)):
+            if not math.isfinite(value):
+                raise CliError(f"{flag} must be finite, got {value}")
     rng = make_rng(args.seed, args.stream)
     try:
         z = simulate_driver(args.generator, args.q, args.H, args.n, args.m, args.t_max, rng)
@@ -151,8 +153,14 @@ def cmd_simulate(args) -> int:
         flag = next((f for key, f in _DRIVER_FLAGS if key in str(exc)), "--H")
         raise CliError(f"{flag}: {exc}") from exc
     if args.process == "ou":
-        integral = discounted_integral_rows(z.values, z.times, args.theta)
-        values = exact_solution(integral, np.exp(args.theta * z.times), args.eps, args.x0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            integral = discounted_integral_rows(z.values, z.times, args.theta)
+            values = exact_solution(integral, np.exp(args.theta * z.times), args.eps, args.x0)
+        if not np.isfinite(values).all():
+            raise CliError(
+                f"--theta/--eps/--x0: the OU solution with theta = {args.theta:g}, eps = {args.eps:g} "
+                f"and x0 = {args.x0:g} overflows a double on [0, {args.t_max:g}]"
+            )
         path = z.with_values(values, f"ou-exact(theta={args.theta:g},eps={args.eps:g},x0={args.x0:g})")
     else:
         path = z
@@ -175,6 +183,7 @@ def cmd_estimate(args) -> int:
         except ValueError as exc:
             raise CliError(f"malformed path CSV {args.input}: {exc}") from exc
     try:
+        _check_normal_start(args.x0)
         cfg = EstimatorConfig(args.theta_lo, args.theta_hi, args.coarse_points, args.refine_tol)
         res = minimize_l1(path, args.x0, cfg)
     except ValueError as exc:

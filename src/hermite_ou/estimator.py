@@ -22,6 +22,7 @@ discretized, that is a weighted median of ratios and is solved exactly.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -187,6 +188,15 @@ def _check_rows(values: np.ndarray) -> float:
     return top
 
 
+def _check_normal_start(x0: float) -> None:
+    """Raise ValueError where x0 is zero or subnormal: every skeleton
+    x0 e^(theta t) is then (nearly) 0, so theta is not identified.  The
+    minimiser itself accepts any finite x0; this is the rule of the
+    experiment config and of the CLI's estimate."""
+    if abs(x0) < sys.float_info.min:
+        raise ValueError(f"x0 must be nonzero and normal, got {x0}: every skeleton is then (nearly) 0")
+
+
 def _check_skeleton(n: int, t_max: float, x0: float, top: float, cfg: EstimatorConfig) -> None:
     """Raise ValueError where e^(theta t), x0 e^(theta t) or the row sum of
     the L1 objective of paths with max |X| = ``top`` on n steps over
@@ -337,17 +347,19 @@ def _weighted_median_rows(values: np.ndarray, weights: np.ndarray) -> np.ndarray
     return np.take_along_axis(values, pick, axis=-1)[..., 0]
 
 
-def _tangent_weights(grid: GridPath, theta0: float, x0: float) -> np.ndarray:
+def _tangent_weights(times: np.ndarray, theta0: float, x0: float) -> np.ndarray:
     """Left-endpoint weights t_i x0 e^(theta0 t_i), i = 1..n-1, of
-    int_0^1 |Y_t - u t x0 e^(theta0 t)| dt on ``grid``.
+    int_0^1 |Y_t - u t x0 e^(theta0 t)| dt on the grid times t_0 .. t_n.
 
-    The t = 0 term carries zero weight, so it is dropped.
+    The t = 0 term carries zero weight, so it is dropped.  The one
+    definition of the weights: the fit, its objective and the experiment
+    config's check of their size all call it.
     """
     if not (math.isfinite(x0) and math.isfinite(theta0)):
         raise ValueError(f"x0 and theta0 must be finite, got x0 = {x0}, theta0 = {theta0}")
     if x0 == 0.0:
         raise ValueError("x0 = 0 leaves the fit coefficient unidentified")
-    t = grid.times[:-1]
+    t = times[:-1]
     return (t * x0 * np.exp(theta0 * t))[1:]
 
 
@@ -362,7 +374,7 @@ def tangent_l1_coefficient(ys: np.ndarray, grid: GridPath, theta0: float, x0: fl
     row's result bit for bit its own; a ratio that is not finite (a
     subnormal x0 overflows) raises ValueError.
     """
-    w = _tangent_weights(grid, theta0, x0)
+    w = _tangent_weights(grid.times, theta0, x0)
     with np.errstate(over="ignore", invalid="ignore"):
         ratios = ys[..., 1 : grid.n] / w
     if not np.isfinite(ratios).all():
@@ -372,5 +384,5 @@ def tangent_l1_coefficient(ys: np.ndarray, grid: GridPath, theta0: float, x0: fl
 
 def tangent_l1_objective(y: GridPath, u: float, theta0: float, x0: float) -> float:
     """The discretized tangent-fit objective at u (convex, piecewise linear)."""
-    w = _tangent_weights(y, theta0, x0)
+    w = _tangent_weights(y.times, theta0, x0)
     return float(y.dt * np.sum(np.abs(y.values[1 : y.n] - u * w)))

@@ -5,12 +5,14 @@ Every driving path comes from ``_map_paths``, the one map from replication to
 RNG stream: replication i < R on grid g of ``ExperimentConfig.grids()`` (one
 per horizon T for the maximal kind, one otherwise) draws its path from stream
 (seed, g R + i); the limit-dist KS sample continues from stream 10^6.  So a
-configuration, seed included, determines every output byte.  A task is a
-block of replications on one grid, cut by memory and work (``_block_plan``):
-its paths are sampled one by one into the rows of one (rows, n + 1) array,
-and each row pass over it (its OU rows at every eps are one array) gives
-every row bit for bit its one-path result, so the split into blocks never
-changes an output.
+configuration, seed included, determines every output byte.  The sampler of
+a grid comes from ``_driver``, the one place that chooses fBm or partial
+sums and checks the grid: once per grid when the config is built, and once
+per block.  A task is a block of replications on one grid, cut by memory and
+work (``_block_plan``): its paths are sampled one by one into the rows of
+one (rows, n + 1) array, and each row pass over it (its OU rows at every eps
+are one array) gives every row bit for bit its one-path result, so the split
+into blocks never changes an output.
 All the tasks of an experiment, of every sample and grid, run on one pool of
 worker threads, never on the calling thread: on the main thread glibc trims
 its heap after each large temporary is freed, so every FFT and array pass of
@@ -38,7 +40,9 @@ import numpy as np
 from .estimator import (  # noqa: F401
     _LOG_MAX,
     EstimatorConfig,
+    _check_normal_start,
     _check_skeleton,
+    _tangent_weights,
     minimize_l1,
     minimize_l1_rows,
     skeleton_separation,
@@ -46,9 +50,9 @@ from .estimator import (  # noqa: F401
 )
 from .hermite import (
     GridPath,
-    HermiteSpec,
     _check_embedding,
     _unit_steps,
+    hermite_exponent,
     running_max_abs,
     simulate_fbm,
     simulate_partial_sum,
@@ -134,8 +138,7 @@ class ExperimentConfig:
         for name in ("theta0", "x0"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if abs(self.x0) < sys.float_info.min:  # zero or subnormal: theta is not identified
-            raise ValueError(f"x0 must be nonzero and normal, got {self.x0}: every skeleton is then (nearly) 0")
+        _check_normal_start(self.x0)
         for name in ("eps", "delta", "T", "p"):
             sweep = tuple(float(v) for v in getattr(self, name))
             if len(sweep) == 0:
@@ -159,9 +162,9 @@ class ExperimentConfig:
                 f"limit-dist needs replications <= {_INDEPENDENT_STREAM_BASE}, got "
                 f"{self.replications}: more would reuse the streams of the KS sample"
             )
-        HermiteSpec(self.q, self.H)  # validates q and H
+        hermite_exponent(self.q, self.H)  # validates q and H
         for steps, t_max in self.grids():  # generator checked and sized before any run allocates
-            _check_driver_size(self.generator, self.q, steps, self.m, t_max)
+            _driver(self.generator, self.q, self.H, steps, self.m, t_max)
         est_cfg = self.estimator_config()  # validates the window
         if self.kind in ("consistency", "limit-dist"):  # a window that overflows on every path
             _check_skeleton(self.n, 1.0, self.x0, 0.0, est_cfg)
@@ -171,9 +174,10 @@ class ExperimentConfig:
         elif self.kind == "limit-dist":
             if not self.theta_lo < self.theta0 < self.theta_hi:
                 raise ValueError(f"theta0 = {self.theta0} must lie inside ({self.theta_lo}, {self.theta_hi})")
-            # the tangent fit divides by t x0 e^(theta0 t) at t = i / n, i = 1 .. n - 1,
-            # which is smallest at one end: below the normal doubles a ratio overflows
-            weight = min(abs(t * self.x0) * math.exp(self.theta0 * t) for t in (1 / self.n, 1 - 1 / self.n))
+            # the tangent fit divides by its weights on the grid's times: below the
+            # normal doubles a ratio overflows
+            times = np.arange(self.n + 1) * (1.0 / self.n)
+            weight = float(np.abs(_tangent_weights(times, self.theta0, self.x0)).min())
             if weight < sys.float_info.min:
                 raise ValueError(
                     f"x0 = {self.x0} is too small: the tangent-fit weight t x0 e^(theta0 t) "
@@ -248,40 +252,36 @@ def _map_streams(fn: Callable[[int], object], count: int) -> list:
             raise
 
 
+def _driver(generator: str, q: int, H: float, n: int, m: int, t_max: float) -> Callable[[RngState], GridPath]:
+    """The sampler of driving paths of order q on the grid of n steps over
+    [0, t_max]: a function of the RngState that draws one path.
+
+    ``generator`` is one of GENERATORS; ``auto`` picks exact fBm for q = 1
+    and partial sums otherwise, and ``m`` is the partial-sum refinement.
+    An unknown generator, fbm with q != 1, or a grid the chosen sampler
+    would reject before it allocates raises ValueError here, without
+    sampling; errors about the order mention "order q".  The sampler is
+    looked up in this module when a path is drawn, so bench/tracer.py's
+    wrapper of it sees every draw.
+    """
+    if generator not in GENERATORS:
+        raise ValueError(f"unknown generator {generator!r}; valid: {', '.join(GENERATORS)}")
+    if generator == "fbm" and q != 1:
+        raise ValueError(f"the fbm generator needs order q = 1, got q={q}")
+    if generator == "fbm" or (generator == "auto" and q == 1):
+        _check_embedding(n, 1, t_max)
+        return lambda rng: simulate_fbm(H, n, t_max, rng)
+    hermite_exponent(q, H)
+    _unit_steps(n, m, t_max)
+    return lambda rng: simulate_partial_sum(q, H, n, m, t_max, rng)
+
+
 def simulate_driver(
     generator: str, q: int, H: float, n: int, m: int, t_max: float, rng: RngState
 ) -> GridPath:
-    """Driving path of order q on the grid of n steps over [0, t_max].
-
-    ``generator`` is one of GENERATORS; ``auto`` picks exact fBm for q = 1
-    and partial sums otherwise.  ``m`` is the partial-sum refinement.
-    Invalid input raises ValueError; errors about the order mention
-    "order q".
-    """
-    if _resolve_generator(generator, q) == "fbm":
-        return simulate_fbm(H, n, t_max, rng)
-    return simulate_partial_sum(HermiteSpec(q, H), n, m, t_max, rng)
-
-
-def _resolve_generator(generator: str, q: int) -> str:
-    """``auto`` is exact fBm for q = 1 and partial sums otherwise.  The one check
-    of the choice: an unknown generator, or fbm with q != 1, raises ValueError."""
-    if generator not in GENERATORS:
-        raise ValueError(f"unknown generator {generator!r}; valid: {', '.join(GENERATORS)}")
-    if generator == "auto":
-        return "fbm" if q == 1 else "partial-sum"
-    if generator == "fbm" and q != 1:
-        raise ValueError(f"the fbm generator needs order q = 1, got q={q}")
-    return generator
-
-
-def _check_driver_size(generator: str, q: int, n: int, m: int, t_max: float) -> None:
-    """The size checks the fbm or partial-sum generator makes before it
-    allocates anything (ValueError), without simulating."""
-    if _resolve_generator(generator, q) == "fbm":
-        _check_embedding(n)
-    else:
-        _unit_steps(n, m, t_max)
+    """Driving path of order q on the grid of n steps over [0, t_max], drawn
+    from ``rng`` by the sampler of _driver, whose checks it makes first."""
+    return _driver(generator, q, H, n, m, t_max)(rng)
 
 
 # doubles that one row array of a block may hold: rows x the row width, where a
@@ -370,9 +370,10 @@ def _map_paths(cfg: ExperimentConfig, samples: list) -> list:
         s, g = units[u]
         sample, (n, t_max) = samples[s], grids[g]
         first = sample.first_stream + g * sample.count + lo
+        draw = _driver(cfg.generator, cfg.q, cfg.H, n, cfg.m, t_max)
         drivers = np.empty((hi - lo, n + 1))
         for r in range(hi - lo):
-            path = simulate_driver(cfg.generator, cfg.q, cfg.H, n, cfg.m, t_max, make_rng(cfg.seed, first + r))
+            path = draw(make_rng(cfg.seed, first + r))
             drivers[r] = path.values
         return sample.fn(path, drivers)
 

@@ -7,27 +7,30 @@ Brownian motion, q = 2 the Rosenblatt process; for q >= 2 the process is
 non-Gaussian.  Its law is normalized so that E[Z_1^2] = 1, which fixes the
 covariance E[Z_t Z_s] = 0.5 * (t^(2H) + s^(2H) - |t-s|^(2H)).
 
-``simulate_partial_sum`` generates it from normalized partial sums
-sum_{j<=Nt} He_q(xi_j) of the q-th Hermite polynomial applied to a
+``simulate_partial_sum(q, H, ...)`` generates it from normalized partial
+sums sum_{j<=Nt} He_q(xi_j) of the q-th Hermite polynomial applied to a
 stationary Gaussian sequence with fractional-noise correlation of Hurst
-H0 = 1 + (H-1)/q.  By the noncentral limit theorem these converge to the
-Hermite process; the normalization uses the exact finite-N variance so that
-Var(Z_1) = 1 holds exactly at any resolution.
+H0 = hermite_exponent(q, H) = 1 + (H-1)/q.  By the noncentral limit theorem
+these converge to the Hermite process; the normalization uses the exact
+finite-N variance so that Var(Z_1) = 1 holds exactly at any resolution.
 
 ``simulate_fbm`` gives exact fractional Brownian motion (the q = 1 case)
 from cumulative fractional Gaussian noise.
 
 Both draw each path as one circulant-embedding sample of fractional
 Gaussian noise (rng.sample_stationary_gaussian), reduced to its grid inside
-the sampler's workspace.  What stays resident per size is the embedding
-scale, cached per (h, n) in rng, and the partial-sum normalization, cached
-here per (q, H0, summands per unit of time); no autocovariance is kept.
+the sampler's workspace.  Before they allocate, both check the horizon and
+the embedding size (``_check_embedding``), and partial sums also the
+normalization (``_unit_steps``); harness._driver makes the same checks once
+per grid.  What stays resident per size is the embedding scale, cached per
+(h, n) in rng, and the partial-sum normalization, cached here per
+(q, H0, summands per unit of time); no autocovariance is kept.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -35,7 +38,6 @@ import numpy as np
 from .rng import RngState, _filled_once, fgn_autocov, sample_stationary_gaussian
 
 __all__ = [
-    "HermiteSpec",
     "Provenance",
     "GridPath",
     "hermite_exponent",
@@ -53,29 +55,16 @@ __all__ = [
 _MAX_ORDER = 164
 
 
-def _check_order_and_hurst(q: int, h: float) -> None:
+def hermite_exponent(q: int, h: float) -> float:
+    """Per-factor kernel exponent H0 = 1 + (H - 1) / q, in (1 - 1/(2q), 1).
+
+    Raises ValueError unless q is an integer in [1, _MAX_ORDER] ("order q")
+    and H is in (1/2, 1)."""
     if int(q) != q or not 1 <= q <= _MAX_ORDER:
         raise ValueError(f"order q must be an integer in [1, {_MAX_ORDER}], got {q}")
     if not 0.5 < h < 1.0:
         raise ValueError(f"self-similarity parameter H must be in (1/2, 1), got {h}")
-
-
-def hermite_exponent(q: int, h: float) -> float:
-    """Per-factor kernel exponent H0 = 1 + (H - 1) / q, in (1 - 1/(2q), 1)."""
-    _check_order_and_hurst(q, h)
     return 1.0 + (h - 1.0) / q
-
-
-@dataclass(frozen=True)
-class HermiteSpec:
-    """Order q, self-similarity parameter H, and the derived H0."""
-
-    q: int
-    H: float
-    H0: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "H0", hermite_exponent(self.q, self.H))
 
 
 @dataclass(frozen=True)
@@ -150,13 +139,17 @@ def _embedding_lags(n_incr: int) -> int:
     return (1 << max(0, (n_incr - 1).bit_length())) + 1
 
 
-def _check_embedding(n: int, m: int = 1) -> None:
-    """Raise ValueError, before anything is allocated, when the n * m FGN
-    values of a grid of n steps with m summands per step need a circulant
-    embedding (2(n_pad - 1) points) above the limit.
+def _check_embedding(n: int, m: int, t_max: float) -> None:
+    """Raise ValueError, before anything is allocated, when the horizon
+    t_max is not positive and finite, or when the n * m FGN values of a grid
+    of n steps with m summands per step need a circulant embedding
+    (2(n_pad - 1) points) above the limit.
 
-    The message starts "grid size n", which the CLI maps to --n.
+    The messages name "t_max" or start "grid size n", which the CLI maps to
+    --t-max and --n.
     """
+    if not 0 < t_max < math.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max}")
     points = 2 * (_embedding_lags(n * m) - 1)
     if points > _EMBEDDING_MAX_POINTS:
         grid = f"n = {n}" if m == 1 else f"n = {n} with m = {m}"
@@ -170,12 +163,12 @@ def _unit_steps(n: int, m: int, t_max: float) -> int:
     """Summands per unit of time, n m / t_max, for the partial-sum
     normalization, which divides by the standard deviation of that many.
 
-    Raises ValueError, before anything is allocated, when the n * m values
-    need too large an embedding, the normalization too many lags, or
-    n m / t_max is more than 1e-3 of itself from an integer: rounding it
-    would then normalize by the wrong standard deviation.
+    Raises ValueError, before anything is allocated, when _check_embedding
+    does, when the normalization needs too many lags, or when n m / t_max
+    is more than 1e-3 of itself from an integer: rounding it would then
+    normalize by the wrong standard deviation.
     """
-    _check_embedding(n, m)
+    _check_embedding(n, m, t_max)
     units = n * m / t_max
     if not units <= _EMBEDDING_MAX_POINTS:
         raise ValueError(
@@ -201,7 +194,7 @@ def simulate_fbm(h: float, n: int, t_max: float, rng: RngState) -> GridPath:
         raise ValueError(f"Hurst parameter must be in (0, 1), got {h}")
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    _check_embedding(n)
+    _check_embedding(n, 1, t_max)
 
     def grid(x):
         incr = np.multiply(x[:n], (t_max / n) ** h, out=x[:n])
@@ -245,10 +238,9 @@ def _hermite_in_place(x: np.ndarray, q: int) -> np.ndarray:
     return x
 
 
-def simulate_partial_sum(
-    spec: HermiteSpec, n: int, m: int, t_max: float, rng: RngState
-) -> GridPath:
-    """Hermite path from normalized Hermite-polynomial partial sums.
+def simulate_partial_sum(q: int, H: float, n: int, m: int, t_max: float, rng: RngState) -> GridPath:
+    """Hermite path of order q and self-similarity parameter H from
+    normalized Hermite-polynomial partial sums.
 
     Draws N = n * m values of a stationary standard Gaussian sequence with
     FGN correlation of Hurst H0, applies the q-th Hermite polynomial and
@@ -259,19 +251,18 @@ def simulate_partial_sum(
 
     m is the internal refinement (summands per grid step, >= 16 recommended).
     """
+    h0 = hermite_exponent(q, H)
     if n < 1 or m < 1:
         raise ValueError(f"n and m must be >= 1, got n={n}, m={m}")
     k_unit = _unit_steps(n, m, t_max)  # internal points per unit of time
 
     def grid(x):
-        xi = _hermite_in_place(x[: n * m], spec.q)
+        xi = _hermite_in_place(x[: n * m], q)
         sums = np.cumsum(xi, out=xi)
-        return np.concatenate([[0.0], sums[m - 1 :: m]]) / _partial_sum_std(
-            spec.q, spec.H0, k_unit
-        )
+        return np.concatenate([[0.0], sums[m - 1 :: m]]) / _partial_sum_std(q, h0, k_unit)
 
-    values = sample_stationary_gaussian(spec.H0, _embedding_lags(n * m), rng, reduce=grid)
-    tag = f"partial-sum(q={spec.q},H={spec.H:g},m={m})"
+    values = sample_stationary_gaussian(h0, _embedding_lags(n * m), rng, reduce=grid)
+    tag = f"partial-sum(q={q},H={H:g},m={m})"
     return GridPath(t_max, n, values, Provenance(rng.seed, rng.stream, tag))
 
 
@@ -329,6 +320,10 @@ def read_path_csv(fh) -> GridPath:
     values = np.array([r[1] for r in rows])
     n = len(rows) - 1
     t_max = float(times[-1]) if t_max is None else t_max
-    if t_max <= 0 or not np.allclose(times, np.arange(n + 1) * (t_max / n), atol=1e-9):
+    step = t_max / n
+    # each time within 1e-6 steps of i t_max / n (times written with 9 significant
+    # digits on [0, 1] at n <= 1000 are within 5e-7): a tolerance that scales
+    # with t would accept a point shifted by a fraction of t far along the grid
+    if not (t_max > 0 and np.all(np.abs(times - np.arange(n + 1) * step) <= 1e-6 * step)):
         raise ValueError("path CSV must be sampled on a uniform grid starting at 0")
     return GridPath(t_max, n, values, Provenance(0, 0, "csv"))

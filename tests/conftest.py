@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hermite_ou import make_rng
-from hermite_ou.hermite import HermiteSpec, simulate_fbm, simulate_partial_sum
+from hermite_ou.hermite import simulate_fbm, simulate_partial_sum
 
 SEED = 20250810
 
@@ -24,10 +24,9 @@ def grid_samples():
     def get(q, h):
         key = (q, h)
         if key not in cache:
-            spec = HermiteSpec(q, h)
             vals = np.empty((4000, 4))
             for s in range(4000):
-                path = simulate_partial_sum(spec, 512, 32, 1.0, make_rng(SEED, s))
+                path = simulate_partial_sum(q, h, 512, 32, 1.0, make_rng(SEED, s))
                 vals[s] = path.values[list(QUARTER_IDX)]
             cache[key] = vals
         return cache[key]

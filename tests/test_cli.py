@@ -93,6 +93,13 @@ BAD_SIMULATE_FLAGS = {
     "t-max-inf": (["--t-max", "inf"], "--t-max"),
     "ps-t-max-tiny": (["--q", "2", "--t-max", "1e-9"], "--t-max"),
     "eps-0": (["--eps", "0"], "--eps"),
+    "eps-nan": (["--eps", "nan"], "--eps"),
+    "eps-inf": (["--eps", "inf"], "--eps"),
+    "theta-nan": (["--theta", "nan"], "--theta"),
+    "x0-inf": (["--x0", "inf"], "--x0"),
+    "x0-nan": (["--x0", "nan"], "--x0"),
+    "theta-800": (["--theta", "800"], "--theta/--eps/--x0"),  # e^(800 t) overflows
+    "theta-neg-800": (["--theta=-800"], "--theta/--eps/--x0"),  # its discount e^(800 t) overflows
     "fbm-q2": (["--generator", "fbm", "--q", "2"], "--q"),
     "q2-H1.4": (["--q", "2", "--H", "1.4"], "--H"),
     "q-165": (["--q", "165"], "--q"),  # q! k^2 may overflow the normalization
@@ -111,8 +118,8 @@ def simulate_ou(tmp_path, *flags):
 def test_simulate_rejects_bad_flag(case, tmp_path, capsys):
     flags, named = BAD_SIMULATE_FLAGS[case]
     assert simulate_ou(tmp_path, *flags) == 2
-    error = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
-    assert len(error) == 1 and named in error[0], error
+    err = capsys.readouterr().err.splitlines()  # the one error line, no numpy warnings
+    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0], err
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -422,6 +429,10 @@ BAD_ESTIMATE_FLAGS = {
     "coarse-points-2": (["--coarse-points", "2"], "--coarse-points"),
     "x0-nan": (["--x0", "nan"], "--x0"),
     "x0-inf": (["--x0=-inf"], "--x0"),
+    # every skeleton is (nearly) 0: the config rejects these starts as well
+    "x0-0": (["--x0", "0"], "--x0"),
+    "x0-neg0": (["--x0=-0.0"], "--x0"),
+    "x0-subnormal": (["--x0", "1e-320"], "--x0"),
 }
 
 

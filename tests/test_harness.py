@@ -32,7 +32,7 @@ from hermite_ou.harness import (
     write_rows_csv,
 )
 from hermite_ou.estimator import minimize_l1, tangent_l1_coefficient
-from hermite_ou.hermite import HermiteSpec, simulate_fbm, simulate_partial_sum
+from hermite_ou.hermite import simulate_fbm, simulate_partial_sum
 from hermite_ou.integrals import covariance_functional, discounted_integral_rows, noise_response
 from hermite_ou.ou import exact_solution
 
@@ -268,7 +268,7 @@ def test_simulate_driver_auto_picks_by_order():
     fbm = simulate_driver("auto", 1, 0.7, 32, 8, 2.0, rng)
     np.testing.assert_array_equal(fbm.values, simulate_fbm(0.7, 32, 2.0, rng).values)
     ps = simulate_driver("auto", 2, 0.7, 32, 8, 2.0, rng)
-    want = simulate_partial_sum(HermiteSpec(2, 0.7), 32, 8, 2.0, rng)
+    want = simulate_partial_sum(2, 0.7, 32, 8, 2.0, rng)
     np.testing.assert_array_equal(ps.values, want.values)
 
 
@@ -279,6 +279,25 @@ def test_simulate_driver_rejects_bad_choices():
         simulate_driver("partial-sum", 165, 0.7, 8, 1, 1.0, make_rng(0, 0))
     with pytest.raises(ValueError, match="unknown generator"):
         simulate_driver("bogus", 2, 0.7, 32, 8, 1.0, make_rng(0, 0))
+
+
+@pytest.mark.parametrize("t_max", [0.0, -1.0, math.nan, math.inf])
+def test_every_sampler_rejects_a_bad_horizon_before_sampling(t_max, monkeypatch):
+    # t_max = 0 divided by zero, -1 failed in numpy after sampling and inf
+    # blamed n: each must fail up front with a ValueError that names t_max
+    def sampled(*args, **kwargs):
+        raise AssertionError("sample_stationary_gaussian called")
+
+    monkeypatch.setattr(hermite, "sample_stationary_gaussian", sampled)
+    samplers = [
+        lambda rng: simulate_fbm(0.7, 16, t_max, rng),
+        lambda rng: simulate_partial_sum(2, 0.7, 16, 4, t_max, rng),
+        lambda rng: simulate_driver("auto", 1, 0.7, 16, 4, t_max, rng),
+        lambda rng: simulate_driver("auto", 2, 0.7, 16, 4, t_max, rng),
+    ]
+    for simulate in samplers:
+        with pytest.raises(ValueError, match=r"^t_max must be positive and finite"):
+            simulate(make_rng(0, 0))
 
 
 # ------------------------------------------------------------------- maximal
@@ -514,13 +533,18 @@ def test_stream_layout_of_every_kind(q, threads, monkeypatch):
     # one replication-to-stream map: which (seed, stream) drives which grid
     reps, ks, seed = 5, 4, 13
     calls = []
-    simulate = harness.simulate_driver
+    driver = harness._driver
 
-    def recording(generator, q, H, n, m, t_max, rng):
-        calls.append((rng.seed, rng.stream, n, t_max))
-        return simulate(generator, q, H, n, m, t_max, rng)
+    def recording(generator, q, H, n, m, t_max):
+        draw = driver(generator, q, H, n, m, t_max)
 
-    monkeypatch.setattr(harness, "simulate_driver", recording)
+        def recorded(rng):
+            calls.append((rng.seed, rng.stream, n, t_max))
+            return draw(rng)
+
+        return recorded
+
+    monkeypatch.setattr(harness, "_driver", recording)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     monkeypatch.setenv("HERMITE_OU_THREADS", threads)
     for kind in harness.KINDS:

@@ -20,7 +20,6 @@ from hermite_ou import fgn_autocov, hermite, make_rng
 from hermite_ou import rng as rng_module
 from hermite_ou.hermite import (
     GridPath,
-    HermiteSpec,
     Provenance,
     hermite_exponent,
     read_path_csv,
@@ -77,13 +76,8 @@ def test_largest_order_keeps_the_normalization_finite():
     k_max = float(1 << 24)
     assert math.factorial(hermite._MAX_ORDER) * k_max**2 < math.inf
     assert math.factorial(hermite._MAX_ORDER + 1) * k_max**2 == math.inf
-    z = simulate_partial_sum(HermiteSpec(hermite._MAX_ORDER, 0.7), 16, 4, 1.0, make_rng(0, 0))
+    z = simulate_partial_sum(hermite._MAX_ORDER, 0.7, 16, 4, 1.0, make_rng(0, 0))
     assert np.count_nonzero(z.values) == 16
-
-
-def test_spec_carries_derived_fields():
-    spec = HermiteSpec(2, 0.7)
-    assert spec.H0 == pytest.approx(0.85)
 
 
 # ---------------------------------------------------------------- grid paths
@@ -118,8 +112,7 @@ def test_grid_times_are_uniform():
 @pytest.mark.parametrize("seed", [1, 2, 77])
 def test_every_generator_starts_at_zero(seed):
     assert simulate_fbm(0.7, 32, 1.0, make_rng(seed, 0)).values[0] == 0.0
-    spec = HermiteSpec(2, 0.7)
-    assert simulate_partial_sum(spec, 32, 8, 1.0, make_rng(seed, 0)).values[0] == 0.0
+    assert simulate_partial_sum(2, 0.7, 32, 8, 1.0, make_rng(seed, 0)).values[0] == 0.0
 
 
 def test_fbm_h05_unit_variance():
@@ -164,10 +157,9 @@ def test_hermite_in_place_matches_hermeval_bit_for_bit(q):
 
 def test_partial_sum_q1_matches_fbm_in_law():
     # same covariance grid as the exact fBm generator, 3 SE bands
-    spec = HermiteSpec(1, 0.7)
     idx = [16, 32, 48, 64]
     a = np.array(
-        [simulate_partial_sum(spec, 64, 16, 1.0, make_rng(SEED + 2, s)).values[idx] for s in range(4000)]
+        [simulate_partial_sum(1, 0.7, 64, 16, 1.0, make_rng(SEED + 2, s)).values[idx] for s in range(4000)]
     )
     b = np.array(
         [simulate_fbm(0.7, 64, 1.0, make_rng(SEED + 3, s)).values[idx] for s in range(4000)]
@@ -199,15 +191,15 @@ def test_partial_sum_q2_endpoint_matches_its_exact_law():
     # lam = eig(R) / sd and i.i.d. standard normals g_k (the eigenvalue form
     # of the Rosenblatt law, Veillette & Taqqu 2013).  A Gaussian path with
     # the same covariance is rejected by this comparison.
-    spec, n, m = HermiteSpec(2, 0.7), 64, 8
-    big_n = n * m
-    lam = eigvalsh(toeplitz(fgn_autocov(spec.H0, big_n)))
-    lam /= hermite._partial_sum_std(2, spec.H0, big_n)
+    n, m = 64, 8
+    big_n, h0 = n * m, hermite_exponent(2, 0.7)
+    lam = eigvalsh(toeplitz(fgn_autocov(h0, big_n)))
+    lam /= hermite._partial_sum_std(2, h0, big_n)
     assert 2 * np.sum(lam**2) == pytest.approx(1.0, rel=1e-12)
     gen = np.random.default_rng(SEED + 30)
     exact = np.concatenate([(gen.standard_normal((4000, big_n)) ** 2 - 1) @ lam for _ in range(5)])
     ends = np.array(
-        [simulate_partial_sum(spec, n, m, 1.0, make_rng(SEED + 30, s)).values[-1] for s in range(4000)]
+        [simulate_partial_sum(2, 0.7, n, m, 1.0, make_rng(SEED + 30, s)).values[-1] for s in range(4000)]
     )
     assert ks_2samp(ends, exact).pvalue > 0.01
 
@@ -223,7 +215,7 @@ class _Sampled(Exception):
         # 2^23 increments embed in 2^24 points, 2^23 + 1 in 2^25
         (lambda n, t_max: simulate_fbm(0.7, n, t_max, make_rng(0, 0)), 1 << 23),
         (
-            lambda n, t_max: simulate_partial_sum(HermiteSpec(2, 0.7), n, 32, t_max, make_rng(0, 0)),
+            lambda n, t_max: simulate_partial_sum(2, 0.7, n, 32, t_max, make_rng(0, 0)),
             1 << 18,
         ),
     ],
@@ -244,31 +236,28 @@ def test_samplers_size_the_embedding_before_allocating(simulate, largest):
 def test_partial_sum_sizes_its_normalization_before_allocating():
     # the normalization builds n m / t_max autocovariance lags
     sampled = mock.Mock(side_effect=_Sampled)
-    spec = HermiteSpec(2, 0.7)
     with mock.patch.object(hermite, "fgn_autocov", sampled):
         with pytest.raises(ValueError, match=r"^t_max = 1e-07 with n = 512 and m = 32"):
-            simulate_partial_sum(spec, 512, 32, 1e-7, make_rng(0, 0))
+            simulate_partial_sum(2, 0.7, 512, 32, 1e-7, make_rng(0, 0))
         with pytest.raises(_Sampled):
-            simulate_partial_sum(spec, 512, 32, 512 * 32 / (1 << 24), make_rng(0, 0))
+            simulate_partial_sum(2, 0.7, 512, 32, 512 * 32 / (1 << 24), make_rng(0, 0))
 
 
 def test_partial_sum_rejects_a_fractional_unit_of_summands():
     # n m / t_max summands per unit of time must be whole: at t_max = 100 and
     # 1000 the normalization rounded 2.56 to 3 and 0.256 to 1, and Var(Z_T) / T^(2H)
     # read about 0.80 and 0.15 over 3000 paths, against 1.01 at t_max = 1
-    spec = HermiteSpec(1, 0.7)
     for t_max in (100.0, 1000.0, 3.0):
         with pytest.raises(ValueError, match=rf"^t_max = {t_max:g} with n = 64 and m = 4: "):
-            simulate_partial_sum(spec, 64, 4, t_max, make_rng(0, 0))
+            simulate_partial_sum(1, 0.7, 64, 4, t_max, make_rng(0, 0))
     for t_max in (0.5, 1.0, 4.0, 256.0):
-        assert simulate_partial_sum(spec, 64, 4, t_max, make_rng(0, 0)).t_max == t_max
+        assert simulate_partial_sum(1, 0.7, 64, 4, t_max, make_rng(0, 0)).t_max == t_max
 
 
 def test_partial_sum_of_one_summand_has_unit_variance():
     # one step of one summand samples a 2-lag embedding; E Z_1^2 = 1 exactly
     for q in (1, 2):
-        spec = HermiteSpec(q, 0.7)
-        ends = np.array([simulate_partial_sum(spec, 1, 1, 1.0, make_rng(SEED + 40, s)).values[-1] for s in range(4000)])
+        ends = np.array([simulate_partial_sum(q, 0.7, 1, 1, 1.0, make_rng(SEED + 40, s)).values[-1] for s in range(4000)])
         se = np.std(ends**2, ddof=1) / np.sqrt(ends.size)
         assert abs(np.mean(ends**2) - 1.0) < 3 * se, q
 
@@ -333,8 +322,7 @@ def warm_path_memory(monkeypatch):
 
 def test_partial_sum_path_is_reduced_inside_the_workspace(warm_path_memory):
     # 65,536 increments in a 131,072-point embedding (2 MiB of workspace)
-    spec = HermiteSpec(2, 0.7)
-    peak, path = warm_path_memory(lambda rng: simulate_partial_sum(spec, 2048, 32, 1.0, rng))
+    peak, path = warm_path_memory(lambda rng: simulate_partial_sum(2, 0.7, 2048, 32, 1.0, rng))
     assert path.n == 2048
     assert peak <= 256 * 1024, peak
 
@@ -383,16 +371,15 @@ def test_stationary_increments_ks_q1():
 
 def test_stationary_increments_ks_q2():
     n, reps = 64, 4000
-    spec = HermiteSpec(2, 0.7)
     a = np.array(
         [
-            simulate_partial_sum(spec, n, 16, 1.0, make_rng(SEED + 9, s)).values[[16, 48]]
+            simulate_partial_sum(2, 0.7, n, 16, 1.0, make_rng(SEED + 9, s)).values[[16, 48]]
             for s in range(reps)
         ]
     )
     b = np.array(
         [
-            simulate_partial_sum(spec, n, 16, 1.0, make_rng(SEED + 10, s)).values[32]
+            simulate_partial_sum(2, 0.7, n, 16, 1.0, make_rng(SEED + 10, s)).values[32]
             for s in range(reps)
         ]
     )
@@ -417,21 +404,21 @@ def test_self_similarity_ks_q1(a_scale):
 
 @pytest.mark.parametrize("a_scale", [0.5, 2.0])
 def test_self_similarity_ks_q2(a_scale):
-    spec, reps = HermiteSpec(2, 0.7), 4000
+    h, reps = 0.7, 4000
     n_a = int(64 * max(a_scale, 1))
     za = np.array(
         [
-            simulate_partial_sum(spec, n_a, 16, a_scale, make_rng(SEED + 13, s)).values[-1]
+            simulate_partial_sum(2, h, n_a, 16, a_scale, make_rng(SEED + 13, s)).values[-1]
             for s in range(reps)
         ]
     )
     z1 = np.array(
         [
-            simulate_partial_sum(spec, 64, 16, 1.0, make_rng(SEED + 14, s)).values[-1]
+            simulate_partial_sum(2, h, 64, 16, 1.0, make_rng(SEED + 14, s)).values[-1]
             for s in range(reps)
         ]
     )
-    assert ks_2samp(za, a_scale**spec.H * z1).pvalue > 0.01
+    assert ks_2samp(za, a_scale**h * z1).pvalue > 0.01
 
 
 @pytest.mark.parametrize("q,h", [(1, 0.7), (2, 0.7)])
@@ -518,6 +505,27 @@ def test_path_csv_without_t_max_line_uses_last_time():
     assert type(back.t_max) is float and back.t_max == 1.25
     with pytest.raises(ValueError, match="could not convert"):
         read_path_csv(io.StringIO("# t_max= n=2\n" + text))
+
+
+def _times_csv(times):
+    return "t,value\n" + "".join(f"{t},0\n" for t in times)
+
+
+def test_path_csv_rejects_a_time_off_its_grid_point():
+    # a tolerance relative to t accepted each of these: one point 3 off on a
+    # grid of step 1000, a grid read as [0, 1000005, 2000010], and a midpoint
+    # 0.4 steps off at t_max = 1e-12, where an absolute 1e-9 accepts any times
+    shifted = np.arange(1001) * 1000.0
+    shifted[500] = 500003.0
+    for times in (shifted, [0, 1e6, 2000010], [0, 3e-13, 1e-12]):
+        with pytest.raises(ValueError, match="uniform grid"):
+            read_path_csv(io.StringIO(_times_csv(times)))
+
+
+@pytest.mark.parametrize("n", [3, 512, 1000])
+def test_path_csv_accepts_times_written_with_nine_digits(n):
+    times = [format(t, ".9g") for t in np.arange(n + 1) / n]
+    assert read_path_csv(io.StringIO(_times_csv(times))).n == n
 
 
 def test_path_csv_format():
