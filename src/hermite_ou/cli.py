@@ -22,9 +22,9 @@ from .harness import (
     KINDS,
     SCHEMAS,
     ExperimentConfig,
+    _driver,
     band_summaries,
     run_experiment,
-    simulate_driver,
     write_rows_csv,
 )
 from .hermite import read_path_csv, write_path_csv
@@ -44,7 +44,8 @@ _TYPE_PARSERS = {"str": str, "int": int, "float": float, "tuple": _float_list}
 _FIELD_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in dataclasses.fields(ExperimentConfig)}
 
 
-# simulate_driver errors name the parameter they reject; anything else is about H
+# _driver's checks and its sampler's errors name the parameter they reject;
+# anything else is about H
 _DRIVER_FLAGS = (("order q", "--q"), ("grid size n", "--n"), ("t_max", "--t-max"))
 # estimator errors likewise; anything else is about the theta window
 _ESTIMATE_FLAGS = (
@@ -148,7 +149,7 @@ def cmd_simulate(args) -> int:
                 raise CliError(f"{flag} must be finite, got {value}")
     rng = make_rng(args.seed, args.stream)
     try:
-        z = simulate_driver(args.generator, args.q, args.H, args.n, args.m, args.t_max, rng)
+        z = _driver(args.generator, args.q, args.H, args.n, args.m, args.t_max)(rng)
     except ValueError as exc:
         flag = next((f for key, f in _DRIVER_FLAGS if key in str(exc)), "--H")
         raise CliError(f"{flag}: {exc}") from exc

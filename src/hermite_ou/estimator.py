@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermite import GridPath
+from .hermite import GridPath, _check_integer
 
 __all__ = [
     "EstimatorConfig",
@@ -71,6 +71,7 @@ class EstimatorConfig:
             raise ValueError(
                 f"need theta_lo < theta_hi, got [{self.theta_lo}, {self.theta_hi}]"
             )
+        object.__setattr__(self, "coarse_points", _check_integer("coarse_points", self.coarse_points))
         if not 3 <= self.coarse_points <= _MAX_COARSE_POINTS:
             raise ValueError(
                 f"coarse_points must be in [3, {_MAX_COARSE_POINTS}], got {self.coarse_points}"

@@ -8,11 +8,12 @@ per horizon T for the maximal kind, one otherwise) draws its path from stream
 configuration, seed included, determines every output byte.  The sampler of
 a grid comes from ``_driver``, the one place that chooses fBm or partial
 sums and checks the grid: once per grid when the config is built, and once
-per block.  A task is a block of replications on one grid, cut by memory and
-work (``_block_plan``): its paths are sampled one by one into the rows of
-one (rows, n + 1) array, and each row pass over it (its OU rows at every eps
-are one array) gives every row bit for bit its one-path result, so the split
-into blocks never changes an output.
+per grid in each ``_map_paths`` call, before its tasks start.  A task is a
+block of replications on one grid, cut by memory and work
+(``_block_plan``): its paths are sampled one by one into the rows of one
+(rows, n + 1) array, and each row pass over it (its OU rows at every eps
+are one array) gives every row bit for bit its one-path result, so the
+split into blocks never changes an output.
 All the tasks of an experiment, of every sample and grid, run on one pool of
 worker threads, never on the calling thread: on the main thread glibc trims
 its heap after each large temporary is freed, so every FFT and array pass of
@@ -51,6 +52,7 @@ from .estimator import (  # noqa: F401
 from .hermite import (
     GridPath,
     _check_embedding,
+    _check_integer,
     _unit_steps,
     hermite_exponent,
     running_max_abs,
@@ -70,7 +72,6 @@ __all__ = [
     "run_maximal",
     "run_covariance_audit",
     "run_experiment",
-    "simulate_driver",
     "ks_two_sample",
     "write_rows_csv",
     "band_summaries",
@@ -131,6 +132,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}; valid: {', '.join(KINDS)}")
+        for name in ("q", "n", "m", "replications", "ks_samples", "coarse_points", "seed"):
+            object.__setattr__(self, name, _check_integer(name, getattr(self, name)))
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if not 0 <= self.seed < 2**64:
@@ -254,7 +257,8 @@ def _map_streams(fn: Callable[[int], object], count: int) -> list:
 
 def _driver(generator: str, q: int, H: float, n: int, m: int, t_max: float) -> Callable[[RngState], GridPath]:
     """The sampler of driving paths of order q on the grid of n steps over
-    [0, t_max]: a function of the RngState that draws one path.
+    [0, t_max]: a function of the RngState that draws one path, and the
+    package's only way to get one (the CLI draws with _driver(...)(rng)).
 
     ``generator`` is one of GENERATORS; ``auto`` picks exact fBm for q = 1
     and partial sums otherwise, and ``m`` is the partial-sum refinement.
@@ -274,14 +278,6 @@ def _driver(generator: str, q: int, H: float, n: int, m: int, t_max: float) -> C
     hermite_exponent(q, H)
     _unit_steps(n, m, t_max)
     return lambda rng: simulate_partial_sum(q, H, n, m, t_max, rng)
-
-
-def simulate_driver(
-    generator: str, q: int, H: float, n: int, m: int, t_max: float, rng: RngState
-) -> GridPath:
-    """Driving path of order q on the grid of n steps over [0, t_max], drawn
-    from ``rng`` by the sampler of _driver, whose checks it makes first."""
-    return _driver(generator, q, H, n, m, t_max)(rng)
 
 
 # doubles that one row array of a block may hold: rows x the row width, where a
@@ -352,12 +348,14 @@ def _map_paths(cfg: ExperimentConfig, samples: list) -> list:
     from one _map_streams call with one task per block of _block_plan.
 
     Replication i on grid g of a sample draws its path from stream
-    first_stream + g count + i; the paths of a block are sampled one by
-    one, in replication order, into the rows of one array.  A sample's array
+    first_stream + g count + i, with the sampler _driver returns for grid g,
+    once per call; the paths of a block are sampled one by one, in
+    replication order, into the rows of one array.  A sample's array
     holds their result rows in replication order, grid by grid, so it does
     not depend on how the replications were split into blocks.
     """
     grids = cfg.grids()
+    draws = [_driver(cfg.generator, cfg.q, cfg.H, n, cfg.m, t_max) for n, t_max in grids]
     units = [(s, g) for s in range(len(samples)) for g in range(len(grids))]
     plan = _block_plan(
         [(grids[g][0], samples[s].count, samples[s].minimised_rows) for s, g in units],
@@ -368,9 +366,8 @@ def _map_paths(cfg: ExperimentConfig, samples: list) -> list:
     def task(k):
         u, lo, hi = plan[k]
         s, g = units[u]
-        sample, (n, t_max) = samples[s], grids[g]
+        sample, n, draw = samples[s], grids[g][0], draws[g]
         first = sample.first_stream + g * sample.count + lo
-        draw = _driver(cfg.generator, cfg.q, cfg.H, n, cfg.m, t_max)
         drivers = np.empty((hi - lo, n + 1))
         for r in range(hi - lo):
             path = draw(make_rng(cfg.seed, first + r))

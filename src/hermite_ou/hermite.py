@@ -30,6 +30,7 @@ per grid.  What stays resident per size is the embedding scale, cached per
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -55,12 +56,20 @@ __all__ = [
 _MAX_ORDER = 164
 
 
+def _check_integer(name: str, value) -> int:
+    """value as an int; raises ValueError naming ``name`` unless it is an
+    integer (numpy's included), and a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def hermite_exponent(q: int, h: float) -> float:
     """Per-factor kernel exponent H0 = 1 + (H - 1) / q, in (1 - 1/(2q), 1).
 
     Raises ValueError unless q is an integer in [1, _MAX_ORDER] ("order q")
     and H is in (1/2, 1)."""
-    if int(q) != q or not 1 <= q <= _MAX_ORDER:
+    if not 1 <= _check_integer("order q", q) <= _MAX_ORDER:
         raise ValueError(f"order q must be an integer in [1, {_MAX_ORDER}], got {q}")
     if not 0.5 < h < 1.0:
         raise ValueError(f"self-similarity parameter H must be in (1/2, 1), got {h}")
@@ -93,8 +102,8 @@ class GridPath:
     provenance: Provenance
 
     def __post_init__(self):
-        if self.t_max <= 0:
-            raise ValueError(f"t_max must be positive, got {self.t_max}")
+        if not 0 < self.t_max < math.inf:
+            raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         v = np.ascontiguousarray(self.values, dtype=float)

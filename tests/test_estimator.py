@@ -208,9 +208,10 @@ def test_coarse_pick_matches_the_objective_table_bit_for_bit(n, points, window, 
 def _limit_dist_block():
     """10 Rosenblatt (q = 2) paths at three noise levels, as one 30-row block
     of the limit-dist benchmark: its OU rows, grid and coarse thetas."""
-    from hermite_ou.harness import _discounted_block, _ou_rows, simulate_driver
+    from hermite_ou.harness import _discounted_block, _driver, _ou_rows
 
-    paths = [simulate_driver("partial-sum", 2, H, 512, 32, 1.0, make_rng(20, i)) for i in range(10)]
+    draw = _driver("partial-sum", 2, H, 512, 32, 1.0)
+    paths = [draw(make_rng(20, i)) for i in range(10)]
     grid = paths[0]
     integral, growth = _discounted_block(grid, np.stack([z.values for z in paths]), 1.0)
     values = _ou_rows(integral, growth, (0.05, 0.1, 0.2), 1.0)

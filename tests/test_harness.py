@@ -21,6 +21,7 @@ from hermite_ou import cli, harness, hermite, make_rng
 from hermite_ou.harness import (
     SCHEMAS,
     ExperimentConfig,
+    _driver,
     band_summaries,
     ks_two_sample,
     run_consistency,
@@ -28,11 +29,10 @@ from hermite_ou.harness import (
     run_experiment,
     run_limit_dist,
     run_maximal,
-    simulate_driver,
     write_rows_csv,
 )
-from hermite_ou.estimator import minimize_l1, tangent_l1_coefficient
-from hermite_ou.hermite import simulate_fbm, simulate_partial_sum
+from hermite_ou.estimator import EstimatorConfig, minimize_l1, tangent_l1_coefficient
+from hermite_ou.hermite import hermite_exponent, simulate_fbm, simulate_partial_sum
 from hermite_ou.integrals import covariance_functional, discounted_integral_rows, noise_response
 from hermite_ou.ou import exact_solution
 
@@ -216,6 +216,43 @@ def test_config_rejects_seed_outside_64_bits(seed):
         ExperimentConfig(kind="maximal", seed=seed)
 
 
+# a value that is not an integer, and the name its ValueError must start with
+NOT_INTEGERS = {
+    "seed=1.5": ("seed", lambda: ExperimentConfig(kind="maximal", seed=1.5)),
+    "q=2.0": ("q", lambda: ExperimentConfig(kind="maximal", q=2.0)),
+    "q=True": ("q", lambda: ExperimentConfig(kind="maximal", q=True)),
+    "n=64.0": ("n", lambda: ExperimentConfig(kind="maximal", n=64.0)),
+    "m=4.0": ("m", lambda: ExperimentConfig(kind="maximal", q=2, m=4.0)),
+    "m=float64": ("m", lambda: ExperimentConfig(kind="maximal", q=2, m=np.float64(4.0))),
+    "replications=2.0": ("replications", lambda: ExperimentConfig(kind="maximal", replications=2.0)),
+    "ks_samples=2.5": ("ks_samples", lambda: ExperimentConfig(kind="limit-dist", ks_samples=2.5)),
+    "coarse_points=201.5": ("coarse_points", lambda: ExperimentConfig(kind="consistency", coarse_points=201.5)),
+    "estimator-coarse_points": ("coarse_points", lambda: EstimatorConfig(-2.0, 2.0, coarse_points=201.5)),
+    "hermite_exponent-q": ("order q", lambda: hermite_exponent(2.0, 0.7)),
+    "partial_sum-q": ("order q", lambda: simulate_partial_sum(2.0, 0.7, 16, 4, 1.0, make_rng(0, 0))),
+}
+
+
+@pytest.mark.parametrize("name, build", NOT_INTEGERS.values(), ids=list(NOT_INTEGERS))
+def test_integer_fields_reject_everything_but_integers(name, build):
+    # a float seed would run as its integer part and q = True as q = 1; the
+    # other values would fail only when a run reaches them, with no field named
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
+        build()
+
+
+def test_integer_fields_take_numpy_integers_as_ints():
+    fields = dict(q=2, n=16, m=4, replications=3, seed=2**64 - 1)
+    numpy_fields = dict(
+        q=np.int64(2), n=np.int32(16), m=np.uint8(4), replications=np.int16(3), seed=np.uint64(2**64 - 1)
+    )
+    cfg, want = ExperimentConfig(kind="maximal", **numpy_fields), ExperimentConfig(kind="maximal", **fields)
+    assert all(type(getattr(cfg, name)) is int for name in numpy_fields)
+    assert cfg == want
+    assert render(run_experiment(cfg), "maximal") == render(run_experiment(want), "maximal")
+    assert type(EstimatorConfig(-2.0, 2.0, coarse_points=np.int64(5)).coarse_points) is int
+
+
 def test_config_rejects_bad_process():
     with pytest.raises(ValueError):
         ExperimentConfig(kind="maximal", q=0)
@@ -263,22 +300,22 @@ def test_config_rejects_limit_dist_stream_collision():
 # ------------------------------------------------------------ driver dispatch
 
 
-def test_simulate_driver_auto_picks_by_order():
+def test_driver_auto_picks_by_order():
     rng = make_rng(4, 1)
-    fbm = simulate_driver("auto", 1, 0.7, 32, 8, 2.0, rng)
+    fbm = _driver("auto", 1, 0.7, 32, 8, 2.0)(rng)
     np.testing.assert_array_equal(fbm.values, simulate_fbm(0.7, 32, 2.0, rng).values)
-    ps = simulate_driver("auto", 2, 0.7, 32, 8, 2.0, rng)
+    ps = _driver("auto", 2, 0.7, 32, 8, 2.0)(rng)
     want = simulate_partial_sum(2, 0.7, 32, 8, 2.0, rng)
     np.testing.assert_array_equal(ps.values, want.values)
 
 
-def test_simulate_driver_rejects_bad_choices():
+def test_driver_rejects_bad_choices():
     with pytest.raises(ValueError, match="order q"):
-        simulate_driver("fbm", 2, 0.7, 32, 8, 1.0, make_rng(0, 0))
+        _driver("fbm", 2, 0.7, 32, 8, 1.0)(make_rng(0, 0))
     with pytest.raises(ValueError, match="order q"):
-        simulate_driver("partial-sum", 165, 0.7, 8, 1, 1.0, make_rng(0, 0))
+        _driver("partial-sum", 165, 0.7, 8, 1, 1.0)(make_rng(0, 0))
     with pytest.raises(ValueError, match="unknown generator"):
-        simulate_driver("bogus", 2, 0.7, 32, 8, 1.0, make_rng(0, 0))
+        _driver("bogus", 2, 0.7, 32, 8, 1.0)(make_rng(0, 0))
 
 
 @pytest.mark.parametrize("t_max", [0.0, -1.0, math.nan, math.inf])
@@ -292,12 +329,32 @@ def test_every_sampler_rejects_a_bad_horizon_before_sampling(t_max, monkeypatch)
     samplers = [
         lambda rng: simulate_fbm(0.7, 16, t_max, rng),
         lambda rng: simulate_partial_sum(2, 0.7, 16, 4, t_max, rng),
-        lambda rng: simulate_driver("auto", 1, 0.7, 16, 4, t_max, rng),
-        lambda rng: simulate_driver("auto", 2, 0.7, 16, 4, t_max, rng),
+        lambda rng: _driver("auto", 1, 0.7, 16, 4, t_max)(rng),
+        lambda rng: _driver("auto", 2, 0.7, 16, 4, t_max)(rng),
     ]
     for simulate in samplers:
         with pytest.raises(ValueError, match=r"^t_max must be positive and finite"):
             simulate(make_rng(0, 0))
+
+
+def test_run_experiment_resolves_each_grid_sampler_once(monkeypatch):
+    # the sampler of a grid is chosen and checked once per experiment, not
+    # once per block: two horizons, each split into several blocks on 2 workers
+    cfg = ExperimentConfig(kind="maximal", q=2, n=16, m=4, T=(1.0, 2.0), replications=40, seed=3)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("HERMITE_OU_THREADS", "2")
+    units = [(n, cfg.replications, 0) for n, _ in cfg.grids()]
+    assert len(harness._block_plan(units, 2, cfg.coarse_points)) >= 2 * len(units)
+    calls = []
+    driver = harness._driver
+
+    def counted(generator, q, H, n, m, t_max):
+        calls.append((n, t_max))
+        return driver(generator, q, H, n, m, t_max)
+
+    monkeypatch.setattr(harness, "_driver", counted)
+    run_experiment(cfg)
+    assert sorted(calls) == sorted(cfg.grids())
 
 
 # ------------------------------------------------------------------- maximal
@@ -452,7 +509,7 @@ def test_covariance_audit_response_block_is_the_noise_response_covariance(audit_
     assert len(rows) == 20
     idx = {s: round(s * cfg.n) for s in (0.25, 0.5, 0.75, 1.0)}
     paths = [
-        simulate_driver(cfg.generator, cfg.q, cfg.H, cfg.n, cfg.m, 1.0, make_rng(cfg.seed, i))
+        _driver(cfg.generator, cfg.q, cfg.H, cfg.n, cfg.m, 1.0)(make_rng(cfg.seed, i))
         for i in range(cfg.replications)
     ]
     ys = np.array([
@@ -603,7 +660,7 @@ def test_map_paths_gives_each_path_its_own_result_under_any_block_plan(
     for g, (n, t_max) in enumerate(cfg.grids()):
         for i in range(reps):
             stream = first_stream + g * reps + i
-            z = simulate_driver(cfg.generator, cfg.q, cfg.H, n, cfg.m, t_max, make_rng(cfg.seed, stream))
+            z = _driver(cfg.generator, cfg.q, cfg.H, n, cfg.m, t_max)(make_rng(cfg.seed, stream))
             y = noise_response(discounted_integral_rows(z.values, z.times, 0.8), np.exp(0.8 * z.times))
             want.append((n, z.values[-1], float(tangent_l1_coefficient(y, z, 0.8, 1.0))))
     assert got.tobytes() == np.array(want).tobytes()
@@ -625,7 +682,7 @@ def test_limit_dist_pairs_u_and_zeta_of_one_stream(monkeypatch):
     rows = run_limit_dist(cfg)
 
     def driver(stream):
-        return simulate_driver(cfg.generator, cfg.q, cfg.H, cfg.n, cfg.m, 1.0, make_rng(cfg.seed, stream))
+        return _driver(cfg.generator, cfg.q, cfg.H, cfg.n, cfg.m, 1.0)(make_rng(cfg.seed, stream))
 
     def zeta(z):
         y = noise_response(discounted_integral_rows(z.values, z.times, cfg.theta0), np.exp(cfg.theta0 * z.times))
@@ -670,7 +727,7 @@ def test_consistency_block_memory_is_bounded_by_its_row_array():
     # a block of 25 paths x 4 eps holds its OU row array once: no per-row
     # paths and no stacked copy of them beside it
     cfg = ExperimentConfig(kind="consistency", q=1, n=512, eps=(0.5, 0.2, 0.1, 0.05), replications=25, seed=3)
-    paths = [simulate_driver(cfg.generator, 1, cfg.H, cfg.n, cfg.m, 1.0, make_rng(cfg.seed, i)) for i in range(25)]
+    paths = [_driver(cfg.generator, 1, cfg.H, cfg.n, cfg.m, 1.0)(make_rng(cfg.seed, i)) for i in range(25)]
     drivers = np.stack([z.values for z in paths])
     samples = []
 

@@ -88,6 +88,13 @@ def test_grid_path_validates_shape():
         GridPath(1.0, 4, np.zeros(4), Provenance(0, 0, "x"))
 
 
+@pytest.mark.parametrize("t_max", [math.nan, math.inf, 0.0, -1.0])
+def test_grid_path_rejects_a_horizon_that_is_not_positive_and_finite(t_max):
+    # a non-finite horizon makes NaN grid times, which the estimator would blame on its window
+    with pytest.raises(ValueError, match=r"^t_max must be positive and finite, got "):
+        GridPath(t_max, 4, np.zeros(5), Provenance(0, 0, "x"))
+
+
 def test_grid_path_is_read_only():
     p = GridPath(1.0, 4, np.zeros(5), Provenance(0, 0, "x"))
     for array in (p.values, p.times):
