@@ -30,7 +30,7 @@ from .harness import (
 from .hermite import read_path_csv, write_path_csv
 from .integrals import discounted_integral_rows
 from .ou import exact_solution
-from .rng import make_rng
+from .rng import RngState
 
 __all__ = ["main"]
 
@@ -61,8 +61,6 @@ class CliError(Exception):
 
 
 def _parse_config_file(path: str) -> dict:
-    if not os.path.exists(path):
-        raise CliError(f"config file not found: {path}")
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -147,7 +145,7 @@ def cmd_simulate(args) -> int:
         for flag, value in (("--theta", args.theta), ("--x0", args.x0)):
             if not math.isfinite(value):
                 raise CliError(f"{flag} must be finite, got {value}")
-    rng = make_rng(args.seed, args.stream)
+    rng = RngState(args.seed, args.stream)
     try:
         z = _driver(args.generator, args.q, args.H, args.n, args.m, args.t_max)(rng)
     except ValueError as exc:
@@ -172,8 +170,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    if not os.path.exists(args.input):
-        raise CliError(f"input path CSV not found: {args.input}")
     if not args.theta_lo < args.theta_hi:
         raise CliError(
             f"--theta-lo must be below --theta-hi, got [{args.theta_lo}, {args.theta_hi}]"
@@ -255,7 +251,7 @@ def cmd_experiment(args) -> int:
         write_rows_csv(rows, cfg.kind, fh)
     _validate_csv(out_path, cfg.kind)
     print(f"wrote {out_path} ({len(rows)} rows)")
-    for name, passed, detail in band_summaries(cfg.kind, rows, wide_audit=cfg.q >= 2):
+    for name, passed, detail in band_summaries(cfg, rows):
         status = "SKIP" if passed is None else "PASS" if passed else "FAIL"
         print(f"band {name}: {status} ({detail})")
     return 0
@@ -270,7 +266,7 @@ def main(argv=None) -> int:
     handlers = {"simulate": cmd_simulate, "estimate": cmd_estimate, "experiment": cmd_experiment}
     try:
         return handlers[args.command](args)
-    except (CliError, ValueError) as exc:
+    except (CliError, OSError, ValueError) as exc:  # an OSError names its path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermite import GridPath, _check_integer
+from .hermite import GridPath
+from .rng import _check_integer
 
 __all__ = [
     "EstimatorConfig",

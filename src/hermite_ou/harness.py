@@ -52,7 +52,6 @@ from .estimator import (  # noqa: F401
 from .hermite import (
     GridPath,
     _check_embedding,
-    _check_integer,
     _unit_steps,
     hermite_exponent,
     running_max_abs,
@@ -61,23 +60,17 @@ from .hermite import (
 )
 from .integrals import covariance_functional, discounted_integral_rows, noise_response
 from .ou import exact_solution
-from .rng import RngState, make_rng
+from .rng import RngState, _check_integer
 
 __all__ = [
     "ExperimentConfig",
     "SCHEMAS",
     "KINDS",
-    "run_consistency",
-    "run_limit_dist",
-    "run_maximal",
-    "run_covariance_audit",
     "run_experiment",
     "ks_two_sample",
     "write_rows_csv",
     "band_summaries",
 ]
-
-KINDS = ("consistency", "limit-dist", "maximal", "covariance-audit")
 
 SCHEMAS = {
     "consistency": (
@@ -91,6 +84,8 @@ SCHEMAS = {
     "maximal": ("T", "p", "q", "H", "n", "reps", "moment_hat", "se", "ratio_to_TpH"),
     "covariance-audit": ("s", "t", "target", "estimate", "se", "z_score"),
 }
+
+KINDS = tuple(SCHEMAS)
 
 GENERATORS = ("auto", "fbm", "partial-sum")
 
@@ -136,8 +131,12 @@ class ExperimentConfig:
             object.__setattr__(self, name, _check_integer(name, getattr(self, name)))
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        if self.kind in ("maximal", "covariance-audit") and self.replications < 2:
+            raise ValueError(
+                f"{self.kind} needs replications >= 2, got {self.replications}: "
+                "its standard errors are sample standard deviations"
+            )
+        RngState(self.seed)  # checks the seed's range
         for name in ("theta0", "x0"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -276,7 +275,7 @@ def _driver(generator: str, q: int, H: float, n: int, m: int, t_max: float) -> C
         _check_embedding(n, 1, t_max)
         return lambda rng: simulate_fbm(H, n, t_max, rng)
     hermite_exponent(q, H)
-    _unit_steps(n, m, t_max)
+    _unit_steps(*_check_embedding(n, m, t_max), t_max)
     return lambda rng: simulate_partial_sum(q, H, n, m, t_max, rng)
 
 
@@ -370,7 +369,7 @@ def _map_paths(cfg: ExperimentConfig, samples: list) -> list:
         first = sample.first_stream + g * sample.count + lo
         drivers = np.empty((hi - lo, n + 1))
         for r in range(hi - lo):
-            path = draw(make_rng(cfg.seed, first + r))
+            path = draw(RngState(cfg.seed, first + r))
             drivers[r] = path.values
         return sample.fn(path, drivers)
 
@@ -430,14 +429,11 @@ def _kolmogorov_sf(x: float) -> float:
         log_u8 = -(math.pi * math.pi) / (x * x)
         w = math.sqrt(2 * math.pi) / x
         u = math.exp(log_u8 / 8)
-        if u == 0:
-            cdf = math.exp(log_u8 / 8 + math.log(w))
-        else:
-            u8 = math.exp(log_u8)
-            cdf = 1 + math.pow(u8, 3)
-            cdf = 1 + u8 * u8 * cdf
-            cdf = 1 + u8 * cdf
-            cdf = w * u * cdf
+        u8 = math.exp(log_u8)
+        cdf = 1 + math.pow(u8, 3)
+        cdf = 1 + u8 * u8 * cdf
+        cdf = 1 + u8 * cdf
+        cdf = w * u * cdf
         sf = 1 - cdf
     else:
         v = math.exp(-2 * x * x)
@@ -469,7 +465,7 @@ def ks_two_sample(a, b) -> tuple:
     return stat, _kolmogorov_sf(lam)
 
 
-def run_consistency(cfg: ExperimentConfig) -> list:
+def _run_consistency(cfg: ExperimentConfig) -> list:
     """Empirical P(|theta_hat - theta0| > delta) against its small-noise bound.
 
     All eps values share the same driving paths (one stream per
@@ -517,7 +513,7 @@ def run_consistency(cfg: ExperimentConfig) -> list:
     return rows
 
 
-def run_limit_dist(cfg: ExperimentConfig) -> list:
+def _run_limit_dist(cfg: ExperimentConfig) -> list:
     """Paired small-noise limit check: one driving path feeds both the
     rescaled estimation error u_eps = (theta_hat - theta0) / eps and the
     tangent-fit coefficient, and their gap is reported per eps alongside a
@@ -607,7 +603,7 @@ def _check_moment_range(sups: np.ndarray, p: float, t_max: float, h: float) -> N
         )
 
 
-def run_maximal(cfg: ExperimentConfig) -> list:
+def _run_maximal(cfg: ExperimentConfig) -> list:
     """Moments of the running maximum across horizons with n proportional to T.
 
     Grids for different T are generated independently (fresh streams), never
@@ -622,11 +618,6 @@ def run_maximal(cfg: ExperimentConfig) -> list:
         for p in sorted(cfg.p):
             _check_moment_range(sups, p, t_max, cfg.H)
             moments = sups**p
-            se = (
-                float(moments.std(ddof=1) / math.sqrt(cfg.replications))
-                if cfg.replications > 1
-                else 0.0
-            )
             rows.append(
                 {
                     "T": t_max,
@@ -636,7 +627,7 @@ def run_maximal(cfg: ExperimentConfig) -> list:
                     "n": n_t,
                     "reps": cfg.replications,
                     "moment_hat": float(moments.mean()),
-                    "se": se,
+                    "se": float(moments.std(ddof=1) / math.sqrt(cfg.replications)),
                     "ratio_to_TpH": float(moments.mean() / t_max ** (p * cfg.H)),
                 }
             )
@@ -650,7 +641,7 @@ def _cov_rows(samples, target, label_pairs) -> list:
     for (i, s), (j, t) in label_pairs:
         prods = samples[:, i] * samples[:, j]
         exact = target(s, t)
-        se = float(prods.std(ddof=1) / math.sqrt(prods.size)) if prods.size > 1 else 0.0
+        se = float(prods.std(ddof=1) / math.sqrt(prods.size))
         est = float(prods.mean())
         rows.append(
             {
@@ -665,7 +656,7 @@ def _cov_rows(samples, target, label_pairs) -> list:
     return rows
 
 
-def run_covariance_audit(cfg: ExperimentConfig) -> list:
+def _run_covariance_audit(cfg: ExperimentConfig) -> list:
     """Empirical covariances on {0.25, 0.5, 0.75, 1}^2 of the driving path Z
     and of its noise response Y at theta0, each against its exact target.
 
@@ -699,14 +690,16 @@ def run_covariance_audit(cfg: ExperimentConfig) -> list:
 
 
 _RUNNERS = {
-    "consistency": run_consistency,
-    "limit-dist": run_limit_dist,
-    "maximal": run_maximal,
-    "covariance-audit": run_covariance_audit,
+    "consistency": _run_consistency,
+    "limit-dist": _run_limit_dist,
+    "maximal": _run_maximal,
+    "covariance-audit": _run_covariance_audit,
 }
 
 
 def run_experiment(cfg: ExperimentConfig) -> list:
+    """The result rows of the experiment that cfg describes; the package's
+    one way to run one, so every run has passed the checks of its kind."""
     return _RUNNERS[cfg.kind](cfg)
 
 
@@ -727,15 +720,17 @@ def write_rows_csv(rows: list, kind: str, fh) -> None:
 _ONE_VALUE = "one {} value, nothing to compare"
 
 
-def band_summaries(kind: str, rows: list, wide_audit: bool = False) -> list:
-    """(band name, passed, detail) per acceptance band of the experiment kind.
+def band_summaries(cfg: ExperimentConfig, rows: list) -> list:
+    """(band name, passed, detail) per acceptance band of the rows that
+    run_experiment(cfg) returned.
 
     A band that compares rows across a sweep is not checked when the sweep
     has one value, nor the consistency bound when no row passed its
-    threshold check: its ``passed`` is None and ``detail`` says why.
-    ``wide_audit`` adds the 0.02 absolute bias allowance that the covariance
-    audit grants non-Gaussian (q >= 2) partial-sum drivers.
+    threshold check: its ``passed`` is None and ``detail`` says why.  The
+    covariance audit grants non-Gaussian (q >= 2) partial-sum drivers a
+    0.02 absolute bias allowance on top of 3 SE.
     """
+    kind = cfg.kind
     out = []
     if kind == "maximal":
         for p in sorted({r["p"] for r in rows}):
@@ -779,7 +774,7 @@ def band_summaries(kind: str, rows: list, wide_audit: bool = False) -> list:
         worst = 0.0
         ok = True
         for r in rows:
-            allowance = 3 * r["se"] + (0.02 if wide_audit else 0.0)
+            allowance = 3 * r["se"] + (0.02 if cfg.q >= 2 else 0.0)
             dev = abs(r["estimate"] - r["target"])
             ok &= dev <= allowance
             if r["se"] > 0:

@@ -19,24 +19,24 @@ from cumulative fractional Gaussian noise.
 
 Both draw each path as one circulant-embedding sample of fractional
 Gaussian noise (rng.sample_stationary_gaussian), reduced to its grid inside
-the sampler's workspace.  Before they allocate, both check the horizon and
-the embedding size (``_check_embedding``), and partial sums also the
-normalization (``_unit_steps``); harness._driver makes the same checks once
-per grid.  What stays resident per size is the embedding scale, cached per
-(h, n) in rng, and the partial-sum normalization, cached here per
-(q, H0, summands per unit of time); no autocovariance is kept.
+the sampler's workspace.  Before they allocate, both check that the sizes
+are integers, the horizon and the embedding size (``_check_embedding``),
+and partial sums also the normalization (``_unit_steps``); harness._driver
+makes the same checks once per grid.  What stays resident per size is the
+embedding scale, cached per (h, n) in rng, and the partial-sum
+normalization, cached here per (q, H0, summands per unit of time); no
+autocovariance is kept.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .rng import RngState, _filled_once, fgn_autocov, sample_stationary_gaussian
+from .rng import RngState, _check_integer, _filled_once, fgn_autocov, sample_stationary_gaussian
 
 __all__ = [
     "Provenance",
@@ -54,14 +54,6 @@ __all__ = [
 # at most q! * k^2, which stays finite for every k up to the 2^24 lags that
 # _unit_steps allows if and only if q <= 164 (165! * 2^48 overflows a double)
 _MAX_ORDER = 164
-
-
-def _check_integer(name: str, value) -> int:
-    """value as an int; raises ValueError naming ``name`` unless it is an
-    integer (numpy's included), and a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def hermite_exponent(q: int, h: float) -> float:
@@ -92,8 +84,8 @@ class Provenance:
 class GridPath:
     """A process sampled on the uniform grid t_i = i * t_max / n, i = 0..n.
 
-    Immutable after construction; ``values`` has length n + 1 and is marked
-    read-only.
+    Immutable after construction; n is an integer (numpy's included,
+    stored as int), and ``values`` has length n + 1 and is marked read-only.
     """
 
     t_max: float
@@ -104,6 +96,7 @@ class GridPath:
     def __post_init__(self):
         if not 0 < self.t_max < math.inf:
             raise ValueError(f"t_max must be positive and finite, got {self.t_max}")
+        object.__setattr__(self, "n", _check_integer("n", self.n))
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         v = np.ascontiguousarray(self.values, dtype=float)
@@ -148,15 +141,17 @@ def _embedding_lags(n_incr: int) -> int:
     return (1 << max(0, (n_incr - 1).bit_length())) + 1
 
 
-def _check_embedding(n: int, m: int, t_max: float) -> None:
-    """Raise ValueError, before anything is allocated, when the horizon
-    t_max is not positive and finite, or when the n * m FGN values of a grid
-    of n steps with m summands per step need a circulant embedding
-    (2(n_pad - 1) points) above the limit.
+def _check_embedding(n: int, m: int, t_max: float) -> tuple:
+    """(n, m) as ints; raises ValueError, before anything is allocated, when
+    n or m is not an integer, when the horizon t_max is not positive and
+    finite, or when the n * m FGN values of a grid of n steps with m
+    summands per step need a circulant embedding (2(n_pad - 1) points)
+    above the limit.
 
-    The messages name "t_max" or start "grid size n", which the CLI maps to
-    --t-max and --n.
+    The messages about n start "grid size n", and those about the horizon
+    name "t_max", which the CLI maps to --n and --t-max.
     """
+    n, m = _check_integer("grid size n", n), _check_integer("m", m)
     if not 0 < t_max < math.inf:
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
     points = 2 * (_embedding_lags(n * m) - 1)
@@ -166,18 +161,19 @@ def _check_embedding(n: int, m: int, t_max: float) -> None:
             f"grid size {grid}: {n * m} Gaussian increments need a circulant embedding "
             f"of {points} points, above the limit of {_EMBEDDING_MAX_POINTS} points"
         )
+    return n, m
 
 
 def _unit_steps(n: int, m: int, t_max: float) -> int:
     """Summands per unit of time, n m / t_max, for the partial-sum
-    normalization, which divides by the standard deviation of that many.
+    normalization, which divides by the standard deviation of that many,
+    on a grid that passed _check_embedding, which returned n and m.
 
-    Raises ValueError, before anything is allocated, when _check_embedding
-    does, when the normalization needs too many lags, or when n m / t_max
-    is more than 1e-3 of itself from an integer: rounding it would then
-    normalize by the wrong standard deviation.
+    Raises ValueError, before anything is allocated, when the normalization
+    needs too many lags, or when n m / t_max is more than 1e-3 of itself
+    from an integer: rounding it would then normalize by the wrong standard
+    deviation.
     """
-    _check_embedding(n, m, t_max)
     units = n * m / t_max
     if not units <= _EMBEDDING_MAX_POINTS:
         raise ValueError(
@@ -203,7 +199,7 @@ def simulate_fbm(h: float, n: int, t_max: float, rng: RngState) -> GridPath:
         raise ValueError(f"Hurst parameter must be in (0, 1), got {h}")
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    _check_embedding(n, 1, t_max)
+    n, _ = _check_embedding(n, 1, t_max)
 
     def grid(x):
         incr = np.multiply(x[:n], (t_max / n) ** h, out=x[:n])
@@ -263,6 +259,7 @@ def simulate_partial_sum(q: int, H: float, n: int, m: int, t_max: float, rng: Rn
     h0 = hermite_exponent(q, H)
     if n < 1 or m < 1:
         raise ValueError(f"n and m must be >= 1, got n={n}, m={m}")
+    n, m = _check_embedding(n, m, t_max)
     k_unit = _unit_steps(n, m, t_max)  # internal points per unit of time
 
     def grid(x):

@@ -22,6 +22,7 @@ are fresh arrays and never share a workspace.
 
 from __future__ import annotations
 
+import numbers
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -31,7 +32,6 @@ import numpy as np
 
 __all__ = [
     "RngState",
-    "make_rng",
     "fgn_autocov",
     "sample_stationary_gaussian",
     "NegativeEigenvalueError",
@@ -46,6 +46,14 @@ class NegativeEigenvalueError(ValueError):
     """Circulant embedding of the autocovariance is not nonnegative definite."""
 
 
+def _check_integer(name: str, value) -> int:
+    """value as an int; raises ValueError naming ``name`` unless it is an
+    integer (numpy's included), and a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class RngState:
     """Value-type RNG state: (seed, stream) fully determines every draw.
@@ -54,6 +62,8 @@ class RngState:
     it, so calling the same operation twice with the same state reproduces
     the same output.  Distinct streams are statistically independent;
     Monte Carlo replications should use one stream per replication.
+    seed and stream are integers (numpy's included, stored as int), never
+    a float or a bool.
     """
 
     seed: int
@@ -61,19 +71,15 @@ class RngState:
 
     def __post_init__(self):
         for name in ("seed", "stream"):
-            v = getattr(self, name)
-            if not (0 <= int(v) < 2**64):
+            v = _check_integer(name, getattr(self, name))
+            if not 0 <= v < 2**64:
                 raise ValueError(f"{name} must be a 64-bit unsigned integer, got {v}")
+            object.__setattr__(self, name, v)
 
     def generator(self) -> np.random.Generator:
         """Fresh numpy generator seeded by (seed, stream)."""
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
         return np.random.Generator(np.random.PCG64(ss))
-
-
-def make_rng(seed: int, stream: int = 0) -> RngState:
-    """Deterministic generator state for the given seed and stream index."""
-    return RngState(seed=int(seed), stream=int(stream))
 
 
 def _polar_pairs(gen: np.random.Generator, v: np.ndarray) -> np.ndarray:
@@ -229,6 +235,7 @@ def sample_stationary_gaussian(h: float, n: int, rng: RngState, *, reduce=np.cop
     path reuses the memory.  The default returns a fresh contiguous copy of
     the sample.
     """
+    n = _check_integer("n", n)
     if n < 2:
         raise ValueError(f"need n >= 2 values, got n = {n}")
     gen = rng.generator()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hermite_ou import make_rng
+from hermite_ou import RngState
 from hermite_ou.hermite import simulate_fbm, simulate_partial_sum
 
 SEED = 20250810
@@ -26,7 +26,7 @@ def grid_samples():
         if key not in cache:
             vals = np.empty((4000, 4))
             for s in range(4000):
-                path = simulate_partial_sum(q, h, 512, 32, 1.0, make_rng(SEED, s))
+                path = simulate_partial_sum(q, h, 512, 32, 1.0, RngState(SEED, s))
                 vals[s] = path.values[list(QUARTER_IDX)]
             cache[key] = vals
         return cache[key]
@@ -39,5 +39,5 @@ def fbm07_paths():
     """4000 exact fBm paths, H = 0.7, n = 512 on [0, 1] (one stream each)."""
     paths = np.empty((4000, 513))
     for s in range(4000):
-        paths[s] = simulate_fbm(0.7, 512, 1.0, make_rng(SEED + 1, s)).values
+        paths[s] = simulate_fbm(0.7, 512, 1.0, RngState(SEED + 1, s)).values
     return paths

@@ -10,10 +10,10 @@ import math
 import numpy as np
 import pytest
 
-from hermite_ou import make_rng
+from hermite_ou import RngState
 from hermite_ou.cli import main as cli_main
 from hermite_ou.estimator import EstimatorConfig, minimize_l1, tangent_l1_coefficient
-from hermite_ou.harness import ExperimentConfig, run_consistency, run_limit_dist, run_maximal
+from hermite_ou.harness import ExperimentConfig, run_experiment
 from hermite_ou.hermite import GridPath, Provenance, simulate_fbm
 from hermite_ou.integrals import covariance_functional, discounted_integral_rows, noise_response
 from hermite_ou.ou import deterministic_solution, exact_solution
@@ -119,7 +119,7 @@ def test_criterion_5_running_max_scaling():
         kind="maximal", q=1, H=0.7, n=512, T=(1.0, 2.0, 4.0), p=(1.0,),
         replications=2000, seed=SEED + 2,
     )
-    rows = run_maximal(cfg)
+    rows = run_experiment(cfg)
     ratios = np.array([r["ratio_to_TpH"] for r in rows])
     spread = (ratios.max() - ratios.min()) / ratios.mean()
     report(
@@ -135,7 +135,7 @@ def test_criterion_6_consistency():
         kind="consistency", theta0=1.0, x0=1.0, q=1, H=0.7, n=512,
         eps=(0.5, 0.2, 0.1, 0.05), delta=(0.5,), replications=400, seed=SEED + 3,
     )
-    rows = run_consistency(cfg)  # sorted by ascending eps
+    rows = run_experiment(cfg)  # sorted by ascending eps
     monotone = all(
         a["p_hat"] <= b["p_hat"] + 2 * math.hypot(a["se"], b["se"])
         for a, b in zip(rows, rows[1:])
@@ -163,7 +163,7 @@ def _limit_dist_report(num, q, median_threshold):
         kind="limit-dist", theta0=1.0, x0=1.0, q=q, H=0.7, n=512, m=32,
         eps=(1e-2, 1e-3), replications=200, ks_samples=500, seed=SEED + 4 + q,
     )
-    rows = run_limit_dist(cfg)  # ascending eps: [1e-3, 1e-2]
+    rows = run_experiment(cfg)  # ascending eps: [1e-3, 1e-2]
     med_small, med_large = rows[0]["med_abs_gap"], rows[1]["med_abs_gap"]
     ks_p = rows[0]["ks_p"]
     ok = med_small < median_threshold and med_small <= med_large and ks_p > 0.01
@@ -192,7 +192,7 @@ def test_criterion_9_oracle_equivalences():
     # tangent-fit coefficient vs dense-grid argmin of its objective
     zeta_ok, zeta_worst = True, 0.0
     for s in range(100):
-        z = simulate_fbm(0.7, 128, 1.0, make_rng(SEED + 7, s))
+        z = simulate_fbm(0.7, 128, 1.0, RngState(SEED + 7, s))
         y = noise_response(discounted_integral_rows(z.values, z.times, theta0), np.exp(theta0 * z.times))
         t = z.times[1 : z.n]
         w = t * x0 * np.exp(theta0 * t)
@@ -216,7 +216,7 @@ def test_criterion_9_oracle_equivalences():
     tol = 10 * cfg.refine_tol + spacing
     min_ok, min_worst = True, 0.0
     for s in range(20):
-        z = simulate_fbm(0.7, 256, 1.0, make_rng(SEED + 8, s))
+        z = simulate_fbm(0.7, 256, 1.0, RngState(SEED + 8, s))
         integral = discounted_integral_rows(z.values, z.times, theta0)
         x = z.with_values(exact_solution(integral, np.exp(theta0 * z.times), 0.05, x0), "ou")
         res = minimize_l1(x, x0, cfg)

@@ -553,6 +553,32 @@ def test_experiment_rejects_unknown_config_key(tmp_path, capsys):
     assert "bogus_key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, path",
+    [
+        ("experiment --config {dir}", "{dir}"),
+        ("estimate --x0 1.0 --input {dir}", "{dir}"),
+        ("estimate --x0 1.0 --input {csv} --out {missing}/x.csv", "{missing}/x.csv"),
+        ("simulate --process hermite --n 16 --out {missing}/p.csv", "{missing}/p.csv"),
+        ("experiment --config {cfg} --out-dir {csv}", "{csv}"),
+    ],
+    ids=["config-is-a-directory", "input-is-a-directory", "estimate-out-in-missing-dir",
+         "simulate-out-in-missing-dir", "out-dir-is-a-file"],
+)
+def test_file_errors_exit_2_with_one_error_line_naming_the_path(command, path, tmp_path, capsys):
+    names = {"dir": tmp_path / "d", "csv": tmp_path / "skel.csv", "cfg": tmp_path / "m.cfg",
+             "missing": tmp_path / "missing"}
+    names["dir"].mkdir()
+    write_skeleton_csv(names["csv"])
+    write_config(names["cfg"], n=16, T="1", replications=2)
+    code = run_cli(*command.format(**names).split())
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert code == 2
+    assert len(errors) == 1 and path.format(**names) in errors[0], err
+    assert "Traceback" not in err
+
+
 def test_experiment_missing_config(tmp_path, capsys):
     code = run_cli("experiment", "--kind", "maximal", "--config", str(tmp_path / "none.cfg"))
     assert code != 0

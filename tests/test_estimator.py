@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hermite_ou import estimator, make_rng
+from hermite_ou import RngState, estimator
 from hermite_ou.estimator import (
     EstimatorConfig,
     l1_objective,
@@ -48,7 +48,7 @@ def test_objective_closed_form_constant_path():
 
 
 def test_objective_homogeneous_in_scale():
-    rng = make_rng(1, 0)
+    rng = RngState(1, 0)
     z = simulate_fbm(H, 64, 1.0, rng)
     integral = discounted_integral_rows(z.values, z.times, 0.5)
     x = path_from(exact_solution(integral, np.exp(0.5 * z.times), 0.2, 1.0))
@@ -59,7 +59,7 @@ def test_objective_homogeneous_in_scale():
 
 
 def test_objective_is_continuous_in_theta():
-    z = simulate_fbm(H, 512, 1.0, make_rng(1, 1))
+    z = simulate_fbm(H, 512, 1.0, RngState(1, 1))
     integral = discounted_integral_rows(z.values, z.times, 1.0)
     x = path_from(exact_solution(integral, np.exp(1.0 * z.times), 0.1, 1.0))
     for theta in np.linspace(-2, 2, 41):
@@ -90,7 +90,7 @@ def test_minimize_consistency_small_noise():
     # |theta_hat - 1| < 0.5 in at least 95% of 200 replications at eps = 0.05
     theta0, hits = 1.0, 0
     for s in range(200):
-        z = simulate_fbm(H, 256, 1.0, make_rng(31, s))
+        z = simulate_fbm(H, 256, 1.0, RngState(31, s))
         integral = discounted_integral_rows(z.values, z.times, theta0)
         x = path_from(exact_solution(integral, np.exp(theta0 * z.times), 0.05, 1.0))
         res = minimize_l1(x, 1.0, CFG)
@@ -102,7 +102,7 @@ def test_minimize_matches_dense_grid_oracle():
     grid = np.linspace(CFG.theta_lo, CFG.theta_hi, 10**5)
     spacing = grid[1] - grid[0]
     for s in range(20):
-        z = simulate_fbm(H, 256, 1.0, make_rng(32, s))
+        z = simulate_fbm(H, 256, 1.0, RngState(32, s))
         integral = discounted_integral_rows(z.values, z.times, 1.0)
         x = path_from(exact_solution(integral, np.exp(1.0 * z.times), 0.05, 1.0))
         res = minimize_l1(x, 1.0, CFG)
@@ -124,7 +124,7 @@ def _objective_on_grid(x, thetas, x0, block=2048):
 
 
 def test_minimize_unchanged_when_window_widens():
-    z = simulate_fbm(H, 256, 1.0, make_rng(33, 7))
+    z = simulate_fbm(H, 256, 1.0, RngState(33, 7))
     integral = discounted_integral_rows(z.values, z.times, 1.0)
     x = path_from(exact_solution(integral, np.exp(1.0 * z.times), 0.1, 1.0))
     res = minimize_l1(x, 1.0, CFG)
@@ -137,7 +137,7 @@ def test_minimize_unchanged_when_window_widens():
 def test_minimize_counts_scan_and_refinement_evaluations():
     # the coarse scan counts one evaluation per grid point without calling
     # _objective_at; every refinement evaluation is one point passed to it
-    z = simulate_fbm(H, 512, 1.0, make_rng(34, 0))
+    z = simulate_fbm(H, 512, 1.0, RngState(34, 0))
     integral = discounted_integral_rows(z.values, z.times, 1.0)
     x = path_from(exact_solution(integral, np.exp(1.0 * z.times), 0.1, 1.0))
     calls = []
@@ -211,7 +211,7 @@ def _limit_dist_block():
     from hermite_ou.harness import _discounted_block, _driver, _ou_rows
 
     draw = _driver("partial-sum", 2, H, 512, 32, 1.0)
-    paths = [draw(make_rng(20, i)) for i in range(10)]
+    paths = [draw(RngState(20, i)) for i in range(10)]
     grid = paths[0]
     integral, growth = _discounted_block(grid, np.stack([z.values for z in paths]), 1.0)
     values = _ou_rows(integral, growth, (0.05, 0.1, 0.2), 1.0)
@@ -642,7 +642,7 @@ def test_tangent_fit_requires_nonzero_x0():
 
 @pytest.mark.parametrize("theta0, x0", [(1.0, math.nan), (1.0, math.inf), (math.nan, 1.0), (-math.inf, 1.0)])
 def test_tangent_fit_rejects_a_non_finite_start_or_estimand(theta0, x0):
-    z = simulate_fbm(H, 64, 1.0, make_rng(36, 0))
+    z = simulate_fbm(H, 64, 1.0, RngState(36, 0))
     integral = discounted_integral_rows(z.values, z.times, 1.0)
     y = path_from(noise_response(integral, np.exp(1.0 * z.times)))
     with pytest.raises(ValueError, match="must be finite"):
@@ -654,7 +654,7 @@ def test_tangent_fit_rejects_a_non_finite_start_or_estimand(theta0, x0):
 def test_tangent_fit_rejects_ratios_that_overflow():
     # a subnormal x0 makes the weights so small that Y_i / w_i is inf; the
     # rejection names x0 and raises no RuntimeWarning on the way
-    z = simulate_fbm(H, 64, 1.0, make_rng(36, 1))
+    z = simulate_fbm(H, 64, 1.0, RngState(36, 1))
     integral = discounted_integral_rows(z.values, z.times, 1.0)
     y = path_from(noise_response(integral, np.exp(1.0 * z.times)))
     with warnings.catch_warnings():
@@ -666,7 +666,7 @@ def test_tangent_fit_rejects_ratios_that_overflow():
 
 
 def test_tangent_objective_minimal_at_solution():
-    z = simulate_fbm(H, 256, 1.0, make_rng(34, 0))
+    z = simulate_fbm(H, 256, 1.0, RngState(34, 0))
     integral = discounted_integral_rows(z.values, z.times, 1.0)
     y = path_from(noise_response(integral, np.exp(1.0 * z.times)))
     zeta = tangent_l1_coefficient(y.values, y, 1.0, 1.0)
@@ -680,7 +680,7 @@ def test_tangent_objective_zero_response_at_zero():
 
 
 def test_tangent_objective_subgradient_signs():
-    z = simulate_fbm(H, 256, 1.0, make_rng(34, 1))
+    z = simulate_fbm(H, 256, 1.0, RngState(34, 1))
     integral = discounted_integral_rows(z.values, z.times, 1.0)
     y = path_from(noise_response(integral, np.exp(1.0 * z.times)))
     zeta = tangent_l1_coefficient(y.values, y, 1.0, 1.0)
@@ -694,7 +694,7 @@ def test_tangent_fit_matches_grid_oracle():
     # exact weighted median vs the argmin of the objective on a dense grid
     theta0, x0 = 1.0, 1.0
     for s in range(100):
-        z = simulate_fbm(H, 128, 1.0, make_rng(35, s))
+        z = simulate_fbm(H, 128, 1.0, RngState(35, s))
         integral = discounted_integral_rows(z.values, z.times, theta0)
         y = path_from(noise_response(integral, np.exp(theta0 * z.times)))
         yv = y.values[1 : y.n]
@@ -723,7 +723,7 @@ def test_linearized_objective_converges_first_order():
     # finite-eps objective |Y - (x(theta0 + eps u) - x(theta0))/eps| approaches
     # the tangent objective at rate O(eps)
     theta0, x0, u = 1.0, 1.0, 1.7
-    z = simulate_fbm(H, 256, 1.0, make_rng(36, 0))
+    z = simulate_fbm(H, 256, 1.0, RngState(36, 0))
     integral = discounted_integral_rows(z.values, z.times, theta0)
     y = path_from(noise_response(integral, np.exp(theta0 * z.times)))
 

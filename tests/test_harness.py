@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.util
 import io
@@ -17,18 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import kolmogorov
 
-from hermite_ou import cli, harness, hermite, make_rng
+from hermite_ou import RngState, cli, harness, hermite
 from hermite_ou.harness import (
     SCHEMAS,
     ExperimentConfig,
     _driver,
     band_summaries,
     ks_two_sample,
-    run_consistency,
-    run_covariance_audit,
     run_experiment,
-    run_limit_dist,
-    run_maximal,
     write_rows_csv,
 )
 from hermite_ou.estimator import EstimatorConfig, minimize_l1, tangent_l1_coefficient
@@ -67,8 +64,8 @@ def test_ks_level_is_calibrated():
     trials, n = 200, 1000
     rejections = 0
     for k in range(trials):
-        a = make_rng(777, 2 * k).generator().standard_normal(n)
-        b = make_rng(777, 2 * k + 1).generator().standard_normal(n)
+        a = RngState(777, 2 * k).generator().standard_normal(n)
+        b = RngState(777, 2 * k + 1).generator().standard_normal(n)
         rejections += ks_two_sample(a, b)[1] <= 0.05
     rate = rejections / trials
     band = 3 * math.sqrt(0.05 * 0.95 / trials)
@@ -95,7 +92,10 @@ def test_kolmogorov_tail_matches_scipy_at_thresholds_and_special_values():
     for edge in (math.pi / math.sqrt(5968), 0.82):  # underflow limit, series cut-over
         edges += [math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)]
     special = [0.0, -0.0, -1.0, -1e300, 5e-324, 1e-310, 1e200, math.inf, -math.inf, math.nan]
-    _assert_kolmogorov_bits_match(edges + special)
+    # just above the underflow limit e^(-pi^2 / (8 x^2)) still underflows to 0,
+    # so the series gives a cdf of 0 and the tail is 1
+    underflow = np.linspace(harness._KOLMOGOROV_MIN, 0.0407, 2001).tolist()
+    _assert_kolmogorov_bits_match(edges + special + underflow)
 
 
 @settings(max_examples=500, deadline=None)
@@ -229,7 +229,7 @@ NOT_INTEGERS = {
     "coarse_points=201.5": ("coarse_points", lambda: ExperimentConfig(kind="consistency", coarse_points=201.5)),
     "estimator-coarse_points": ("coarse_points", lambda: EstimatorConfig(-2.0, 2.0, coarse_points=201.5)),
     "hermite_exponent-q": ("order q", lambda: hermite_exponent(2.0, 0.7)),
-    "partial_sum-q": ("order q", lambda: simulate_partial_sum(2.0, 0.7, 16, 4, 1.0, make_rng(0, 0))),
+    "partial_sum-q": ("order q", lambda: simulate_partial_sum(2.0, 0.7, 16, 4, 1.0, RngState(0, 0))),
 }
 
 
@@ -297,11 +297,19 @@ def test_config_rejects_limit_dist_stream_collision():
     ExperimentConfig(kind="maximal", replications=10**6 + 1)
 
 
+@pytest.mark.parametrize("kind", ["maximal", "covariance-audit"])
+def test_config_needs_two_replications_for_a_standard_error(kind):
+    # a one-value sample standard deviation does not exist
+    with pytest.raises(ValueError, match="replications >= 2"):
+        ExperimentConfig(kind=kind, replications=1)
+    ExperimentConfig(kind=kind, replications=2)
+
+
 # ------------------------------------------------------------ driver dispatch
 
 
 def test_driver_auto_picks_by_order():
-    rng = make_rng(4, 1)
+    rng = RngState(4, 1)
     fbm = _driver("auto", 1, 0.7, 32, 8, 2.0)(rng)
     np.testing.assert_array_equal(fbm.values, simulate_fbm(0.7, 32, 2.0, rng).values)
     ps = _driver("auto", 2, 0.7, 32, 8, 2.0)(rng)
@@ -311,11 +319,11 @@ def test_driver_auto_picks_by_order():
 
 def test_driver_rejects_bad_choices():
     with pytest.raises(ValueError, match="order q"):
-        _driver("fbm", 2, 0.7, 32, 8, 1.0)(make_rng(0, 0))
+        _driver("fbm", 2, 0.7, 32, 8, 1.0)(RngState(0, 0))
     with pytest.raises(ValueError, match="order q"):
-        _driver("partial-sum", 165, 0.7, 8, 1, 1.0)(make_rng(0, 0))
+        _driver("partial-sum", 165, 0.7, 8, 1, 1.0)(RngState(0, 0))
     with pytest.raises(ValueError, match="unknown generator"):
-        _driver("bogus", 2, 0.7, 32, 8, 1.0)(make_rng(0, 0))
+        _driver("bogus", 2, 0.7, 32, 8, 1.0)(RngState(0, 0))
 
 
 @pytest.mark.parametrize("t_max", [0.0, -1.0, math.nan, math.inf])
@@ -334,7 +342,7 @@ def test_every_sampler_rejects_a_bad_horizon_before_sampling(t_max, monkeypatch)
     ]
     for simulate in samplers:
         with pytest.raises(ValueError, match=r"^t_max must be positive and finite"):
-            simulate(make_rng(0, 0))
+            simulate(RngState(0, 0))
 
 
 def test_run_experiment_resolves_each_grid_sampler_once(monkeypatch):
@@ -357,6 +365,14 @@ def test_run_experiment_resolves_each_grid_sampler_once(monkeypatch):
     assert sorted(calls) == sorted(cfg.grids())
 
 
+def test_experiments_run_only_through_run_experiment():
+    import hermite_ou
+
+    for name in ("run_consistency", "run_limit_dist", "run_maximal", "run_covariance_audit"):
+        assert not hasattr(harness, name) and name not in hermite_ou.__all__, name
+    assert harness.KINDS == tuple(SCHEMAS) == tuple(harness._RUNNERS)
+
+
 # ------------------------------------------------------------------- maximal
 
 
@@ -365,7 +381,7 @@ def maximal_rows():
     cfg = ExperimentConfig(
         kind="maximal", q=1, H=0.7, n=64, T=(2.0, 1.0), p=(2.0, 1.0), replications=200, seed=5
     )
-    return run_maximal(cfg)
+    return run_experiment(cfg)
 
 
 @pytest.mark.parametrize(
@@ -378,7 +394,7 @@ def maximal_rows():
 def test_maximal_rejects_moments_beyond_the_double_range(fields):
     cfg = ExperimentConfig(kind="maximal", n=16, replications=3, seed=5, **fields)
     with pytest.raises(ValueError, match=f"p = {fields['p'][0]:g} is too large"):
-        run_maximal(cfg)
+        run_experiment(cfg)
 
 
 def test_maximal_rows_sorted_and_complete(maximal_rows):
@@ -427,7 +443,7 @@ def consistency_rows():
         replications=120,
         seed=6,
     )
-    return run_consistency(cfg)
+    return run_experiment(cfg)
 
 
 def test_consistency_rows_sorted(consistency_rows):
@@ -470,7 +486,7 @@ def limit_rows():
         ks_samples=80,
         seed=7,
     )
-    return run_limit_dist(cfg)
+    return run_experiment(cfg)
 
 
 def test_limit_rows_sorted_by_eps(limit_rows):
@@ -501,7 +517,7 @@ def response_target(s, t, theta, n, h=0.7):
 @pytest.fixture(scope="module")
 def audit_rows():
     cfg = ExperimentConfig(kind="covariance-audit", q=1, n=64, replications=150, seed=8)
-    return cfg, run_covariance_audit(cfg)
+    return cfg, run_experiment(cfg)
 
 
 def test_covariance_audit_response_block_is_the_noise_response_covariance(audit_rows):
@@ -509,7 +525,7 @@ def test_covariance_audit_response_block_is_the_noise_response_covariance(audit_
     assert len(rows) == 20
     idx = {s: round(s * cfg.n) for s in (0.25, 0.5, 0.75, 1.0)}
     paths = [
-        _driver(cfg.generator, cfg.q, cfg.H, cfg.n, cfg.m, 1.0)(make_rng(cfg.seed, i))
+        _driver(cfg.generator, cfg.q, cfg.H, cfg.n, cfg.m, 1.0)(RngState(cfg.seed, i))
         for i in range(cfg.replications)
     ]
     ys = np.array([
@@ -521,7 +537,7 @@ def test_covariance_audit_response_block_is_the_noise_response_covariance(audit_
         assert r["estimate"] == float(np.mean(ys[:, idx[r["s"]]] * ys[:, idx[r["t"]]])), (r["s"], r["t"])
         assert r["target"] == pytest.approx(response_target(r["s"], r["t"], cfg.theta0, cfg.n), rel=1e-14)
         assert abs(r["estimate"] - r["target"]) <= 3 * r["se"], (r["s"], r["t"])
-    assert band_summaries("covariance-audit", rows)[0][1]
+    assert band_summaries(cfg, rows)[0][1]
 
 
 @pytest.mark.parametrize("theta", [0.5, 0.0])
@@ -530,12 +546,12 @@ def test_covariance_audit_response_block_fails_for_a_wrong_drift(audit_rows, the
     # it is the fBm covariance, the path block's target
     cfg, rows = audit_rows
     wrong = [dict(r, target=response_target(r["s"], r["t"], theta, cfg.n)) for r in rows[10:]]
-    assert band_summaries("covariance-audit", wrong)[0][1] is False
+    assert band_summaries(cfg, wrong)[0][1] is False
 
 
 def test_covariance_audit_needs_quarter_grid():
     with pytest.raises(ValueError):
-        run_covariance_audit(ExperimentConfig(kind="covariance-audit", n=62, replications=10))
+        run_experiment(ExperimentConfig(kind="covariance-audit", n=62, replications=10))
 
 
 def test_covariance_audit_q2_within_widened_band():
@@ -543,11 +559,23 @@ def test_covariance_audit_q2_within_widened_band():
     cfg = ExperimentConfig(
         kind="covariance-audit", q=2, H=0.7, n=256, m=16, replications=800, seed=21
     )
-    rows = run_covariance_audit(cfg)
+    rows = run_experiment(cfg)
     for r in rows:
         assert abs(r["estimate"] - r["target"]) <= 3 * r["se"] + 0.02, (r["s"], r["t"])
-    bands = band_summaries("covariance-audit", rows, wide_audit=True)
+    bands = band_summaries(cfg, rows)
     assert bands[0][1]
+
+
+def test_bands_take_the_audit_allowance_from_the_config():
+    # worst deviation 3 SE + 0.01: inside the q >= 2 allowance, outside 3 SE
+    rows = [
+        {"s": 0.5, "t": 1.0, "target": 0.5, "estimate": 0.5 + 3 * 0.004 + 0.01, "se": 0.004, "z_score": 5.5},
+        {"s": 1.0, "t": 1.0, "target": 1.0, "estimate": 1.0, "se": 0.004, "z_score": 0.0},
+    ]
+    wide = ExperimentConfig(kind="covariance-audit", q=2, n=16, m=4, replications=2)
+    narrow = dataclasses.replace(wide, q=1)
+    assert band_summaries(wide, rows)[0][1] is True
+    assert band_summaries(narrow, rows)[0][1] is False
 
 
 # ------------------------------------------------------- output and summaries
@@ -564,9 +592,9 @@ def test_csv_matches_schema_and_determinism():
 
 def test_concurrency_does_not_change_output(monkeypatch):
     cfg = ExperimentConfig(kind="consistency", eps=(0.3,), n=32, replications=40, seed=10)
-    sequential = render(run_consistency(cfg), "consistency")
+    sequential = render(run_experiment(cfg), "consistency")
     monkeypatch.setenv("HERMITE_OU_THREADS", "4")
-    threaded = render(run_consistency(cfg), "consistency")
+    threaded = render(run_experiment(cfg), "consistency")
     assert sequential == threaded
 
 
@@ -638,8 +666,9 @@ def test_map_paths_gives_each_path_its_own_result_under_any_block_plan(
     workers, reps, per_block, first_stream, kind
 ):
     # a block-wide fn (noise responses and tangent fits as row passes) must
-    # give, in replication order, what each path gives alone from its stream
-    cfg = ExperimentConfig(kind=kind, q=2, n=16, m=4, T=(1.0, 2.0), replications=reps, seed=21)
+    # give, in replication order, what each path gives alone from its stream;
+    # the sample's count is reps, so cfg.replications goes unread
+    cfg = ExperimentConfig(kind=kind, q=2, n=16, m=4, T=(1.0, 2.0), seed=21)
     sizes = []
 
     def fn(grid, drivers):
@@ -660,7 +689,7 @@ def test_map_paths_gives_each_path_its_own_result_under_any_block_plan(
     for g, (n, t_max) in enumerate(cfg.grids()):
         for i in range(reps):
             stream = first_stream + g * reps + i
-            z = _driver(cfg.generator, cfg.q, cfg.H, n, cfg.m, t_max)(make_rng(cfg.seed, stream))
+            z = _driver(cfg.generator, cfg.q, cfg.H, n, cfg.m, t_max)(RngState(cfg.seed, stream))
             y = noise_response(discounted_integral_rows(z.values, z.times, 0.8), np.exp(0.8 * z.times))
             want.append((n, z.values[-1], float(tangent_l1_coefficient(y, z, 0.8, 1.0))))
     assert got.tobytes() == np.array(want).tobytes()
@@ -679,10 +708,10 @@ def test_limit_dist_pairs_u_and_zeta_of_one_stream(monkeypatch):
     monkeypatch.setattr(harness, "_BLOCK_VALUES", 2 * len(cfg.eps) * cfg.coarse_points)  # 2 paths a block
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     monkeypatch.setenv("HERMITE_OU_THREADS", "2")
-    rows = run_limit_dist(cfg)
+    rows = run_experiment(cfg)
 
     def driver(stream):
-        return _driver(cfg.generator, cfg.q, cfg.H, cfg.n, cfg.m, 1.0)(make_rng(cfg.seed, stream))
+        return _driver(cfg.generator, cfg.q, cfg.H, cfg.n, cfg.m, 1.0)(RngState(cfg.seed, stream))
 
     def zeta(z):
         y = noise_response(discounted_integral_rows(z.values, z.times, cfg.theta0), np.exp(cfg.theta0 * z.times))
@@ -711,7 +740,7 @@ def test_limit_dist_pairs_u_and_zeta_of_one_stream(monkeypatch):
 def test_ou_rows_is_one_array_of_the_one_path_solutions():
     # row k E + e of a block's OU rows is path k at eps e, bit for bit
     theta0, x0, eps_values = 0.8, -1.3, (0.5, 0.05, 0.2)
-    paths = [simulate_fbm(0.7, 64, 1.0, make_rng(3, i)) for i in range(5)]
+    paths = [simulate_fbm(0.7, 64, 1.0, RngState(3, i)) for i in range(5)]
     integral, growth = harness._discounted_block(paths[0], np.stack([z.values for z in paths]), theta0)
     rows = harness._ou_rows(integral, growth, eps_values, x0)
     assert rows.shape == (len(paths) * len(eps_values), 65)
@@ -727,7 +756,7 @@ def test_consistency_block_memory_is_bounded_by_its_row_array():
     # a block of 25 paths x 4 eps holds its OU row array once: no per-row
     # paths and no stacked copy of them beside it
     cfg = ExperimentConfig(kind="consistency", q=1, n=512, eps=(0.5, 0.2, 0.1, 0.05), replications=25, seed=3)
-    paths = [_driver(cfg.generator, 1, cfg.H, cfg.n, cfg.m, 1.0)(make_rng(cfg.seed, i)) for i in range(25)]
+    paths = [_driver(cfg.generator, 1, cfg.H, cfg.n, cfg.m, 1.0)(RngState(cfg.seed, i)) for i in range(25)]
     drivers = np.stack([z.values for z in paths])
     samples = []
 
@@ -736,7 +765,7 @@ def test_consistency_block_memory_is_bounded_by_its_row_array():
         return [np.ones((cfg.replications, 1 + len(cfg.eps)))]
 
     with mock.patch.object(harness, "_map_paths", capture):
-        run_consistency(cfg)
+        run_experiment(cfg)
     block = samples[0].fn
     block(paths[0], drivers)  # warm: grid times and first-call allocations
     tracemalloc.start()
@@ -1018,7 +1047,7 @@ def test_band_summaries_shapes():
     cfg = ExperimentConfig(
         kind="maximal", n=64, T=(1.0, 2.0), p=(1.0,), replications=150, seed=11
     )
-    bands = band_summaries("maximal", run_maximal(cfg))
+    bands = band_summaries(cfg, run_experiment(cfg))
     assert len(bands) == 1
     name, passed, detail = bands[0]
     assert "spread" in detail
@@ -1041,7 +1070,7 @@ def test_band_summaries_shapes():
 )
 def test_band_is_checked_only_over_a_sweep_of_two_or_more_values(fields, skipped):
     cfg = ExperimentConfig(n=16, m=4, q=2, replications=4, seed=3, **fields)
-    bands = band_summaries(cfg.kind, run_experiment(cfg))
+    bands = band_summaries(cfg, run_experiment(cfg))
     assert [name for name, passed, _ in bands if passed is None] == skipped
     for name, passed, detail in bands:
         if passed is None:
@@ -1056,5 +1085,5 @@ def test_bound_band_is_skipped_when_no_row_passed_the_threshold_check():
     cfg = ExperimentConfig(kind="consistency", eps=(5.0, 2.0), n=64, replications=20)
     rows = run_experiment(cfg)
     assert not any(r["threshold_ok"] for r in rows)
-    bands = band_summaries(cfg.kind, rows)
+    bands = band_summaries(cfg, rows)
     assert ("p-below-bound(delta=0.5)", None, "0 rows passed the threshold check") in bands

@@ -5,6 +5,7 @@ import math
 import threading
 import time
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
@@ -16,7 +17,7 @@ from numpy.polynomial.hermite_e import hermeroots, hermeval
 from scipy.linalg import eigvalsh, toeplitz
 from scipy.stats import ks_2samp
 
-from hermite_ou import fgn_autocov, hermite, make_rng
+from hermite_ou import RngState, fgn_autocov, hermite, sample_stationary_gaussian
 from hermite_ou import rng as rng_module
 from hermite_ou.hermite import (
     GridPath,
@@ -76,7 +77,7 @@ def test_largest_order_keeps_the_normalization_finite():
     k_max = float(1 << 24)
     assert math.factorial(hermite._MAX_ORDER) * k_max**2 < math.inf
     assert math.factorial(hermite._MAX_ORDER + 1) * k_max**2 == math.inf
-    z = simulate_partial_sum(hermite._MAX_ORDER, 0.7, 16, 4, 1.0, make_rng(0, 0))
+    z = simulate_partial_sum(hermite._MAX_ORDER, 0.7, 16, 4, 1.0, RngState(0, 0))
     assert np.count_nonzero(z.values) == 16
 
 
@@ -118,13 +119,13 @@ def test_grid_times_are_uniform():
 
 @pytest.mark.parametrize("seed", [1, 2, 77])
 def test_every_generator_starts_at_zero(seed):
-    assert simulate_fbm(0.7, 32, 1.0, make_rng(seed, 0)).values[0] == 0.0
-    assert simulate_partial_sum(2, 0.7, 32, 8, 1.0, make_rng(seed, 0)).values[0] == 0.0
+    assert simulate_fbm(0.7, 32, 1.0, RngState(seed, 0)).values[0] == 0.0
+    assert simulate_partial_sum(2, 0.7, 32, 8, 1.0, RngState(seed, 0)).values[0] == 0.0
 
 
 def test_fbm_h05_unit_variance():
     ends = np.array(
-        [simulate_fbm(0.5, 64, 1.0, make_rng(SEED, s)).values[-1] for s in range(4000)]
+        [simulate_fbm(0.5, 64, 1.0, RngState(SEED, s)).values[-1] for s in range(4000)]
     )
     est, band = mc_band(ends**2)
     assert abs(est - 1.0) < band
@@ -132,7 +133,7 @@ def test_fbm_h05_unit_variance():
 
 def test_fbm_h07_midpoint_covariance():
     vals = np.array(
-        [simulate_fbm(0.7, 64, 1.0, make_rng(SEED + 1, s)).values[[32, 64]] for s in range(4000)]
+        [simulate_fbm(0.7, 64, 1.0, RngState(SEED + 1, s)).values[[32, 64]] for s in range(4000)]
     )
     est, band = mc_band(vals[:, 0] * vals[:, 1])
     assert abs(est - 0.5) < band  # 0.5*(0.5^1.4 + 1 - 0.5^1.4)
@@ -140,9 +141,43 @@ def test_fbm_h07_midpoint_covariance():
 
 def test_fbm_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        simulate_fbm(1.2, 64, 1.0, make_rng(0, 0))
+        simulate_fbm(1.2, 64, 1.0, RngState(0, 0))
     with pytest.raises(ValueError):
-        simulate_fbm(0.7, 1, 1.0, make_rng(0, 0))
+        simulate_fbm(0.7, 1, 1.0, RngState(0, 0))
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda rng: simulate_fbm(0.7, 16.0, 1.0, rng), "grid size n"),
+        (lambda rng: simulate_partial_sum(2, 0.7, 16.0, 4, 1.0, rng), "grid size n"),
+        (lambda rng: simulate_partial_sum(2, 0.7, 16, 4.0, 1.0, rng), "m"),
+        (lambda rng: sample_stationary_gaussian(0.7, 16.0, rng), "n"),
+        (lambda rng: GridPath(1.0, 4.0, np.zeros(5), Provenance(0, 0, "x")), "n"),
+    ],
+    ids=["fbm-n", "partial-sum-n", "partial-sum-m", "sampler-n", "grid-path-n"],
+)
+def test_sizes_must_be_integers(build, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        build(RngState(0, 0))
+
+
+def test_samplers_take_numpy_integer_sizes_as_ints():
+    rng = RngState(0, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow in a uint8 product n * m
+        pairs = [
+            (simulate_fbm(0.7, np.int64(16), 1.0, rng), simulate_fbm(0.7, 16, 1.0, rng)),
+            (
+                simulate_partial_sum(2, 0.7, np.uint8(16), np.uint8(32), 1.0, rng),
+                simulate_partial_sum(2, 0.7, 16, 32, 1.0, rng),
+            ),
+        ]
+        sample = sample_stationary_gaussian(0.7, np.int64(17), rng)
+    for got, want in pairs:
+        assert type(got.n) is int and got.provenance == want.provenance
+        assert got.values.tobytes() == want.values.tobytes()
+    assert sample.tobytes() == sample_stationary_gaussian(0.7, 17, rng).tobytes()
 
 
 @pytest.mark.parametrize("q", range(1, 7))
@@ -166,10 +201,10 @@ def test_partial_sum_q1_matches_fbm_in_law():
     # same covariance grid as the exact fBm generator, 3 SE bands
     idx = [16, 32, 48, 64]
     a = np.array(
-        [simulate_partial_sum(1, 0.7, 64, 16, 1.0, make_rng(SEED + 2, s)).values[idx] for s in range(4000)]
+        [simulate_partial_sum(1, 0.7, 64, 16, 1.0, RngState(SEED + 2, s)).values[idx] for s in range(4000)]
     )
     b = np.array(
-        [simulate_fbm(0.7, 64, 1.0, make_rng(SEED + 3, s)).values[idx] for s in range(4000)]
+        [simulate_fbm(0.7, 64, 1.0, RngState(SEED + 3, s)).values[idx] for s in range(4000)]
     )
     for i in range(4):
         for j in range(i, 4):
@@ -206,7 +241,7 @@ def test_partial_sum_q2_endpoint_matches_its_exact_law():
     gen = np.random.default_rng(SEED + 30)
     exact = np.concatenate([(gen.standard_normal((4000, big_n)) ** 2 - 1) @ lam for _ in range(5)])
     ends = np.array(
-        [simulate_partial_sum(2, 0.7, n, m, 1.0, make_rng(SEED + 30, s)).values[-1] for s in range(4000)]
+        [simulate_partial_sum(2, 0.7, n, m, 1.0, RngState(SEED + 30, s)).values[-1] for s in range(4000)]
     )
     assert ks_2samp(ends, exact).pvalue > 0.01
 
@@ -220,9 +255,9 @@ class _Sampled(Exception):
     "simulate, largest",
     [
         # 2^23 increments embed in 2^24 points, 2^23 + 1 in 2^25
-        (lambda n, t_max: simulate_fbm(0.7, n, t_max, make_rng(0, 0)), 1 << 23),
+        (lambda n, t_max: simulate_fbm(0.7, n, t_max, RngState(0, 0)), 1 << 23),
         (
-            lambda n, t_max: simulate_partial_sum(2, 0.7, n, 32, t_max, make_rng(0, 0)),
+            lambda n, t_max: simulate_partial_sum(2, 0.7, n, 32, t_max, RngState(0, 0)),
             1 << 18,
         ),
     ],
@@ -245,9 +280,9 @@ def test_partial_sum_sizes_its_normalization_before_allocating():
     sampled = mock.Mock(side_effect=_Sampled)
     with mock.patch.object(hermite, "fgn_autocov", sampled):
         with pytest.raises(ValueError, match=r"^t_max = 1e-07 with n = 512 and m = 32"):
-            simulate_partial_sum(2, 0.7, 512, 32, 1e-7, make_rng(0, 0))
+            simulate_partial_sum(2, 0.7, 512, 32, 1e-7, RngState(0, 0))
         with pytest.raises(_Sampled):
-            simulate_partial_sum(2, 0.7, 512, 32, 512 * 32 / (1 << 24), make_rng(0, 0))
+            simulate_partial_sum(2, 0.7, 512, 32, 512 * 32 / (1 << 24), RngState(0, 0))
 
 
 def test_partial_sum_rejects_a_fractional_unit_of_summands():
@@ -256,15 +291,15 @@ def test_partial_sum_rejects_a_fractional_unit_of_summands():
     # read about 0.80 and 0.15 over 3000 paths, against 1.01 at t_max = 1
     for t_max in (100.0, 1000.0, 3.0):
         with pytest.raises(ValueError, match=rf"^t_max = {t_max:g} with n = 64 and m = 4: "):
-            simulate_partial_sum(1, 0.7, 64, 4, t_max, make_rng(0, 0))
+            simulate_partial_sum(1, 0.7, 64, 4, t_max, RngState(0, 0))
     for t_max in (0.5, 1.0, 4.0, 256.0):
-        assert simulate_partial_sum(1, 0.7, 64, 4, t_max, make_rng(0, 0)).t_max == t_max
+        assert simulate_partial_sum(1, 0.7, 64, 4, t_max, RngState(0, 0)).t_max == t_max
 
 
 def test_partial_sum_of_one_summand_has_unit_variance():
     # one step of one summand samples a 2-lag embedding; E Z_1^2 = 1 exactly
     for q in (1, 2):
-        ends = np.array([simulate_partial_sum(q, 0.7, 1, 1, 1.0, make_rng(SEED + 40, s)).values[-1] for s in range(4000)])
+        ends = np.array([simulate_partial_sum(q, 0.7, 1, 1, 1.0, RngState(SEED + 40, s)).values[-1] for s in range(4000)])
         se = np.std(ends**2, ddof=1) / np.sqrt(ends.size)
         assert abs(np.mean(ends**2) - 1.0) < 3 * se, q
 
@@ -316,10 +351,10 @@ def warm_path_memory(monkeypatch):
     monkeypatch.setattr(rng_module, "_free_workspaces", [])
 
     def peak(simulate):
-        simulate(make_rng(8, 0))
+        simulate(RngState(8, 0))
         tracemalloc.start()
         try:
-            path = simulate(make_rng(8, 1))
+            path = simulate(RngState(8, 1))
             return tracemalloc.get_traced_memory()[1], path
         finally:
             tracemalloc.stop()
@@ -355,7 +390,7 @@ def test_running_max_handles_signs():
 
 
 def test_running_max_dominates_endpoint():
-    z = simulate_fbm(0.7, 64, 1.0, make_rng(9, 9))
+    z = simulate_fbm(0.7, 64, 1.0, RngState(9, 9))
     out = running_max_abs(z.values)
     assert out[-1] >= abs(z.values[-1])
     assert np.all(np.diff(out) >= 0)
@@ -368,10 +403,10 @@ def test_stationary_increments_ks_q1():
     # Z_{t+h} - Z_h vs Z_t over independent path sets, level 0.01
     n, reps = 64, 4000
     a = np.array(
-        [simulate_fbm(0.7, n, 1.0, make_rng(SEED + 7, s)).values[[16, 48]] for s in range(reps)]
+        [simulate_fbm(0.7, n, 1.0, RngState(SEED + 7, s)).values[[16, 48]] for s in range(reps)]
     )
     b = np.array(
-        [simulate_fbm(0.7, n, 1.0, make_rng(SEED + 8, s)).values[32] for s in range(reps)]
+        [simulate_fbm(0.7, n, 1.0, RngState(SEED + 8, s)).values[32] for s in range(reps)]
     )
     assert ks_2samp(a[:, 1] - a[:, 0], b).pvalue > 0.01
 
@@ -380,13 +415,13 @@ def test_stationary_increments_ks_q2():
     n, reps = 64, 4000
     a = np.array(
         [
-            simulate_partial_sum(2, 0.7, n, 16, 1.0, make_rng(SEED + 9, s)).values[[16, 48]]
+            simulate_partial_sum(2, 0.7, n, 16, 1.0, RngState(SEED + 9, s)).values[[16, 48]]
             for s in range(reps)
         ]
     )
     b = np.array(
         [
-            simulate_partial_sum(2, 0.7, n, 16, 1.0, make_rng(SEED + 10, s)).values[32]
+            simulate_partial_sum(2, 0.7, n, 16, 1.0, RngState(SEED + 10, s)).values[32]
             for s in range(reps)
         ]
     )
@@ -399,12 +434,12 @@ def test_self_similarity_ks_q1(a_scale):
     h, reps = 0.7, 4000
     za = np.array(
         [
-            simulate_fbm(h, int(64 * max(a_scale, 1)), a_scale, make_rng(SEED + 11, s)).values[-1]
+            simulate_fbm(h, int(64 * max(a_scale, 1)), a_scale, RngState(SEED + 11, s)).values[-1]
             for s in range(reps)
         ]
     )
     z1 = np.array(
-        [simulate_fbm(h, 64, 1.0, make_rng(SEED + 12, s)).values[-1] for s in range(reps)]
+        [simulate_fbm(h, 64, 1.0, RngState(SEED + 12, s)).values[-1] for s in range(reps)]
     )
     assert ks_2samp(za, a_scale**h * z1).pvalue > 0.01
 
@@ -415,13 +450,13 @@ def test_self_similarity_ks_q2(a_scale):
     n_a = int(64 * max(a_scale, 1))
     za = np.array(
         [
-            simulate_partial_sum(2, h, n_a, 16, a_scale, make_rng(SEED + 13, s)).values[-1]
+            simulate_partial_sum(2, h, n_a, 16, a_scale, RngState(SEED + 13, s)).values[-1]
             for s in range(reps)
         ]
     )
     z1 = np.array(
         [
-            simulate_partial_sum(2, h, 64, 16, 1.0, make_rng(SEED + 14, s)).values[-1]
+            simulate_partial_sum(2, h, 64, 16, 1.0, RngState(SEED + 14, s)).values[-1]
             for s in range(reps)
         ]
     )
@@ -458,7 +493,7 @@ def test_running_max_moment_scales_with_t_pow_h():
         n = int(256 * t_max)
         sups = np.array(
             [
-                np.abs(simulate_fbm(h, n, t_max, make_rng(SEED + 20 + k, s)).values).max()
+                np.abs(simulate_fbm(h, n, t_max, RngState(SEED + 20 + k, s)).values).max()
                 for s in range(reps)
             ]
         )
@@ -478,7 +513,7 @@ def _csv_roundtrip(path):
 
 
 def test_path_csv_roundtrip():
-    z = simulate_fbm(0.7, 32, 2.0, make_rng(5, 6))
+    z = simulate_fbm(0.7, 32, 2.0, RngState(5, 6))
     back = _csv_roundtrip(z)
     assert back.n == z.n and back.t_max == z.t_max
     np.testing.assert_array_equal(back.values, z.values)
@@ -536,7 +571,7 @@ def test_path_csv_accepts_times_written_with_nine_digits(n):
 
 
 def test_path_csv_format():
-    z = simulate_fbm(0.7, 4, 1.0, make_rng(5, 6))
+    z = simulate_fbm(0.7, 4, 1.0, RngState(5, 6))
     buf = io.StringIO()
     write_path_csv(z, buf)
     lines = buf.getvalue().splitlines()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hermite_ou import make_rng
+from hermite_ou import RngState
 from hermite_ou.estimator import tangent_l1_coefficient
 from hermite_ou.hermite import GridPath, Provenance, simulate_fbm
 from hermite_ou.integrals import (
@@ -27,23 +27,23 @@ def zero_path(n=64, t_max=1.0):
 
 
 def test_wiener_constant_one_telescopes():
-    z = simulate_fbm(H, 64, 1.0, make_rng(1, 0))
+    z = simulate_fbm(H, 64, 1.0, RngState(1, 0))
     assert wiener_integral(np.ones(65), z) == pytest.approx(z.values[-1], rel=1e-14)
 
 
 def test_wiener_zero_integrand():
-    z = simulate_fbm(H, 64, 1.0, make_rng(1, 1))
+    z = simulate_fbm(H, 64, 1.0, RngState(1, 1))
     assert wiener_integral(np.zeros(65), z) == 0.0
 
 
 def test_wiener_linearity():
-    z = simulate_fbm(H, 64, 1.0, make_rng(1, 2))
+    z = simulate_fbm(H, 64, 1.0, RngState(1, 2))
     g = np.sin(np.linspace(0, 3, 65))
     assert wiener_integral(2 * g, z) == pytest.approx(2 * wiener_integral(g, z), rel=1e-14)
 
 
 def test_wiener_length_mismatch():
-    z = simulate_fbm(H, 64, 1.0, make_rng(1, 3))
+    z = simulate_fbm(H, 64, 1.0, RngState(1, 3))
     with pytest.raises(ValueError):
         wiener_integral(np.ones(64), z)
 
@@ -123,7 +123,7 @@ def test_covariance_rejects_bad_h():
 
 
 def test_discounted_integral_is_running_wiener_integral():
-    z = simulate_fbm(H, 64, 1.0, make_rng(2, 2))
+    z = simulate_fbm(H, 64, 1.0, RngState(2, 2))
     t = z.times
     got = discounted_integral_rows(z.values, z.times, 0.8)
     assert got[0] == 0.0
@@ -133,7 +133,7 @@ def test_discounted_integral_is_running_wiener_integral():
 
 
 def test_noise_response_zero_drift_is_identity():
-    z = simulate_fbm(H, 64, 1.0, make_rng(2, 0))
+    z = simulate_fbm(H, 64, 1.0, RngState(2, 0))
     y = noise_response(discounted_integral_rows(z.values, z.times, 0.0), np.exp(0.0 * z.times))
     np.testing.assert_allclose(y, z.values, atol=1e-15)
 
@@ -145,7 +145,7 @@ def test_noise_response_of_zero_path():
 
 
 def test_noise_response_matches_exact_solution_gap():
-    z = simulate_fbm(H, 256, 1.0, make_rng(2, 1))
+    z = simulate_fbm(H, 256, 1.0, RngState(2, 1))
     for theta in (-1.0, 0.4, 1.0):
         integral, growth = discounted_integral_rows(z.values, z.times, theta), np.exp(theta * z.times)
         x = exact_solution(integral, growth, 0.05, 1.2)
@@ -157,7 +157,7 @@ def test_noise_response_matches_exact_solution_gap():
 def test_noise_response_keeps_rng_provenance():
     # the response is one value per grid point of its driving path, so it
     # goes back on that path's grid with the path's seed and stream
-    z = simulate_fbm(H, 32, 1.0, make_rng(11, 5))
+    z = simulate_fbm(H, 32, 1.0, RngState(11, 5))
     y = z.with_values(noise_response(discounted_integral_rows(z.values, z.times, 1.0), np.exp(z.times)), "y")
     assert (y.provenance.seed, y.provenance.stream) == (11, 5)
 
@@ -171,7 +171,7 @@ def test_block_rows_equal_the_one_path_functions_bit_for_bit(n, t_max, theta, x0
     # the block-wide solves of the limit-dist and consistency kinds: one
     # discounted integral per path and e^(theta t) once per block
     rng = np.random.default_rng(5)
-    paths = [simulate_fbm(H, n, t_max, make_rng(41, s)) for s in range(4)]
+    paths = [simulate_fbm(H, n, t_max, RngState(41, s)) for s in range(4)]
     for scale in (1e-3, 1e3):
         walk = np.concatenate([[0.0], np.cumsum(rng.standard_normal(n) * scale)])
         paths.append(GridPath(t_max, n, walk, Provenance(0, 9, "walk")))

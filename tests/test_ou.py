@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hermite_ou import make_rng
+from hermite_ou import RngState
 from hermite_ou.hermite import GridPath, Provenance, simulate_fbm
 from hermite_ou.integrals import discounted_integral_rows
 from hermite_ou.ou import deterministic_solution, exact_solution
@@ -41,13 +41,13 @@ def test_exact_solution_of_zero_noise_is_skeleton():
 
 
 def test_exact_solution_zero_drift_is_affine_in_noise():
-    z = simulate_fbm(H, 128, 1.0, make_rng(3, 0))
+    z = simulate_fbm(H, 128, 1.0, RngState(3, 0))
     x = exact_solution(discounted_integral_rows(z.values, z.times, 0.0), np.exp(0.0 * z.times), 0.3, 2.0)
     np.testing.assert_allclose(x, 2.0 + 0.3 * z.values, rtol=1e-13)
 
 
 def test_exact_solution_affinity_in_eps():
-    z = simulate_fbm(H, 128, 1.0, make_rng(3, 1))
+    z = simulate_fbm(H, 128, 1.0, RngState(3, 1))
     integral, growth = discounted_integral_rows(z.values, z.times, 1.0), np.exp(z.times)
     x1 = exact_solution(integral, growth, 0.1, 1.0)
     x2 = exact_solution(integral, growth, 0.2, 1.0)
@@ -60,7 +60,7 @@ def test_gronwall_path_bound(theta0):
     # sup |X - x(theta0)| <= 1.01 * eps * e^{|theta0|} * sup |Z|, every path
     eps = 0.1
     for s in range(200):
-        z = simulate_fbm(H, 256, 1.0, make_rng(99, s))
+        z = simulate_fbm(H, 256, 1.0, RngState(99, s))
         integral = discounted_integral_rows(z.values, z.times, theta0)
         x = exact_solution(integral, np.exp(theta0 * z.times), eps, 1.0)
         skel = deterministic_solution(theta0, 1.0, z)
@@ -74,7 +74,7 @@ def test_integral_inequality_discrete(theta0):
     # V_t <= |theta0| int_0^t V ds + eps |Z_t| within 1% slack on the grid
     eps = 0.1
     for s in range(50):
-        z = simulate_fbm(H, 256, 1.0, make_rng(98, s))
+        z = simulate_fbm(H, 256, 1.0, RngState(98, s))
         integral = discounted_integral_rows(z.values, z.times, theta0)
         x = exact_solution(integral, np.exp(theta0 * z.times), eps, 1.0)
         skel = deterministic_solution(theta0, 1.0, z)

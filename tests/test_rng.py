@@ -13,8 +13,8 @@ from scipy.stats import kstest
 
 from hermite_ou import (
     NegativeEigenvalueError,
+    RngState,
     fgn_autocov,
-    make_rng,
     sample_stationary_gaussian,
 )
 from hermite_ou import rng as rng_module
@@ -22,29 +22,46 @@ from hermite_ou.rng import _embedding_eigenvalues, _embedding_scale, _polar_pair
 
 
 def test_same_seed_stream_is_bit_identical():
-    a = make_rng(42, 0).generator().random(100)
-    b = make_rng(42, 0).generator().random(100)
+    a = RngState(42, 0).generator().random(100)
+    b = RngState(42, 0).generator().random(100)
     np.testing.assert_array_equal(a, b)
 
 
 def test_distinct_streams_differ():
-    a = make_rng(42, 0).generator().random(100)
-    b = make_rng(42, 1).generator().random(100)
+    a = RngState(42, 0).generator().random(100)
+    b = RngState(42, 1).generator().random(100)
     assert np.any(a != b)
 
 
 def test_normal_deviates_clt_mean():
     # 4-sigma CLT band for the mean of the 1e5 standard normals the sampler
     # draws into its spectrum
-    z = _polar_pairs(make_rng(42, 0).generator(), np.empty(10**5, dtype=complex)).view(float)
+    z = _polar_pairs(RngState(42, 0).generator(), np.empty(10**5, dtype=complex)).view(float)
     assert abs(z.mean()) < 4 / np.sqrt(10**5)
 
 
 def test_rng_state_validates_range():
     with pytest.raises(ValueError):
-        make_rng(-1, 0)
+        RngState(-1, 0)
     with pytest.raises(ValueError):
-        make_rng(0, 2**64)
+        RngState(0, 2**64)
+
+
+@pytest.mark.parametrize(
+    "seed, stream, name",
+    [(0, 2.7, "stream"), (1.5, 0, "seed"), (True, 0, "seed"), (0, np.False_, "stream"), ("1", 0, "seed")],
+)
+def test_rng_state_takes_integers_only(seed, stream, name):
+    # a float or a bool would otherwise name the stream of another replication
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        RngState(seed, stream)
+
+
+def test_rng_state_stores_numpy_integers_as_int():
+    state = RngState(np.uint64(2**64 - 1), np.int32(3))
+    assert (type(state.seed), type(state.stream)) == (int, int)
+    assert state == RngState(2**64 - 1, 3)
+    np.testing.assert_array_equal(state.generator().random(8), RngState(2**64 - 1, 3).generator().random(8))
 
 
 def test_fgn_autocov_white_noise_lag1_is_zero():
@@ -69,20 +86,20 @@ def test_fgn_autocov_rejects_bad_h():
 
 
 def test_sampler_reproducible():
-    a = sample_stationary_gaussian(0.7, 256, make_rng(7, 3))
-    b = sample_stationary_gaussian(0.7, 256, make_rng(7, 3))
+    a = sample_stationary_gaussian(0.7, 256, RngState(7, 3))
+    b = sample_stationary_gaussian(0.7, 256, RngState(7, 3))
     np.testing.assert_array_equal(a, b)
 
 
 def test_sampler_white_noise_lag1_correlation():
     n = 10**5
-    x = sample_stationary_gaussian(0.5, n, make_rng(42, 0))
+    x = sample_stationary_gaussian(0.5, n, RngState(42, 0))
     r1 = np.mean(x[:-1] * x[1:]) / np.mean(x * x)
     assert abs(r1) < 4 / np.sqrt(n)
 
 
 def test_sampler_white_noise_is_standard_normal_ks():
-    x = sample_stationary_gaussian(0.5, 10**4, make_rng(11, 0))
+    x = sample_stationary_gaussian(0.5, 10**4, RngState(11, 0))
     assert kstest(x, "norm").pvalue > 0.01
 
 
@@ -91,7 +108,7 @@ def test_sampler_matches_target_autocovariance():
     n, reps = 512, 4000
     acov = fgn_autocov(0.7, n)
     paths = np.array(
-        [sample_stationary_gaussian(0.7, n, make_rng(123, s)) for s in range(reps)]
+        [sample_stationary_gaussian(0.7, n, RngState(123, s)) for s in range(reps)]
     )
     for lag in range(9):
         per_rep = np.mean(paths[:, : n - lag] * paths[:, lag:] if lag else paths * paths, axis=1)
@@ -104,7 +121,7 @@ def test_sampler_lag1_value_h07():
     reps = 4000
     per_rep = []
     for s in range(reps):
-        x = sample_stationary_gaussian(0.7, 512, make_rng(5, s))
+        x = sample_stationary_gaussian(0.7, 512, RngState(5, s))
         per_rep.append(np.mean(x[:-1] * x[1:]))
     per_rep = np.asarray(per_rep)
     se = per_rep.std(ddof=1) / np.sqrt(reps)
@@ -122,7 +139,7 @@ def test_sampler_lag1_value_h07():
 )
 def test_sampler_takes_only_a_sequence_of_exactly_n_lags(h, n):
     with pytest.raises(ValueError):
-        sample_stationary_gaussian(h, n, make_rng(3, 0))
+        sample_stationary_gaussian(h, n, RngState(3, 0))
 
 
 def test_sampler_rejects_invalid_embedding():
@@ -149,13 +166,13 @@ def fresh_workspaces(monkeypatch):
 
 @pytest.mark.usefixtures("fresh_workspaces")
 def test_sample_owns_its_memory_across_later_calls():
-    a = sample_stationary_gaussian(0.7, 257, make_rng(4, 0))
+    a = sample_stationary_gaussian(0.7, 257, RngState(4, 0))
     kept = a.copy()
-    b = sample_stationary_gaussian(0.7, 257, make_rng(4, 1))  # same embedding size
+    b = sample_stationary_gaussian(0.7, 257, RngState(4, 1))  # same embedding size
     assert np.array_equal(bits(a), bits(kept))
     assert not np.shares_memory(a, b)
     kept_b = b.copy()
-    c = sample_stationary_gaussian(0.7, 4097, make_rng(4, 2))  # grows the workspace
+    c = sample_stationary_gaussian(0.7, 4097, RngState(4, 2))  # grows the workspace
     assert np.array_equal(bits(a), bits(kept))
     assert np.array_equal(bits(b), bits(kept_b))
     assert not np.shares_memory(b, c)
@@ -168,7 +185,7 @@ def test_threaded_samples_of_mixed_sizes_match_sequential(monkeypatch):
 
     def draw(job):
         n, stream = job
-        return sample_stationary_gaussian(0.7, n, make_rng(99, stream))
+        return sample_stationary_gaussian(0.7, n, RngState(99, stream))
 
     monkeypatch.setattr(rng_module, "_free_workspaces", [])
     sequential = [draw(job) for job in jobs]
@@ -190,7 +207,7 @@ def test_threaded_samples_of_mixed_sizes_match_sequential(monkeypatch):
 @pytest.mark.parametrize("sizes", [[513], [4097, 257], [257, 4097, 1025]])
 def test_workspace_is_one_spectrum_buffer_of_the_embedding(sizes):
     for n in sizes:
-        sample_stationary_gaussian(0.7, n, make_rng(5, n))
+        sample_stationary_gaussian(0.7, n, RngState(5, n))
     m = 2 * (max(sizes) - 1)  # one workspace, grown to the largest embedding
     assert len(rng_module._free_workspaces) == 1
     for ws in rng_module._free_workspaces:
@@ -202,7 +219,7 @@ def test_complex_exp_gives_cos_and_sin_bit_for_bit():
     # the Box-Muller angle factor is exp(i 2 pi u) on a contiguous complex
     # array; it must equal numpy's contiguous cos and sin of 2 pi u exactly
     edges = [0.0, 2.0**-53, 0.25, 0.5, 0.75, 1.0 - 2.0**-53]
-    u = np.concatenate([make_rng(2025, 7).generator().random(1 << 20), edges])
+    u = np.concatenate([RngState(2025, 7).generator().random(1 << 20), edges])
     theta = 2.0 * np.pi * u
     e = np.zeros(u.size, dtype=complex)
     np.multiply(2.0 * np.pi, u, out=e.imag)
@@ -214,10 +231,10 @@ def test_complex_exp_gives_cos_and_sin_bit_for_bit():
 @pytest.mark.usefixtures("fresh_workspaces")
 def test_warm_sample_allocates_only_its_result():
     n = 65537  # embedding of m = 131072 points
-    sample_stationary_gaussian(0.85, n, make_rng(1, 0))
+    sample_stationary_gaussian(0.85, n, RngState(1, 0))
     tracemalloc.start()
     try:
-        x = sample_stationary_gaussian(0.85, n, make_rng(1, 1))
+        x = sample_stationary_gaussian(0.85, n, RngState(1, 1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -290,8 +307,8 @@ STREAMS = st.integers(0, 2**32)
 @example(n=3, h=0.7, seed=0, stream=0)
 @example(n=65537, h=0.85, seed=20250810, stream=3)  # m = 131072
 def test_sampler_matches_reference_bit_for_bit(n, h, seed, stream):
-    got = sample_stationary_gaussian(h, n, make_rng(seed, stream))
-    want = _sample_reference(fgn_autocov(h, n), n, make_rng(seed, stream))
+    got = sample_stationary_gaussian(h, n, RngState(seed, stream))
+    want = _sample_reference(fgn_autocov(h, n), n, RngState(seed, stream))
     assert got.shape == (n,)
     assert np.array_equal(bits(got), bits(want))
 
@@ -330,7 +347,7 @@ def test_only_the_scale_is_cached():
     # a cold fill keeps the scale and nothing else: not the autocovariance,
     # not the eigenvalues
     n = 1025
-    sample_stationary_gaussian(0.7, n, make_rng(0, 0))  # warm workspace
+    sample_stationary_gaussian(0.7, n, RngState(0, 0))  # warm workspace
     key = (0.7071067812, n)  # a key no other test uses
     tracemalloc.start()
     try:
@@ -347,7 +364,7 @@ def test_only_the_scale_is_cached():
 def test_scale_of_a_new_embedding_size_allocates_only_itself(monkeypatch):
     n = 65537  # embedding of m = 131072 points
     m = 2 * (n - 1)
-    sample_stationary_gaussian(0.85, n, make_rng(1, 0))  # warm workspace
+    sample_stationary_gaussian(0.85, n, RngState(1, 0))  # warm workspace
     gamma = fgn_autocov(0.85, n)
     monkeypatch.setattr(rng_module, "fgn_autocov", lambda h, k: gamma)
     tracemalloc.start()
