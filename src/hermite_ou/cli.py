@@ -13,6 +13,7 @@ import dataclasses
 import math
 import os
 import sys
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
@@ -58,6 +59,38 @@ _ESTIMATE_FLAGS = (
 
 class CliError(Exception):
     """User-facing CLI failure; the message names the offending input."""
+
+
+@contextmanager
+def _output(path: str):
+    """path opened for writing, before the work that fills it, so an output
+    that cannot be written fails first; if the block raises, the file is
+    removed again."""
+    fh = open(path, "w", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        os.remove(path)
+        raise
+
+
+@contextmanager
+def _directory(path: str):
+    """The directory path, created with its missing parents; if the block
+    raises, the directories this made are removed again."""
+    made = []
+    head = os.path.abspath(path)
+    while not os.path.exists(head):
+        made.append(head)
+        head = os.path.dirname(head)
+    os.makedirs(path, exist_ok=True)
+    try:
+        yield
+    except BaseException:
+        for directory in made:  # innermost first, each empty once the block's output is removed
+            os.rmdir(directory)
+        raise
 
 
 def _parse_config_file(path: str) -> dict:
@@ -134,6 +167,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _driver_error(exc: ValueError) -> CliError:
+    flag = next((f for key, f in _DRIVER_FLAGS if key in str(exc)), "--H")
+    return CliError(f"{flag}: {exc}")
+
+
+def _ou_path(args, z):
+    """The exact OU solution driven by the path z, at the flags' theta, eps
+    and x0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        integral = discounted_integral_rows(z.values, z.times, args.theta)
+        values = exact_solution(integral, np.exp(args.theta * z.times), args.eps, args.x0)
+    if not np.isfinite(values).all():
+        raise CliError(
+            f"--theta/--eps/--x0: the OU solution with theta = {args.theta:g}, eps = {args.eps:g} "
+            f"and x0 = {args.x0:g} overflows a double on [0, {args.t_max:g}]"
+        )
+    return z.with_values(values, f"ou-exact(theta={args.theta:g},eps={args.eps:g},x0={args.x0:g})")
+
+
 def cmd_simulate(args) -> int:
     if args.n < 2:
         raise CliError(f"--n must be >= 2, got {args.n}")
@@ -147,26 +199,23 @@ def cmd_simulate(args) -> int:
                 raise CliError(f"{flag} must be finite, got {value}")
     rng = RngState(args.seed, args.stream)
     try:
-        z = _driver(args.generator, args.q, args.H, args.n, args.m, args.t_max)(rng)
+        draw = _driver(args.generator, args.q, args.H, args.n, args.m, args.t_max)
     except ValueError as exc:
-        flag = next((f for key, f in _DRIVER_FLAGS if key in str(exc)), "--H")
-        raise CliError(f"{flag}: {exc}") from exc
-    if args.process == "ou":
-        with np.errstate(over="ignore", invalid="ignore"):
-            integral = discounted_integral_rows(z.values, z.times, args.theta)
-            values = exact_solution(integral, np.exp(args.theta * z.times), args.eps, args.x0)
-        if not np.isfinite(values).all():
-            raise CliError(
-                f"--theta/--eps/--x0: the OU solution with theta = {args.theta:g}, eps = {args.eps:g} "
-                f"and x0 = {args.x0:g} overflows a double on [0, {args.t_max:g}]"
-            )
-        path = z.with_values(values, f"ou-exact(theta={args.theta:g},eps={args.eps:g},x0={args.x0:g})")
-    else:
-        path = z
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+        raise _driver_error(exc) from exc
+    with _output(args.out) as fh:
+        try:
+            z = draw(rng)
+        except ValueError as exc:
+            raise _driver_error(exc) from exc
+        path = _ou_path(args, z) if args.process == "ou" else z
         write_path_csv(path, fh)
     print(f"wrote {args.out} ({path.n + 1} grid points, generator {path.provenance.tag})")
     return 0
+
+
+def _estimate_error(exc: ValueError) -> CliError:
+    flag = next((f for key, f in _ESTIMATE_FLAGS if key in str(exc)), "--theta-lo/--theta-hi")
+    return CliError(f"{flag}: {exc}")
 
 
 def cmd_estimate(args) -> int:
@@ -174,18 +223,27 @@ def cmd_estimate(args) -> int:
         raise CliError(
             f"--theta-lo must be below --theta-hi, got [{args.theta_lo}, {args.theta_hi}]"
         )
+    try:
+        _check_normal_start(args.x0)
+        cfg = EstimatorConfig(args.theta_lo, args.theta_hi, args.coarse_points, args.refine_tol)
+    except ValueError as exc:
+        raise _estimate_error(exc) from exc
     with open(args.input, "r", encoding="utf-8") as fh:
         try:
             path = read_path_csv(fh)
         except ValueError as exc:
             raise CliError(f"malformed path CSV {args.input}: {exc}") from exc
-    try:
-        _check_normal_start(args.x0)
-        cfg = EstimatorConfig(args.theta_lo, args.theta_hi, args.coarse_points, args.refine_tol)
-        res = minimize_l1(path, args.x0, cfg)
-    except ValueError as exc:
-        flag = next((f for key, f in _ESTIMATE_FLAGS if key in str(exc)), "--theta-lo/--theta-hi")
-        raise CliError(f"{flag}: {exc}") from exc
+    with _output(args.out) if args.out else nullcontext() as out:
+        try:
+            res = minimize_l1(path, args.x0, cfg)
+        except ValueError as exc:
+            raise _estimate_error(exc) from exc
+        if out is not None:
+            out.write("theta_hat,objective_value,n_evals,bracket_lo,bracket_hi\n")
+            out.write(
+                f"{res.theta_hat:.17g},{res.objective_value:.17g},{res.n_evals},"
+                f"{res.bracket[0]:.17g},{res.bracket[1]:.17g}\n"
+            )
     print(f"theta_hat={res.theta_hat:.17g}")
     print(f"objective={res.objective_value:.17g}")
     print(f"n_evals={res.n_evals}")
@@ -196,13 +254,6 @@ def cmd_estimate(args) -> int:
             f"[{cfg.theta_lo:.17g}, {cfg.theta_hi:.17g}]; widen --theta-lo/--theta-hi",
             file=sys.stderr,
         )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("theta_hat,objective_value,n_evals,bracket_lo,bracket_hi\n")
-            fh.write(
-                f"{res.theta_hat:.17g},{res.objective_value:.17g},{res.n_evals},"
-                f"{res.bracket[0]:.17g},{res.bracket[1]:.17g}\n"
-            )
     return 0
 
 
@@ -244,10 +295,9 @@ def cmd_experiment(args) -> int:
         cfg = ExperimentConfig(**_coerce_config(raw))
     except (TypeError, ValueError) as exc:
         raise CliError(f"invalid experiment configuration: {exc}") from exc
-    rows = run_experiment(cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     out_path = os.path.join(cfg.out_dir, f"{cfg.kind}.csv")
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+    with _directory(cfg.out_dir), _output(out_path) as fh:
+        rows = run_experiment(cfg)
         write_rows_csv(rows, cfg.kind, fh)
     _validate_csv(out_path, cfg.kind)
     print(f"wrote {out_path} ({len(rows)} rows)")

@@ -82,39 +82,6 @@ class RngState:
         return np.random.Generator(np.random.PCG64(ss))
 
 
-def _polar_pairs(gen: np.random.Generator, v: np.ndarray) -> np.ndarray:
-    """k pairs of standard normals r cos(2 pi u2) + i r sin(2 pi u2) in v[:k].
-
-    v is a contiguous complex array of 2k points.  The uniforms u1 and u2
-    are drawn into the two contiguous float halves of v[k:], which is left
-    as scratch, and the radius r = sqrt(-2 log(1 - u1)) is formed in place
-    there; then v[:k] = exp(i 2 pi u2), times r.  Pairwise, inverse-free and
-    rejection-free, so the output is a fixed function of the underlying
-    uniform stream.  log, sqrt and exp run in place on contiguous arrays;
-    exp runs on complex, where glibc's cexp of i theta is (cos theta,
-    sin theta) from sincos, bit for bit numpy's contiguous cos and sin.
-    numpy's SIMD and strided loops for these functions may differ in the
-    last bit, so strided views get plain arithmetic only (products, the
-    scaling by 1 / sqrt 2, conjugation).
-    """
-    k = v.size // 2
-    f = v.view(float)
-    r, u = f[2 * k : 3 * k], f[3 * k :]
-    gen.random(out=r)
-    np.subtract(1.0, r, out=r)  # u1 in (0, 1]
-    gen.random(out=u)
-    np.log(r, out=r)
-    np.multiply(-2.0, r, out=r)
-    np.sqrt(r, out=r)
-    e = v[:k]
-    np.multiply(2.0 * np.pi, u, out=e.imag)
-    e.real = 0.0
-    np.exp(e, out=e)  # cos + i sin of the angle, on the contiguous complex array
-    np.multiply(e.real, r, out=e.real)
-    np.multiply(e.imag, r, out=e.imag)
-    return e
-
-
 _free_workspaces: list = []  # idle complex spectrum buffers
 _free_lock = threading.Lock()
 
@@ -243,11 +210,29 @@ def sample_stationary_gaussian(h: float, n: int, rng: RngState, *, reduce=np.cop
     m = scale.size  # 2(n-1), even
     half = m // 2
     with _workspace(m) as v:
+        # Box-Muller, pairwise, inverse-free and rejection-free, so a fixed function
+        # of the uniform stream: v[:half] = r exp(i 2 pi u2), r = sqrt(-2 log(1 - u1)),
+        # with u1 and u2 drawn in one call into the float halves of v[half:] as
+        # scratch.  log, sqrt and exp run in place on contiguous arrays; on complex,
+        # glibc's cexp of i theta is (cos theta, sin theta) from sincos, bit for bit
+        # numpy's contiguous cos and sin.  numpy's SIMD and strided loops may differ
+        # in the last bit, so strided views get plain arithmetic only.
+        f = v.view(float)
+        r, u = f[m : m + half], f[m + half :]
+        gen.random(out=f[m:])
+        np.subtract(1.0, r, out=r)  # u1 in (0, 1]
+        np.log(r, out=r)
+        np.multiply(-2.0, r, out=r)
+        np.sqrt(r, out=r)
+        e = v[:half]
+        np.multiply(2.0 * np.pi, u, out=e.imag)
+        e.real = 0.0
+        np.exp(e, out=e)
+        np.multiply(e.real, r, out=e.real)
+        np.multiply(e.imag, r, out=e.imag)
         # the Hermitian spectrum v of m i.i.d. normals e: v[0] = e[0], v[half] = e[1],
         # v[k] = (e[2k] + i e[2k+1]) / sqrt(2) for 0 < k < half, v[m-k] = conj(v[k]);
-        # the moves below overwrite the Box-Muller scratch in v[half:] only
-        # after _polar_pairs has consumed it
-        _polar_pairs(gen, v)
+        # these moves overwrite the scratch in v[half:] only after it is consumed
         v[half] = v.imag[0]
         v.imag[0] = 0.0
         np.multiply(v[1:half].view(float), 1.0 / np.sqrt(2.0), out=v[1:half].view(float))

@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from hermite_ou import hermite
+from hermite_ou import cli, hermite
 from hermite_ou.cli import main
 from hermite_ou.estimator import EstimatorConfig, minimize_l1
 from hermite_ou.harness import ExperimentConfig
@@ -346,7 +346,7 @@ def test_experiment_maximal_rejects_moments_beyond_the_double_range(tmp_path, ca
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: p = 800 is too large") and err.count("\n") == 1, err
-    assert not (tmp_path / "out" / "maximal.csv").exists()
+    assert not (tmp_path / "out").exists()  # the file and the directory made for it are removed
 
 
 # ------------------------------------------------------------------ estimate
@@ -565,18 +565,25 @@ def test_experiment_rejects_unknown_config_key(tmp_path, capsys):
     ids=["config-is-a-directory", "input-is-a-directory", "estimate-out-in-missing-dir",
          "simulate-out-in-missing-dir", "out-dir-is-a-file"],
 )
-def test_file_errors_exit_2_with_one_error_line_naming_the_path(command, path, tmp_path, capsys):
+def test_file_errors_exit_2_with_one_error_line_naming_the_path(
+    command, path, tmp_path, capsys, monkeypatch
+):
     names = {"dir": tmp_path / "d", "csv": tmp_path / "skel.csv", "cfg": tmp_path / "m.cfg",
              "missing": tmp_path / "missing"}
     names["dir"].mkdir()
     write_skeleton_csv(names["csv"])
     write_config(names["cfg"], n=16, T="1", replications=2)
+    # every input and output fails before any path is sampled, estimate computed or experiment run
+    for module, name in ((hermite, "sample_stationary_gaussian"), (cli, "minimize_l1"),
+                         (cli, "run_experiment")):
+        monkeypatch.setattr(module, name, mock.Mock(side_effect=AssertionError(f"{name} called")))
     code = run_cli(*command.format(**names).split())
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert code == 2
     assert len(errors) == 1 and path.format(**names) in errors[0], err
     assert "Traceback" not in err
+    assert out == ""
 
 
 def test_experiment_missing_config(tmp_path, capsys):
