@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import math
 import os
 import sys
@@ -63,16 +64,22 @@ class CliError(Exception):
 
 @contextmanager
 def _output(path: str):
-    """path opened for writing, before the work that fills it, so an output
-    that cannot be written fails first; if the block raises, the file is
-    removed again."""
-    fh = open(path, "w", encoding="utf-8", newline="\n")
+    """A text buffer whose contents are written to path once the block ends
+    without error.  path is opened (and created if missing) first, before
+    the work that fills the buffer, so an output that cannot be written
+    fails before that work.  If the block raises, a file this created is
+    removed again and an existing one keeps its bytes."""
+    created = not os.path.exists(path)
+    os.close(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
+    buffer = io.StringIO()
     try:
-        with fh:
-            yield fh
+        yield buffer
     except BaseException:
-        os.remove(path)
+        if created:
+            os.remove(os.path.realpath(path))  # a dangling symlink's new target, not the link
         raise
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(buffer.getvalue())
 
 
 @contextmanager

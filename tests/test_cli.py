@@ -586,6 +586,41 @@ def test_file_errors_exit_2_with_one_error_line_naming_the_path(
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        "simulate --process ou --n 16 --m 4 --theta 800 --out {old}",  # overflow found after sampling
+        "estimate --x0 1 --input {huge} --out {huge}",  # the output is the input
+        "experiment --config {cfg} --set p=800 --out-dir {dir}",  # moments overflow after the run
+    ],
+    ids=["simulate-theta-800", "estimate-out-is-input", "experiment-p-800"],
+)
+def test_a_failed_command_leaves_an_existing_output_as_it_was(command, tmp_path, capsys):
+    names = {"old": tmp_path / "old.csv", "huge": tmp_path / "huge.csv", "cfg": tmp_path / "m.cfg",
+             "dir": tmp_path}
+    names["old"].write_text("earlier results\n")
+    (tmp_path / "maximal.csv").write_text("earlier results\n")
+    with open(names["huge"], "w", encoding="utf-8") as fh:
+        write_path_csv(GridPath(1.0, 512, np.full(513, 1e307), Provenance(0, 0, "huge")), fh)
+    huge = names["huge"].read_bytes()
+    write_config(names["cfg"], n=16, T="1,2", replications=3)
+    assert run_cli(*command.format(**names).split()) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert names["old"].read_text() == "earlier results\n"
+    assert (tmp_path / "maximal.csv").read_text() == "earlier results\n"
+    assert names["huge"].read_bytes() == huge
+
+
+def test_an_interrupted_experiment_leaves_an_existing_output_as_it_was(tmp_path, monkeypatch):
+    cfg = tmp_path / "m.cfg"
+    write_config(cfg, n=16, T="1", replications=2)
+    (tmp_path / "maximal.csv").write_text("earlier results\n")
+    monkeypatch.setattr(cli, "run_experiment", mock.Mock(side_effect=KeyboardInterrupt))
+    with pytest.raises(KeyboardInterrupt):
+        run_cli("experiment", "--config", str(cfg), "--out-dir", str(tmp_path))
+    assert (tmp_path / "maximal.csv").read_text() == "earlier results\n"
+
+
 def test_experiment_missing_config(tmp_path, capsys):
     code = run_cli("experiment", "--kind", "maximal", "--config", str(tmp_path / "none.cfg"))
     assert code != 0
