@@ -739,7 +739,7 @@ def band_summaries(cfg: ExperimentConfig, rows: list) -> list:
                 out.append((f"scaling-ratio-spread(p={p:g})", None, _ONE_VALUE.format("T")))
                 continue
             spread = (ratios.max() - ratios.min()) / ratios.mean() if ratios.mean() else math.inf
-            out.append((f"scaling-ratio-spread(p={p:g})", spread < 0.10, f"spread={spread:.4f} (<0.10)"))
+            out.append((f"scaling-ratio-spread(p={p:g})", bool(spread < 0.10), f"spread={spread:.4f} (<0.10)"))
     elif kind == "consistency":
         for delta in sorted({r["delta"] for r in rows}):
             sub = sorted((r for r in rows if r["delta"] == delta), key=lambda r: r["eps"])
@@ -764,7 +764,7 @@ def band_summaries(cfg: ExperimentConfig, rows: list) -> list:
         if len(sub) < 2:
             out.append(("paired-gap-decreasing-in-eps", None, _ONE_VALUE.format("eps")))
         else:
-            decreasing = all(a["med_abs_gap"] <= b["med_abs_gap"] for a, b in zip(sub, sub[1:]))
+            decreasing = all(a["med_abs_gap"] < b["med_abs_gap"] for a, b in zip(sub, sub[1:]))
             out.append(("paired-gap-decreasing-in-eps", decreasing,
                         "medians " + ", ".join(f"{r['med_abs_gap']:.4g}@{r['eps']:g}" for r in sub)))
         ks_ok = all(r["ks_p"] > 0.01 for r in rows)

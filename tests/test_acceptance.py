@@ -3,6 +3,12 @@
 Statistical criteria run at desk scale with fixed seeds, so every run is
 deterministic; tolerances are 3-standard-error bands (2 SE for the
 monotonicity comparison) plus explicitly stated bias allowances.
+
+Criteria 5-8 are the experiments of the CLAIMS table: each passes when every
+band that ``band_summaries`` gives for its rows, the bands ``hermite-ou
+experiment`` prints, reads PASS (a SKIP fails it).  Two clauses are not bands
+yet and stay in their criterion: criterion 6's capped bound on every row, and
+the median-gap levels of criteria 7 and 8.
 """
 
 import math
@@ -10,10 +16,10 @@ import math
 import numpy as np
 import pytest
 
-from hermite_ou import RngState
+from hermite_ou import RngState, harness
 from hermite_ou.cli import main as cli_main
 from hermite_ou.estimator import EstimatorConfig, minimize_l1, tangent_l1_coefficient
-from hermite_ou.harness import ExperimentConfig, run_experiment
+from hermite_ou.harness import ExperimentConfig, band_summaries, run_experiment
 from hermite_ou.hermite import GridPath, Provenance, simulate_fbm
 from hermite_ou.integrals import covariance_functional, discounted_integral_rows, noise_response
 from hermite_ou.ou import deterministic_solution, exact_solution
@@ -22,10 +28,32 @@ SEED = 20250810  # matches the shared fixtures in conftest.py
 GRID_PTS = (0.25, 0.5, 0.75, 1.0)
 Q2_BIAS_ALLOWANCE = 0.02
 
+# criteria 5-8: criterion number -> the experiment whose every band is the claim
+CLAIMS = {
+    5: ExperimentConfig(kind="maximal", q=1, H=0.7, n=512, T=(1.0, 2.0, 4.0), p=(1.0,),
+                        replications=2000, seed=SEED + 2),
+    6: ExperimentConfig(kind="consistency", theta0=1.0, x0=1.0, q=1, H=0.7, n=512,
+                        eps=(0.5, 0.2, 0.1, 0.05), delta=(0.5,), replications=400, seed=SEED + 3),
+    **{6 + q: ExperimentConfig(kind="limit-dist", theta0=1.0, x0=1.0, q=q, H=0.7, n=512, m=32,
+                               eps=(1e-2, 1e-3), replications=200, ks_samples=500, seed=SEED + 4 + q)
+       for q in (1, 2)},
+}
+MEDIAN_LEVELS = {7: 0.05, 8: 0.10}  # median gap at eps = 1e-3, not a band yet
+
 
 def report(num: int, name: str, ok: bool, detail: str):
     print(f"ACCEPTANCE {num} ({name}): {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {num} ({name}): {detail}"
+
+
+def run_claim(num: int):
+    """Rows of criterion num's experiment, whether every band passed (a
+    SKIP does not) and the bands as the CLI prints them."""
+    rows = run_experiment(CLAIMS[num])
+    bands = band_summaries(CLAIMS[num], rows)
+    text = "; ".join(f"band {name}: {'SKIP' if passed is None else 'PASS' if passed else 'FAIL'} "
+                     f"({detail})" for name, passed, detail in bands)
+    return rows, all(passed is True for _, passed, _ in bands), text
 
 
 def fbm_cov(s, t, h):
@@ -115,74 +143,70 @@ def test_criterion_4_gronwall_bound(fbm07_paths):
 
 
 def test_criterion_5_running_max_scaling():
-    cfg = ExperimentConfig(
-        kind="maximal", q=1, H=0.7, n=512, T=(1.0, 2.0, 4.0), p=(1.0,),
-        replications=2000, seed=SEED + 2,
-    )
-    rows = run_experiment(cfg)
-    ratios = np.array([r["ratio_to_TpH"] for r in rows])
-    spread = (ratios.max() - ratios.min()) / ratios.mean()
-    report(
-        5,
-        "running-max moment scales like T^H",
-        spread < 0.10,
-        f"relative spread {spread:.4f} < 0.10 across T in {{1,2,4}} (2000 reps, n=512T)",
-    )
+    _, ok, bands = run_claim(5)
+    report(5, "running-max moment scales like T^H", ok,
+           f"{bands} across T in {{1,2,4}} (2000 reps, n=512T)")
 
 
 def test_criterion_6_consistency():
-    cfg = ExperimentConfig(
-        kind="consistency", theta0=1.0, x0=1.0, q=1, H=0.7, n=512,
-        eps=(0.5, 0.2, 0.1, 0.05), delta=(0.5,), replications=400, seed=SEED + 3,
-    )
-    rows = run_experiment(cfg)  # sorted by ascending eps
-    monotone = all(
-        a["p_hat"] <= b["p_hat"] + 2 * math.hypot(a["se"], b["se"])
-        for a, b in zip(rows, rows[1:])
-    )
-    bound_ok, capped_ok, checked = True, True, 0
+    rows, ok, bands = run_claim(6)
+    capped_ok = True  # not a band: p-below-bound checks only the rows past the threshold
     for r in rows:
         bound = 2 * r["eps"] * math.exp(abs(r["theta0"])) * r["m_hat"] / r["g_delta"]
-        capped_ok &= r["p_hat"] <= min(1.0, bound + 3 * r["se"])  # every row
-        if r["threshold_ok"]:
-            checked += 1
-            bound_ok &= r["p_hat"] <= bound + 3 * r["se"]
+        capped_ok &= r["p_hat"] <= min(1.0, bound + 3 * r["se"])
     p_by_eps = {r["eps"]: r["p_hat"] for r in rows}
-    report(
-        6,
-        "estimation-error probability shrinks linearly in eps",
-        monotone and bound_ok and capped_ok and checked >= 1,
-        f"p_hat by eps = {p_by_eps}; monotone within 2 SE: {monotone}; "
-        f"capped bound held on every row: {capped_ok}; "
-        f"bound held on all {checked} rows passing the small-eps threshold: {bound_ok}",
-    )
+    report(6, "estimation-error probability shrinks linearly in eps", ok and capped_ok,
+           f"p_hat by eps = {p_by_eps}; {bands}; capped bound held on every row: {capped_ok}")
 
 
-def _limit_dist_report(num, q, median_threshold):
-    cfg = ExperimentConfig(
-        kind="limit-dist", theta0=1.0, x0=1.0, q=q, H=0.7, n=512, m=32,
-        eps=(1e-2, 1e-3), replications=200, ks_samples=500, seed=SEED + 4 + q,
-    )
-    rows = run_experiment(cfg)  # ascending eps: [1e-3, 1e-2]
-    med_small, med_large = rows[0]["med_abs_gap"], rows[1]["med_abs_gap"]
-    ks_p = rows[0]["ks_p"]
-    ok = med_small < median_threshold and med_small <= med_large and ks_p > 0.01
-    report(
-        num,
-        f"paired small-noise limit, q={q}",
-        ok,
-        f"median |u_eps - zeta| = {med_small:.4f} < {median_threshold} at eps=1e-3, "
-        f"{med_large:.4f} at eps=1e-2 (decreasing: {med_small <= med_large}); "
-        f"KS p = {ks_p:.3f} > 0.01 vs 500 independent draws",
-    )
+def limit_claim(num: int):
+    """Criterion 7's or 8's verdict and detail: every band, and the median
+    gap at eps = 1e-3 below the criterion's level."""
+    rows, ok, bands = run_claim(num)
+    med = rows[0]["med_abs_gap"]  # ascending eps: rows[0] is eps = 1e-3
+    return ok and med < MEDIAN_LEVELS[num], (
+        f"median |u_eps - zeta| = {med:.4f} (<{MEDIAN_LEVELS[num]}) at eps=1e-3; {bands}; "
+        f"KS against {CLAIMS[num].ks_samples} independent draws")
 
 
 def test_criterion_7_limit_distribution_fbm():
-    _limit_dist_report(7, 1, 0.05)
+    report(7, "paired small-noise limit, q=1", *limit_claim(7))
 
 
 def test_criterion_8_limit_distribution_rosenblatt():
-    _limit_dist_report(8, 2, 0.10)
+    report(8, "paired small-noise limit, q=2", *limit_claim(8))
+
+
+# wrong zetas: the tangent fit with a wrong x0 or theta0, or zeta scaled
+MUTANTS = {
+    "x0*1.05": lambda ys, grid, theta0, x0: tangent_l1_coefficient(ys, grid, theta0, x0 * 1.05),
+    "theta0+0.1": lambda ys, grid, theta0, x0: tangent_l1_coefficient(ys, grid, theta0 + 0.1, x0),
+    "zeta*1.02": lambda *args: tangent_l1_coefficient(*args) * 1.02,
+    "zeta*1.1": lambda *args: tangent_l1_coefficient(*args) * 1.1,
+}
+MISSED = pytest.mark.xfail(
+    strict=True,
+    reason="the median level and the decrease and KS bands all pass this wrong zeta; "
+    "a paired-gap rate band and a Levy-Prokhorov band must catch it (ROADMAP items 11 and 14)",
+)
+
+
+@pytest.mark.parametrize(
+    "num, mutation",
+    [
+        pytest.param(
+            num, name, id=f"criterion-{num}-{name}",
+            marks=MISSED if (num, name) in {(7, "x0*1.05"), (8, "x0*1.05"), (8, "theta0+0.1")} else (),
+        )
+        for num in (7, 8)
+        for name in ("none", *MUTANTS)
+    ],
+)
+def test_limit_criteria_fail_for_a_wrong_zeta(monkeypatch, num, mutation):
+    if mutation != "none":
+        monkeypatch.setattr(harness, "tangent_l1_coefficient", MUTANTS[mutation])
+    ok, detail = limit_claim(num)
+    assert ok == (mutation == "none"), detail
 
 
 def test_criterion_9_oracle_equivalences():

@@ -475,18 +475,20 @@ def test_consistency_smaller_eps_means_smaller_error(consistency_rows):
 # ---------------------------------------------------------------- limit-dist
 
 
+LIMIT_CFG = ExperimentConfig(
+    kind="limit-dist",
+    theta0=1.0,
+    eps=(1e-2, 1e-3),
+    n=64,
+    replications=60,
+    ks_samples=80,
+    seed=7,
+)
+
+
 @pytest.fixture(scope="module")
 def limit_rows():
-    cfg = ExperimentConfig(
-        kind="limit-dist",
-        theta0=1.0,
-        eps=(1e-2, 1e-3),
-        n=64,
-        replications=60,
-        ks_samples=80,
-        seed=7,
-    )
-    return run_experiment(cfg)
+    return run_experiment(LIMIT_CFG)
 
 
 def test_limit_rows_sorted_by_eps(limit_rows):
@@ -501,7 +503,8 @@ def test_limit_gap_quantiles_ordered(limit_rows):
 
 
 def test_limit_gap_shrinks_with_eps(limit_rows):
-    assert limit_rows[0]["med_abs_gap"] <= limit_rows[1]["med_abs_gap"]
+    bands = {name: passed for name, passed, _ in band_summaries(LIMIT_CFG, limit_rows)}
+    assert bands["paired-gap-decreasing-in-eps"] is True
 
 
 # ---------------------------------------------------------- covariance audit
@@ -1051,7 +1054,7 @@ def test_band_summaries_shapes():
     assert len(bands) == 1
     name, passed, detail = bands[0]
     assert "spread" in detail
-    assert isinstance(bool(passed), bool)
+    assert isinstance(passed, bool)
 
 
 @pytest.mark.parametrize(
@@ -1076,7 +1079,51 @@ def test_band_is_checked_only_over_a_sweep_of_two_or_more_values(fields, skipped
         if passed is None:
             assert detail == f"one {'T' if cfg.kind == 'maximal' else 'eps'} value, nothing to compare"
         else:
-            assert isinstance(passed, (bool, np.bool_)), name
+            assert isinstance(passed, bool), name
+
+
+def _consistency_row(eps, p_hat, threshold_ok=0):
+    # at theta0 = 0, m_hat = 1 and g_delta = 2 the bound 2 eps e^|theta0| m_hat / g_delta is eps
+    return {"eps": eps, "delta": 0.5, "theta0": 0.0, "p_hat": p_hat, "se": 0.01,
+            "g_delta": 2.0, "m_hat": 1.0, "threshold_ok": threshold_ok}
+
+
+def _limit_rows(*med_and_ks_p):
+    return [{"eps": eps, "med_abs_gap": med, "ks_p": ks_p}
+            for eps, (med, ks_p) in zip((1e-3, 1e-2), med_and_ks_p)]
+
+
+@pytest.mark.parametrize(
+    "kind, rows, band, passed",
+    [
+        # relative spread of the ratios: 0.09 / 1.045, then 0.11 / 1.055
+        ("maximal", [{"p": 1.0, "ratio_to_TpH": 1.0}, {"p": 1.0, "ratio_to_TpH": 1.09}],
+         "scaling-ratio-spread(p=1)", True),
+        ("maximal", [{"p": 1.0, "ratio_to_TpH": 1.0}, {"p": 1.0, "ratio_to_TpH": 1.11}],
+         "scaling-ratio-spread(p=1)", False),
+        # the smaller eps may lie at most 2 hypot(se) = 0.0283 above the larger
+        ("consistency", [_consistency_row(0.1, 0.22), _consistency_row(0.2, 0.2)],
+         "p-monotone-in-eps(delta=0.5)", True),
+        ("consistency", [_consistency_row(0.1, 0.23), _consistency_row(0.2, 0.2)],
+         "p-monotone-in-eps(delta=0.5)", False),
+        # bound + 3 se = 0.13 on the one threshold row
+        ("consistency", [_consistency_row(0.1, 0.12, 1), _consistency_row(0.2, 0.9)],
+         "p-below-bound(delta=0.5)", True),
+        ("consistency", [_consistency_row(0.1, 0.14, 1), _consistency_row(0.2, 0.9)],
+         "p-below-bound(delta=0.5)", False),
+        ("limit-dist", _limit_rows((0.1, 0.5), (0.2, 0.5)), "paired-gap-decreasing-in-eps", True),
+        ("limit-dist", _limit_rows((0.2, 0.5), (0.1, 0.5)), "paired-gap-decreasing-in-eps", False),
+        ("limit-dist", _limit_rows((0.1, 0.5), (0.1, 0.5)), "paired-gap-decreasing-in-eps", False),
+        ("limit-dist", _limit_rows((0.1, 0.02), (0.2, 0.5)), "ks-not-rejected(level 0.01)", True),
+        ("limit-dist", _limit_rows((0.1, 0.5), (0.2, 0.01)), "ks-not-rejected(level 0.01)", False),
+    ],
+    ids=["spread-pass", "spread-fail", "monotone-pass", "monotone-fail", "bound-pass",
+         "bound-fail", "decreasing-pass", "decreasing-fail", "decreasing-fail-on-equal-medians",
+         "ks-pass", "ks-fail"],
+)
+def test_band_passes_and_fails_on_synthetic_rows(kind, rows, band, passed):
+    cfg = ExperimentConfig(kind=kind, n=16, m=4, replications=2)
+    assert {name: ok for name, ok, _ in band_summaries(cfg, rows)}[band] is passed
 
 
 def test_bound_band_is_skipped_when_no_row_passed_the_threshold_check():
