@@ -101,7 +101,14 @@ _AUDIT_THETA_MAX = _LOG_MAX / 8
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a Monte Carlo experiment needs, seed included."""
+    """Everything a Monte Carlo experiment needs, seed included.
+
+    A sweep (eps, delta, T, p) may not repeat a value.  A limit-dist eps
+    needs refine_tol / eps <= 1e-4: u = (theta_hat - theta0) / eps is resolved
+    to about refine_tol / eps, and below that it measures the minimiser.  The
+    minimiser's absolute tie tolerance ``_TIE_TOL`` sets a floor of its own,
+    which this rule does not cover (ROADMAP item 5).
+    """
 
     kind: str
     theta0: float = 1.0
@@ -147,6 +154,8 @@ class ExperimentConfig:
                 raise ValueError(f"sweep {name} must be nonempty")
             if not all(0 < v < math.inf for v in sweep):
                 raise ValueError(f"{name} values must be positive and finite")
+            if len(set(sweep)) < len(sweep):
+                raise ValueError(f"sweep {name} = {sweep} repeats a value: a band would compare it with itself")
             object.__setattr__(self, name, sweep)
         if self.n < 2 or self.m < 1:
             raise ValueError("need n >= 2 and m >= 1")
@@ -176,6 +185,11 @@ class ExperimentConfig:
         elif self.kind == "limit-dist":
             if not self.theta_lo < self.theta0 < self.theta_hi:
                 raise ValueError(f"theta0 = {self.theta0} must lie inside ({self.theta_lo}, {self.theta_hi})")
+            if self.refine_tol / min(self.eps) > 1e-4:
+                raise ValueError(
+                    f"eps = {min(self.eps):g} is below the minimiser's resolution: limit-dist needs "
+                    f"refine_tol / eps <= 1e-4, and refine_tol = {self.refine_tol:g}"
+                )
             # the tangent fit divides by its weights on the grid's times: below the
             # normal doubles a ratio overflows
             times = np.arange(self.n + 1) * (1.0 / self.n)

@@ -2,7 +2,7 @@
 
 Statistical criteria run at desk scale with fixed seeds, so every run is
 deterministic; tolerances are 3-standard-error bands (2 SE for the
-monotonicity comparison) plus explicitly stated bias allowances.
+monotonicity comparison).
 
 Criteria 5-8 are the experiments of the CLAIMS table: each passes when every
 band that ``band_summaries`` gives for its rows, the bands ``hermite-ou
@@ -26,7 +26,9 @@ from hermite_ou.ou import deterministic_solution, exact_solution
 
 SEED = 20250810  # matches the shared fixtures in conftest.py
 GRID_PTS = (0.25, 0.5, 0.75, 1.0)
-Q2_BIAS_ALLOWANCE = 0.02
+# criterion 11: P(|Z_1| > 4) / P(|Z_1| > 2) lies above this for q = 2 and below
+# it for q = 1; set on seeds 101-103 before the acceptance seed was run
+TAIL_RATIO_LEVEL = 0.05
 
 # criteria 5-8: criterion number -> the experiment whose every band is the claim
 CLAIMS = {
@@ -67,7 +69,7 @@ def three_se(products):
 @pytest.mark.parametrize("q,h", [(1, 0.6), (1, 0.7), (2, 0.7)])
 def test_criterion_1_unit_variance(grid_samples, q, h):
     z1 = grid_samples(q, h)[:, 3]
-    band = three_se(z1**2) + (Q2_BIAS_ALLOWANCE if q >= 2 else 0.0)
+    band = three_se(z1**2)
     dev = abs(np.mean(z1**2) - 1.0)
     report(
         1,
@@ -80,7 +82,6 @@ def test_criterion_1_unit_variance(grid_samples, q, h):
 @pytest.mark.parametrize("q,h", [(1, 0.6), (1, 0.7), (2, 0.7)])
 def test_criterion_2_covariance_grid(grid_samples, q, h):
     vals = grid_samples(q, h)
-    allowance = Q2_BIAS_ALLOWANCE if q >= 2 else 0.0
     worst_ratio, ok = 0.0, True
     for i, s in enumerate(GRID_PTS):
         for j, t in enumerate(GRID_PTS):
@@ -88,7 +89,7 @@ def test_criterion_2_covariance_grid(grid_samples, q, h):
                 continue
             prods = vals[:, i] * vals[:, j]
             dev = abs(prods.mean() - fbm_cov(s, t, h))
-            band = three_se(prods) + allowance
+            band = three_se(prods)
             ok &= dev < band
             worst_ratio = max(worst_ratio, dev / band)
     report(
@@ -305,3 +306,17 @@ def test_criterion_10_cli_determinism(tmp_path):
         ok &= bool(files_a) and all(same)
         details.append(f"{name}: {'identical' if all(same) else 'DIFFERS'}")
     report(10, "CLI outputs are byte-identical on repeat", ok, "; ".join(details))
+
+
+def test_criterion_11_chaos_order_in_the_tail(grid_samples):
+    # same second moments, but a Rosenblatt tail decays like exp(-c x), a Gaussian one like exp(-x^2/2)
+    counts = {q: [int(np.sum(np.abs(grid_samples(q, 0.7)[:, 3]) > x)) for x in (2, 4)] for q in (1, 2)}
+    ratio = {q: over4 / over2 for q, (over2, over4) in counts.items()}
+    report(
+        11,
+        "the chaos order shows in the tail, H=0.7",
+        ratio[2] > TAIL_RATIO_LEVEL > ratio[1],
+        f"P(|Z_1|>4)/P(|Z_1|>2) = {counts[2][1]}/{counts[2][0]} = {ratio[2]:.4f} > {TAIL_RATIO_LEVEL} for q=2, "
+        f"{counts[1][1]}/{counts[1][0]} = {ratio[1]:.4f} < {TAIL_RATIO_LEVEL} for q=1 "
+        "(same runs as criterion 1)",
+    )

@@ -98,31 +98,6 @@ def test_minimize_consistency_small_noise():
     assert hits >= 190
 
 
-def test_minimize_matches_dense_grid_oracle():
-    grid = np.linspace(CFG.theta_lo, CFG.theta_hi, 10**5)
-    spacing = grid[1] - grid[0]
-    for s in range(20):
-        z = simulate_fbm(H, 256, 1.0, RngState(32, s))
-        integral = discounted_integral_rows(z.values, z.times, 1.0)
-        x = path_from(exact_solution(integral, np.exp(1.0 * z.times), 0.05, 1.0))
-        res = minimize_l1(x, 1.0, CFG)
-        vals = _objective_on_grid(x, grid, 1.0)
-        oracle = grid[int(np.argmin(vals))]
-        assert abs(res.theta_hat - oracle) < 10 * CFG.refine_tol + spacing, s
-
-
-def _objective_on_grid(x, thetas, x0, block=2048):
-    out = np.empty(thetas.size)
-    t = x.times
-    w = np.full(t.size, x.dt)
-    w[0] = w[-1] = x.dt / 2
-    for lo in range(0, thetas.size, block):
-        chunk = thetas[lo : lo + block]
-        dev = np.abs(x.values[None, :] - x0 * np.exp(np.outer(chunk, t)))
-        out[lo : lo + chunk.size] = dev @ w
-    return out
-
-
 def test_minimize_unchanged_when_window_widens():
     z = simulate_fbm(H, 256, 1.0, RngState(33, 7))
     integral = discounted_integral_rows(z.values, z.times, 1.0)
@@ -688,35 +663,6 @@ def test_tangent_objective_subgradient_signs():
     j = lambda u: tangent_l1_objective(y, u, 1.0, 1.0)
     assert (j(zeta + h) - j(zeta)) / h >= -1e-9
     assert (j(zeta) - j(zeta - h)) / h <= 1e-9
-
-
-def test_tangent_fit_matches_grid_oracle():
-    # exact weighted median vs the argmin of the objective on a dense grid
-    theta0, x0 = 1.0, 1.0
-    for s in range(100):
-        z = simulate_fbm(H, 128, 1.0, RngState(35, s))
-        integral = discounted_integral_rows(z.values, z.times, theta0)
-        y = path_from(noise_response(integral, np.exp(theta0 * z.times)))
-        yv = y.values[1 : y.n]
-        w = y.times[1 : y.n] * x0 * np.exp(theta0 * y.times[1 : y.n])
-        ratios = yv / w
-        grid = np.linspace(ratios.min(), ratios.max(), 10**5)
-        step = grid[1] - grid[0]
-        obj = _tangent_objective_on_grid(y, grid, theta0, x0)
-        oracle = grid[int(np.argmin(obj))]
-        zeta = tangent_l1_coefficient(y.values, y, theta0, x0)
-        assert abs(zeta - oracle) <= step + 1e-12, s
-
-
-def _tangent_objective_on_grid(y, grid, theta0, x0, block=8192):
-    t = y.times[1 : y.n]
-    w = t * x0 * np.exp(theta0 * t)
-    yv = y.values[1 : y.n]
-    out = np.empty(grid.size)
-    for lo in range(0, grid.size, block):
-        chunk = grid[lo : lo + block]
-        out[lo : lo + chunk.size] = np.abs(yv[None, :] - chunk[:, None] * w[None, :]).sum(axis=1)
-    return out * y.dt
 
 
 def test_linearized_objective_converges_first_order():

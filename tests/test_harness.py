@@ -159,6 +159,29 @@ def test_config_rejects_zero_start(x0):
         ExperimentConfig(kind="consistency", x0=x0)
 
 
+@pytest.mark.parametrize(
+    "kind, name, sweep",
+    [("limit-dist", "eps", (0.1, 0.1)), ("consistency", "delta", (0.5, 0.25, 0.5)),
+     ("maximal", "T", (1, 1.0)), ("maximal", "p", (1.0, 2.0, 1.0))],
+)
+def test_config_rejects_a_sweep_that_repeats_a_value(kind, name, sweep):
+    # a band across a sweep would compare a value with itself: two equal
+    # limit-dist medians read FAIL, one maximal horizon twice reads PASS
+    with pytest.raises(ValueError, match=f"sweep {name} = .* repeats a value"):
+        ExperimentConfig(kind=kind, **{name: sweep})
+
+
+@pytest.mark.parametrize("eps", [1e-5, 1e-17])
+def test_config_rejects_a_limit_dist_eps_below_the_minimizer_resolution(eps):
+    # u = (theta_hat - theta0) / eps is resolved to refine_tol / eps at best:
+    # past 1e-4 the median gap measures the minimiser, not the limit law
+    with pytest.raises(ValueError, match=rf"eps = {eps:g} .* refine_tol = 1e-08"):
+        ExperimentConfig(kind="limit-dist", eps=(0.1, eps))
+    ExperimentConfig(kind="limit-dist", eps=(0.1, 1e-4))
+    ExperimentConfig(kind="limit-dist", eps=(0.1, eps), refine_tol=1e-5 * eps)
+    ExperimentConfig(kind="consistency", eps=(0.1, eps))
+
+
 def test_config_rejects_a_start_whose_tangent_weights_are_subnormal():
     # x0 = 2.3e-308 is normal, but at n = 64 the tangent-fit weight
     # t x0 e^(theta0 t) at t = 1/64 is 3.65e-310: a ratio would overflow,
@@ -558,14 +581,11 @@ def test_covariance_audit_needs_quarter_grid():
 
 
 def test_covariance_audit_q2_within_widened_band():
-    # non-Gaussian driver: 3 SE plus the 0.02 partial-sum bias allowance
+    # non-Gaussian driver: the band grants its q >= 2 allowance on top of 3 SE
     cfg = ExperimentConfig(
         kind="covariance-audit", q=2, H=0.7, n=256, m=16, replications=800, seed=21
     )
-    rows = run_experiment(cfg)
-    for r in rows:
-        assert abs(r["estimate"] - r["target"]) <= 3 * r["se"] + 0.02, (r["s"], r["t"])
-    bands = band_summaries(cfg, rows)
+    bands = band_summaries(cfg, run_experiment(cfg))
     assert bands[0][1]
 
 

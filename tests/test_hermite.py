@@ -33,10 +33,6 @@ from hermite_ou.hermite import (
 SEED = 424242
 
 
-def fbm_cov(s, t, h):
-    return 0.5 * (s ** (2 * h) + t ** (2 * h) - abs(t - s) ** (2 * h))
-
-
 def mc_band(products):
     """(estimate, 3 * standard error) for a vector of per-path products."""
     return products.mean(), 3 * products.std(ddof=1) / np.sqrt(products.size)
@@ -213,18 +209,6 @@ def test_partial_sum_q1_matches_fbm_in_law():
             gap = pa.mean() - pb.mean()
             band = 3 * np.sqrt(pa.var(ddof=1) / 4000 + pb.var(ddof=1) / 4000)
             assert abs(gap) < band, (i, j, gap, band)
-
-
-def test_partial_sum_q2_unit_variance(grid_samples):
-    z1 = grid_samples(2, 0.7)[:, 3]
-    est, band = mc_band(z1**2)
-    assert abs(est - 1.0) < band
-
-
-def test_partial_sum_q2_covariance(grid_samples):
-    vals = grid_samples(2, 0.7)
-    est, band = mc_band(vals[:, 0] * vals[:, 2])
-    assert abs(est - fbm_cov(0.25, 0.75, 0.7)) < band
 
 
 def test_partial_sum_q2_endpoint_matches_its_exact_law():
@@ -464,18 +448,6 @@ def test_self_similarity_ks_q2(a_scale):
 
 
 @pytest.mark.parametrize("q,h", [(1, 0.7), (2, 0.7)])
-def test_covariance_grid_entrywise(grid_samples, q, h):
-    vals = grid_samples(q, h)
-    grid = (0.25, 0.5, 0.75, 1.0)
-    for i, s in enumerate(grid):
-        for j, t in enumerate(grid):
-            if j < i:
-                continue
-            est, band = mc_band(vals[:, i] * vals[:, j])
-            assert abs(est - fbm_cov(s, t, h)) < band, (s, t, est)
-
-
-@pytest.mark.parametrize("q,h", [(1, 0.7), (2, 0.7)])
 def test_moment_growth_is_bounded(grid_samples, q, h):
     # E|Z_t|^p / t^(pH) stays within fixed bounds over t, p in {1, 2}
     vals = grid_samples(q, h)
@@ -483,23 +455,6 @@ def test_moment_growth_is_bounded(grid_samples, q, h):
         for i, t in [(0, 0.25), (1, 0.5), (3, 1.0)]:
             ratio = np.mean(np.abs(vals[:, i]) ** p) / t ** (p * h)
             assert 0.2 < ratio < 3.0, (p, t, ratio)
-
-
-def test_running_max_moment_scales_with_t_pow_h():
-    # E[max |Z|] / T^H constant across T on independently generated grids
-    h, reps = 0.7, 1000
-    ratios = []
-    for k, t_max in enumerate((1.0, 2.0, 4.0)):
-        n = int(256 * t_max)
-        sups = np.array(
-            [
-                np.abs(simulate_fbm(h, n, t_max, RngState(SEED + 20 + k, s)).values).max()
-                for s in range(reps)
-            ]
-        )
-        ratios.append(sups.mean() / t_max**h)
-    ratios = np.array(ratios)
-    assert (ratios.max() - ratios.min()) / ratios.mean() < 0.10
 
 
 # -------------------------------------------------------------- CSV export

@@ -56,20 +56,6 @@ def test_exact_solution_affinity_in_eps():
 
 
 @pytest.mark.parametrize("theta0", [-1.0, 1.0])
-def test_gronwall_path_bound(theta0):
-    # sup |X - x(theta0)| <= 1.01 * eps * e^{|theta0|} * sup |Z|, every path
-    eps = 0.1
-    for s in range(200):
-        z = simulate_fbm(H, 256, 1.0, RngState(99, s))
-        integral = discounted_integral_rows(z.values, z.times, theta0)
-        x = exact_solution(integral, np.exp(theta0 * z.times), eps, 1.0)
-        skel = deterministic_solution(theta0, 1.0, z)
-        lhs = np.max(np.abs(x - skel.values))
-        rhs = 1.01 * eps * math.exp(abs(theta0)) * np.max(np.abs(z.values))
-        assert lhs <= rhs, (s, lhs, rhs)
-
-
-@pytest.mark.parametrize("theta0", [-1.0, 1.0])
 def test_integral_inequality_discrete(theta0):
     # V_t <= |theta0| int_0^t V ds + eps |Z_t| within 1% slack on the grid
     eps = 0.1
