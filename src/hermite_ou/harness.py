@@ -53,6 +53,7 @@ from .hermite import (
     GridPath,
     _check_embedding,
     _unit_steps,
+    _write_csv,
     hermite_exponent,
     running_max_abs,
     simulate_fbm,
@@ -717,18 +718,10 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     return _RUNNERS[cfg.kind](cfg)
 
 
-def _format_field(value) -> str:
-    if isinstance(value, (int, np.integer, np.bool_)):
-        return str(int(value))
-    return format(float(value), ".17g")
-
-
 def write_rows_csv(rows: list, kind: str, fh) -> None:
     """Schema-exact CSV: header row, comma separators, 17 significant digits."""
     columns = SCHEMAS[kind]
-    fh.write(",".join(columns) + "\n")
-    for row in rows:
-        fh.write(",".join(_format_field(row[c]) for c in columns) + "\n")
+    _write_csv(fh, columns, ([row[c] for c in columns] for row in rows))
 
 
 _ONE_VALUE = "one {} value, nothing to compare"

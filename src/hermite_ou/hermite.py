@@ -279,8 +279,20 @@ def running_max_abs(values: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(out, axis=-1, out=out)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _csv_field(value) -> str:
+    """The one CSV cell format of the package: an integer as an integer, any
+    other number to 17 significant digits, which round-trips a double."""
+    if isinstance(value, (int, np.integer, np.bool_)):
+        return str(int(value))
+    return format(float(value), ".17g")
+
+
+def _write_csv(fh, columns, rows) -> None:
+    """The one CSV writer of the package: a header of column names, then one
+    comma-separated line of ``_csv_field`` cells per row."""
+    fh.write(",".join(columns) + "\n")
+    for row in rows:
+        fh.write(",".join(map(_csv_field, row)) + "\n")
 
 
 def write_path_csv(path: GridPath, fh) -> None:
@@ -290,11 +302,8 @@ def write_path_csv(path: GridPath, fh) -> None:
     """
     prov = path.provenance
     fh.write(f"# generator={prov.tag} seed={prov.seed} stream={prov.stream}\n")
-    fh.write(f"# t_max={_fmt(path.t_max)} n={path.n}\n")
-    fh.write("t,value\n")
-    times = path.times
-    for i in range(path.n + 1):
-        fh.write(f"{_fmt(times[i])},{_fmt(path.values[i])}\n")
+    fh.write(f"# t_max={_csv_field(path.t_max)} n={path.n}\n")
+    _write_csv(fh, ("t", "value"), zip(path.times, path.values))
 
 
 def read_path_csv(fh) -> GridPath:

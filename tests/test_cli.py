@@ -11,7 +11,7 @@ import pytest
 from hermite_ou import cli, hermite
 from hermite_ou.cli import main
 from hermite_ou.estimator import EstimatorConfig, minimize_l1
-from hermite_ou.harness import ExperimentConfig
+from hermite_ou.harness import SCHEMAS, ExperimentConfig
 from hermite_ou.hermite import GridPath, Provenance, read_path_csv, write_path_csv
 
 
@@ -372,12 +372,16 @@ def test_estimate_missing_file_names_path(tmp_path, capsys):
 def test_estimate_rejects_inverted_bounds(tmp_path, capsys):
     src = tmp_path / "skel.csv"
     write_skeleton_csv(src)
+    out = tmp_path / "res.csv"
     code = run_cli(
         "estimate", "--input", str(src), "--x0", "1.0",
-        "--theta-lo", "2", "--theta-hi", "-2",
+        "--theta-lo", "2", "--theta-hi", "-2", "--out", str(out),
     )
-    assert code != 0
-    assert "theta-lo" in capsys.readouterr().err
+    assert code == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.startswith("error: --theta-lo/--theta-hi: ") and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 def test_estimate_writes_result_csv(tmp_path):
@@ -388,6 +392,22 @@ def test_estimate_writes_result_csv(tmp_path):
     header, row = out.read_text().splitlines()
     assert header == "theta_hat,objective_value,n_evals,bracket_lo,bracket_hi"
     assert len(row.split(",")) == 5
+
+
+# sha256 of the CSV estimate --out writes for the path of SIMULATE_BYTES["ou-seed-1"]
+ESTIMATE_BYTES = {
+    "default-window": ([], "fa789b0b04671359f4b2bb3177c5aab9f1c10c7763fd6bf2cdbcfa3e83988c63"),
+    "narrow-window": (["--theta-lo=-1.5", "--theta-hi", "0.5", "--coarse-points", "51"],
+                      "4217abf83bb9e32b442ca586d06f277e82c981bb7e1db8f098d31d1b6efcb4ef"),
+}
+
+
+@pytest.mark.parametrize("flags, digest", ESTIMATE_BYTES.values(), ids=ESTIMATE_BYTES.keys())
+def test_estimate_keeps_its_recorded_bytes(flags, digest, tmp_path):
+    src, out = tmp_path / "p.csv", tmp_path / "res.csv"
+    assert run_cli("simulate", *SIMULATE_BYTES["ou-seed-1"][0], "--out", str(src)) == 0
+    assert run_cli("estimate", "--input", str(src), "--x0", "2", *flags, "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_estimate_overflowing_window_exits_2_under_warnings_as_errors(tmp_path):
@@ -476,15 +496,29 @@ def write_config(path, **extra):
     path.write_text("".join(f"{k} = {v}\n" for k, v in base.items()))
 
 
-def test_experiment_writes_schema_csv(tmp_path):
+# small runs of every kind, for what the written CSV must hold
+SCHEMA_RUNS = {
+    "maximal": {},
+    "consistency": {"eps": "0.5,0.2", "delta": "0.5", "replications": 8},
+    "limit-dist": {"q": 2, "m": 4, "n": 16, "eps": "0.1,0.05", "replications": 4, "ks_samples": 4},
+    "covariance-audit": {"n": 16, "replications": 8},
+}
+
+
+@pytest.mark.parametrize("kind", SCHEMA_RUNS)
+def test_experiment_writes_schema_csv(kind, tmp_path):
     cfg = tmp_path / "m.cfg"
-    write_config(cfg)
-    code = run_cli("experiment", "--kind", "maximal", "--config", str(cfg),
-                   "--out-dir", str(tmp_path / "out"))
-    assert code == 0
-    lines = (tmp_path / "out" / "maximal.csv").read_text().splitlines()
-    assert lines[0] == "T,p,q,H,n,reps,moment_hat,se,ratio_to_TpH"
-    assert len(lines) == 3
+    write_config(cfg, **SCHEMA_RUNS[kind])
+    assert run_cli("experiment", "--kind", kind, "--config", str(cfg),
+                   "--out-dir", str(tmp_path / "out")) == 0
+    header, *rows = (tmp_path / "out" / f"{kind}.csv").read_text().splitlines()
+    assert header == ",".join(SCHEMAS[kind])
+    assert rows
+    for row in rows:
+        cells = row.split(",")
+        assert len(cells) == len(SCHEMAS[kind])
+        for cell in cells:
+            float(cell)
 
 
 def test_experiment_consistency_row_order(tmp_path):
